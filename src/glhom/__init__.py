@@ -20,6 +20,7 @@ from .errors import (
     DivisionByZero,
     GlhomError,
     IneligibleTuple,
+    InvariantViolation,
     LengthMismatch,
     NonZeroRemainder,
     ParseError,
@@ -71,6 +72,7 @@ __all__ = [
     "GroupSpec",
     "IneligibleTuple",
     "IntPolynomial",
+    "InvariantViolation",
     "LeadingTerm",
     "LengthMismatch",
     "LiftedReport",

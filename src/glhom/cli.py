@@ -46,7 +46,7 @@ def _build_parser() -> _Parser:
         "--max-tuples",
         type=int,
         default=DEFAULT_MAX_TUPLES,
-        help="cap on enumerated eligible tuples",
+        help="cap on eligible tuples for poly and verify (counted, not listed)",
     )
     common.add_argument(
         "--max-gl",

@@ -43,6 +43,10 @@ class NonZeroRemainder(GlhomError, ArithmeticError):
     """Exact polynomial division left a remainder; signals a logic bug upstream."""
 
 
+class InvariantViolation(GlhomError, RuntimeError):
+    """A computed value broke a proven identity; signals a logic bug, not bad input."""
+
+
 class ResourceLimit(GlhomError, RuntimeError):
     """A configurable enumeration cap was exceeded."""
 

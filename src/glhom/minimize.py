@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import LengthMismatch, RangeError, ResourceLimit
+from .errors import InvariantViolation, LengthMismatch, RangeError, ResourceLimit
 from .profiles import DegreeProfile, validate_profile
 
 
@@ -207,7 +207,8 @@ def stability_bound(profile: DegreeProfile) -> StabilityBound:
                 if e < 0:
                     b = max(b, (-e + d - 1) // d)
     n_threshold = b * a
-    assert n_threshold <= a * (a - 1)
+    if n_threshold > a * (a - 1):
+        raise InvariantViolation(f"stability bound N={n_threshold} exceeds a(a-1)={a * (a - 1)}")
     return StabilityBound(b=b, n_threshold=n_threshold)
 
 

@@ -216,6 +216,25 @@ def test_resource_limit_exit_3(capsys):
     assert code == 3
 
 
+def test_resource_limit_counts_before_building(capsys):
+    # the cap fires on the counted tuples, before any polynomial of size n
+    code, out, err = run(
+        capsys, "poly", "--group", "cyclic:2", "-n", "5000", "--max-tuples", "10"
+    )
+    assert code == 3
+    assert out == ""
+    assert "n=5000 has 5001 eligible tuples, more than --max-tuples 10" in err
+
+
+def test_poly_many_coordinates(capsys):
+    # a + C(a, 2)(q^2 + q) for a = 2000 one-dimensional characters
+    code, out, _ = run(
+        capsys, "poly", "--group", "cyclic:2000", "-n", "2", "--max-tuples", "3000000"
+    )
+    assert code == 0
+    assert out == "1999000*q^2 + 1999000*q + 2000\n"
+
+
 def test_output_byte_identical_across_runs(capsys):
     first = run(capsys, "table", "--group", "sym:4", "--json")
     second = run(capsys, "table", "--group", "sym:4", "--json")

@@ -5,9 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import glhom.counting as counting
 from glhom import (
+    DegreeProfile,
     IneligibleTuple,
+    InvariantViolation,
     minimal_tuples_for_n,
     IntPolynomial,
     LengthMismatch,
@@ -45,6 +49,12 @@ def test_orbit_poly_errors(s4):
         orbit_poly(s4, (1, 0))
 
 
+def test_orbit_poly_rejects_non_monic_quotient(c2, monkeypatch):
+    monkeypatch.setattr(counting, "div_exact", lambda num, den: IntPolynomial([0, 0, 2]))
+    with pytest.raises(InvariantViolation):
+        orbit_poly(c2, (1, 1))
+
+
 def test_orbit_poly_degree_and_monic(s4, d3):
     for profile in (s4, d3):
         for n in range(0, 7):
@@ -68,6 +78,13 @@ def test_hom_count_poly_s4_n2(s4):
     assert f2.evaluate(5) == 152
 
 
+def _orbit_sum(profile, n):
+    total = IntPolynomial.zero()
+    for t in eligible_tuples(profile, n):
+        total = total + orbit_poly(profile, t)
+    return total
+
+
 def test_hom_count_poly_matches_orbit_sum():
     cases = [
         ("cyclic:2", range(0, 13)),
@@ -76,14 +93,27 @@ def test_hom_count_poly_matches_orbit_sum():
         ("dihedral:4", range(0, 8)),
         ("sym:4", range(0, 9)),
         ("custom:order=10,degrees=1,3", range(0, 10)),
+        ("sym:5", range(0, 8)),
+        ("dihedral:5", range(0, 9)),
+        ("abelian:2x2x2", range(0, 7)),
+        ("cyclic:12", range(0, 5)),
     ]
     for text, ns in cases:
         profile = make_profile(text)
         for n in ns:
-            total = IntPolynomial.zero()
-            for t in eligible_tuples(profile, n):
-                total = total + orbit_poly(profile, t)
-            assert hom_count_poly(profile, n) == total, (text, n)
+            assert hom_count_poly(profile, n) == _orbit_sum(profile, n), (text, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    extra=st.lists(st.integers(min_value=1, max_value=5), max_size=4),
+    n=st.integers(min_value=0, max_value=8),
+)
+def test_hom_count_poly_matches_orbit_sum_random_profiles(extra, n):
+    degrees = (1, *sorted(extra))
+    profile = DegreeProfile(order=sum(d * d for d in degrees), degrees=degrees)
+    assert hom_count_poly(profile, n) == _orbit_sum(profile, n)
+    assert counting._count_eligible(degrees, n) == len(eligible_tuples(profile, n))
 
 
 def test_hom_count_poly_partition_identity(s4, d3):
@@ -101,6 +131,7 @@ def test_hom_count_poly_partition_identity(s4, d3):
 def test_hom_count_poly_resource_limit(c2):
     with pytest.raises(ResourceLimit):
         hom_count_poly(c2, 50, max_tuples=10)
+    assert hom_count_poly(c2, 50, max_tuples=51).degree == 50 * 50 // 2
 
 
 def test_hom_count_poly_range(c2):
