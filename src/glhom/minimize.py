@@ -261,28 +261,26 @@ def eligible_tuples(
     validate_profile(profile)
     if n < 0:
         raise RangeError("dimension must be >= 0")
+    degrees, s = profile.degrees, profile.s
     out: list[tuple[int, ...]] = []
-    for t in iter_eligible_tuples(profile.degrees, n):
-        out.append(t)
-        if max_tuples is not None and len(out) > max_tuples:
-            raise ResourceLimit(
-                f"more than {max_tuples} eligible tuples for n={n}"
-            )
-    return tuple(out)
-
-
-def iter_eligible_tuples(degrees: tuple[int, ...], n: int):
-    """Yield non-negative solutions of sum n_i d_i = n in lexicographic order."""
-    s = len(degrees)
-
-    def rec(j: int, w_rem: int, prefix: tuple[int, ...]):
-        if j == s - 1:
-            d = degrees[j]
-            if w_rem % d == 0:
-                yield prefix + (w_rem // d,)
-            return
-        d = degrees[j]
-        for v in range(w_rem // d + 1):
-            yield from rec(j + 1, w_rem - v * d, prefix + (v,))
-
-    yield from rec(0, n, ())
+    # lex-order walk over every coordinate but the last, which takes the
+    # weight that remains; rem[j] is the weight left for coordinates j..
+    t = [0] * s
+    rem = [n] * s
+    while True:
+        if rem[-1] % degrees[-1] == 0:
+            t[-1] = rem[-1] // degrees[-1]
+            out.append(tuple(t))
+            if max_tuples is not None and len(out) > max_tuples:
+                raise ResourceLimit(
+                    f"more than {max_tuples} eligible tuples for n={n}"
+                )
+        j = s - 2
+        while j >= 0 and (t[j] + 1) * degrees[j] > rem[j]:
+            j -= 1
+        if j < 0:
+            return tuple(out)
+        t[j] += 1
+        for i in range(j + 1, s):
+            t[i] = 0
+            rem[i] = rem[j] - t[j] * degrees[j]

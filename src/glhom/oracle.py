@@ -11,6 +11,7 @@ modules they check.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,13 +19,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ParseError, RangeError, ResourceLimit, ValidationError
+from .errors import InvariantViolation, ParseError, RangeError, ResourceLimit, ValidationError
 from .minimize import MinimalReport
 from .profiles import DegreeProfile, GroupSpec, validate_profile
 
 DEFAULT_MAX_CANDIDATES = 10**8
 
 _BLOCK_ROWS = 1 << 16
+_JOIN_ENTRIES = 1 << 20
 
 
 def is_prime(q: int) -> bool:
@@ -179,44 +181,77 @@ def _det_mod(mats: np.ndarray, q: int) -> np.ndarray:
     return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % q
 
 
-def gl_count(n: int, q: int, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> int:
-    """|GL_n(q)| by direct enumeration (vectorised); the stream's companion count."""
-    total = _check_enum_args(n, q, max_candidates)
-    count = 0
-    for mats in _matrix_blocks(n, q, total):
-        count += int(np.count_nonzero(_det_mod(mats, q)))
-    return count
-
-
-def _pow_identity_mask(mats: np.ndarray, m: int, q: int) -> np.ndarray:
-    cur = mats % q
-    for _ in range(m - 1):
-        cur = np.matmul(cur, mats) % q
+def _batch_inverse(mats: np.ndarray, q: int) -> np.ndarray:
+    """Inverses of a batch of invertible matrices via the adjugate (n <= 3)."""
     n = mats.shape[-1]
+    dets, where = np.unique(_det_mod(mats, q), return_inverse=True)
+    dinv = np.array([pow(int(d), -1, q) for d in dets], dtype=np.int64)[where][:, None, None]
+    if n == 1:
+        return dinv
+    if n == 2:
+        adj = np.empty_like(mats)
+        adj[:, 0, 0] = mats[:, 1, 1]
+        adj[:, 0, 1] = -mats[:, 0, 1]
+        adj[:, 1, 0] = -mats[:, 1, 0]
+        adj[:, 1, 1] = mats[:, 0, 0]
+    else:
+        # column j of the adjugate is the cross product of rows j+1 and j+2
+        r0, r1, r2 = mats[:, 0], mats[:, 1], mats[:, 2]
+        adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
+    return adj * dinv % q
+
+
+def _eval_word(
+    word: tuple[int, ...],
+    rows: np.ndarray,
+    mats: list[np.ndarray],
+    invs: list[np.ndarray | None],
+    q: int,
+) -> np.ndarray:
+    """Whether ``word`` is the identity on each row of generator indices.
+
+    Row ``i`` assigns candidate ``rows[i, g]`` of ``mats[g]`` (its inverse
+    from ``invs[g]``) to generator ``g + 1``; the result is a bool per row.
+    """
+    factors = {
+        letter: (mats if letter > 0 else invs)[abs(letter) - 1][rows[:, abs(letter) - 1]]
+        for letter in set(word)
+    }
+    cur = factors[word[0]]
+    for letter in word[1:]:
+        cur = np.matmul(cur, factors[letter])
+        cur %= q
+    n = cur.shape[-1]
     return (cur == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
 
 
-def _order_filtered_candidates(
-    n: int, q: int, m: int, max_candidates: int
-) -> np.ndarray:
-    """All matrices with g^m = identity (such g are automatically invertible)."""
-    total = _check_enum_args(n, q, max_candidates)
-    found = []
+def _unit_blocks(
+    n: int,
+    q: int,
+    words: list[tuple[int, ...]],
+    with_inverses: bool,
+    cap: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """The invertible matrices of each ``_matrix_blocks`` block, with inverses.
+
+    ``words`` are one-generator relators written in the letters +-1; only
+    matrices on which every one of them is the identity are kept.  The
+    inverses are ``None`` unless ``with_inverses`` is set.
+    """
+    total = _check_enum_args(n, q, cap)
     for mats in _matrix_blocks(n, q, total):
-        mask = _pow_identity_mask(mats, m, q)
-        if mask.any():
-            found.append(mats[mask])
-    return np.concatenate(found) if found else np.empty((0, n, n), dtype=np.int64)
+        mats = mats[_det_mod(mats, q) != 0]
+        invs = _batch_inverse(mats, q) if with_inverses else None
+        for word in words:
+            keep = _eval_word(word, np.arange(len(mats))[:, None], [mats], [invs], q)
+            mats = mats[keep]
+            invs = invs[keep] if with_inverses else None
+        yield mats, invs
 
 
-def _invertible_candidates(n: int, q: int, max_candidates: int) -> np.ndarray:
-    total = _check_enum_args(n, q, max_candidates)
-    found = []
-    for mats in _matrix_blocks(n, q, total):
-        mask = _det_mod(mats, q) != 0
-        if mask.any():
-            found.append(mats[mask])
-    return np.concatenate(found) if found else np.empty((0, n, n), dtype=np.int64)
+def gl_count(n: int, q: int, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> int:
+    """|GL_n(q)| by direct enumeration (vectorised); the stream's companion count."""
+    return sum(len(mats) for mats, _ in _unit_blocks(n, q, [], False, max_candidates))
 
 
 def count_units_of_order_dividing(
@@ -356,87 +391,6 @@ def builtin_presentation(spec: GroupSpec) -> Presentation | None:
     return None
 
 
-def _pure_power(word: tuple[int, ...]) -> tuple[int, int] | None:
-    """If the word is g^m or g^-m for a single generator g, return (g, m)."""
-    letters = set(word)
-    if len(letters) == 1:
-        return abs(word[0]), len(word)
-    return None
-
-
-def _single_generator(word: tuple[int, ...]) -> int | None:
-    gens = {abs(g) for g in word}
-    if len(gens) == 1:
-        return gens.pop()
-    return None
-
-
-def _inv_table(q: int) -> np.ndarray:
-    return np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
-
-
-def _batch_inverse(mats: np.ndarray, q: int) -> np.ndarray:
-    """Inverses of a batch of invertible matrices via the adjugate (n <= 3)."""
-    n = mats.shape[-1]
-    det = _det_mod(mats, q)
-    dinv = _inv_table(q)[det]
-    if n == 1:
-        return (dinv[:, None, None]) % q
-    if n == 2:
-        adj = np.empty_like(mats)
-        adj[:, 0, 0] = mats[:, 1, 1]
-        adj[:, 0, 1] = -mats[:, 0, 1]
-        adj[:, 1, 0] = -mats[:, 1, 0]
-        adj[:, 1, 1] = mats[:, 0, 0]
-        return (adj * dinv[:, None, None]) % q
-    adj = np.empty_like(mats)
-    for i in range(3):
-        for j in range(3):
-            rows = [r for r in range(3) if r != j]
-            cols = [c for c in range(3) if c != i]
-            minor = (
-                mats[:, rows[0], cols[0]] * mats[:, rows[1], cols[1]]
-                - mats[:, rows[0], cols[1]] * mats[:, rows[1], cols[0]]
-            )
-            adj[:, i, j] = (-1) ** (i + j) * minor
-    return (adj * dinv[:, None, None]) % q
-
-
-def _eval_word_single(
-    word: tuple[int, ...], x: np.ndarray, x_inv: np.ndarray | None, q: int
-) -> np.ndarray:
-    """Evaluate a one-generator word over a candidate batch; (N, n, n) result."""
-    n = x.shape[-1]
-    cur = np.broadcast_to(np.eye(n, dtype=np.int64), x.shape).copy()
-    for letter in word:
-        factor = x if letter > 0 else x_inv
-        cur = np.matmul(cur, factor) % q
-    return cur
-
-
-def _eval_word_pair(
-    word: tuple[int, ...],
-    xs: np.ndarray,
-    ys: np.ndarray,
-    xs_inv: np.ndarray | None,
-    ys_inv: np.ndarray | None,
-    q: int,
-) -> np.ndarray:
-    """Evaluate a two-generator word on the full candidate grid; (Nx, Ny, n, n)."""
-    n = xs.shape[-1]
-    cur = np.broadcast_to(
-        np.eye(n, dtype=np.int64), (xs.shape[0], ys.shape[0], n, n)
-    ).copy()
-    for letter in word:
-        if abs(letter) == 1:
-            factor = xs if letter > 0 else xs_inv
-            cur = np.einsum("xyij,xjk->xyik", cur, factor) % q
-        else:
-            factor = ys if letter > 0 else ys_inv
-            cur = np.einsum("xyij,yjk->xyik", cur, factor) % q
-    return cur
-
-
 def hom_count_bruteforce(
     presentation: Presentation,
     n: int,
@@ -446,10 +400,11 @@ def hom_count_bruteforce(
     """Count homomorphisms from the presented group into GL_n(q) directly.
 
     Counts generator tuples (g_1, ..., g_k) of invertible matrices under
-    which every relator evaluates to the identity.  Generators appearing
-    in a pure power relator g^m are pre-filtered to the matrices of order
-    dividing m, which is what keeps two-generator presentations feasible
-    at n = 2.
+    which every relator evaluates to the identity.  Each generator's
+    candidates are first cut down by the relators that mention only that
+    generator (a power relator g^m leaves the matrices of order dividing
+    m).  Tuples are then joined one generator at a time, and each other
+    relator is checked as soon as its highest generator is assigned.
     """
     _require_prime(q)
     if n < 0:
@@ -457,95 +412,56 @@ def hom_count_bruteforce(
     if n == 0:
         return 1  # GL_0 is trivial: exactly the empty representation
     k = presentation.generator_count
+    with_inverses = any(letter < 0 for word in presentation.relators for letter in word)
 
-    power_of: dict[int, int] = {}
+    ends_at: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
+    own: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     for word in presentation.relators:
-        pp = _pure_power(word)
-        if pp and pp[0] not in power_of:
-            power_of[pp[0]] = pp[1]
-
-    cands: list[np.ndarray] = []
-    for gen in range(1, k + 1):
-        if gen in power_of:
-            cands.append(_order_filtered_candidates(n, q, power_of[gen], max_candidates))
+        gens = {abs(letter) for letter in word}
+        if len(gens) == 1:
+            own[gens.pop() - 1].append(tuple(1 if g > 0 else -1 for g in word))
         else:
-            cands.append(_invertible_candidates(n, q, max_candidates))
+            ends_at[max(gens) - 1].append(word)
 
-    needs_inverse = any(letter < 0 for word in presentation.relators for letter in word)
-    inverses: list[np.ndarray | None] = [
-        _batch_inverse(c, q) if needs_inverse and len(c) else None for c in cands
-    ]
+    mats: list[np.ndarray] = []
+    invs: list[np.ndarray | None] = []
+    for words in own:
+        blocks = list(_unit_blocks(n, q, words, with_inverses, max_candidates))
+        mats.append(np.concatenate([m for m, _ in blocks]))
+        invs.append(np.concatenate([i for _, i in blocks]) if with_inverses else None)
 
-    # Single-generator relators cut down their own candidate axis first.
-    grid_words = []
-    for word in presentation.relators:
-        gen = _single_generator(word)
-        if gen is None:
-            grid_words.append(word)
-            continue
-        pp = _pure_power(word)
-        if pp and power_of.get(gen) == pp[1]:
-            continue  # already enforced by the order filter
-        x = cands[gen - 1]
-        if len(x) == 0:
-            continue
-        shifted = tuple(1 if g > 0 else -1 for g in word)
-        cur = _eval_word_single(shifted, x, inverses[gen - 1], q)
-        mask = (cur == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
-        cands[gen - 1] = x[mask]
-        if inverses[gen - 1] is not None:
-            inverses[gen - 1] = inverses[gen - 1][mask]
-
-    total_tuples = 1
-    for c in cands:
-        total_tuples *= len(c)
+    sizes = [len(m) for m in mats]
+    total_tuples = math.prod(sizes)
     if total_tuples > max_candidates:
         raise ResourceLimit(
             f"{total_tuples} candidate tuples exceed the cap {max_candidates}"
         )
     if total_tuples == 0:
         return 0
-    if not grid_words:
-        # every relator was single-generator, so the filtered axes are the answer
-        return total_tuples
 
-    if k == 2:
-        xs, ys = cands
-        eye = np.eye(n, dtype=np.int64)
-        count = 0
-        block = max(1, (1 << 21) // max(1, len(ys) * n * n))
-        for start in range(0, len(xs), block):
-            xb = xs[start : start + block]
-            xb_inv = inverses[0][start : start + block] if inverses[0] is not None else None
-            mask = np.ones((len(xb), len(ys)), dtype=bool)
-            for word in grid_words:
-                cur = _eval_word_pair(word, xb, ys, xb_inv, inverses[1], q)
-                mask &= (cur == eye).all(axis=(2, 3))
-            count += int(mask.sum())
-        return count
-
-    # Generic fallback for three or more generators: plain nested loops.
-    mat_lists = [
-        [PrimeFieldMatrix(n=n, q=q, entries=tuple(map(tuple, m.tolist()))) for m in c]
-        for c in cands
-    ]
-    inv_lists = [[m.inverse() for m in lst] if needs_inverse else None for lst in mat_lists]
+    # once the first ``free`` generators are assigned every relator has been
+    # checked, so a row extends by any candidates of the generators after them
+    free = max((g + 1 for g in range(k) if ends_at[g]), default=0)
     count = 0
-    for combo in itertools.product(*[range(len(lst)) for lst in mat_lists]):
-        ok = True
-        for word in grid_words:
-            cur = PrimeFieldMatrix.identity(n, q)
-            for letter in word:
-                idx = combo[abs(letter) - 1]
-                if letter > 0:
-                    cur = cur * mat_lists[abs(letter) - 1][idx]
-                else:
-                    cur = cur * inv_lists[abs(letter) - 1][idx]
-            if not cur.is_identity:
-                ok = False
-                break
-        if ok:
-            count += 1
+    stack = [(np.zeros((1, 0), dtype=np.int64), 0)]
+    while stack:
+        rows, g = stack.pop()
+        if g == free:
+            count += len(rows) * math.prod(sizes[g:])
+            continue
+        # extend ``step`` rows at a time: an extended block holds at most
+        # _JOIN_ENTRIES index entries plus matrix entries per gathered factor
+        step = max(1, _JOIN_ENTRIES // (sizes[g] * (g + 1 + n * n)))
+        if len(rows) > step:
+            stack.append((rows[step:], g))
+            rows = rows[:step]
+        ext = np.concatenate(
+            [np.repeat(rows, sizes[g], axis=0), np.tile(np.arange(sizes[g]), len(rows))[:, None]],
+            axis=1,
+        )
+        for word in ends_at[g]:
+            ext = ext[_eval_word(word, ext, mats, invs, q)]
+        stack.append((ext, g + 1))
     return count
 
 
@@ -586,7 +502,8 @@ def minimal_tuples_naive(
             rows = [tuple(map(int, row)) for row in hit[sq == block_best]]
         elif block_best == best:
             rows.extend(tuple(map(int, row)) for row in hit[sq == best])
-    assert best is not None  # (r, 0, ..., 0) is always in the box
+    if best is None:
+        raise InvariantViolation(f"box [-{r}, {r}]^{s} holds no tuple of weight r={r}")
     rows.sort()
     return MinimalReport(
         r=r,

@@ -220,9 +220,12 @@ def splitting_field_check(spec: GroupSpec, q: int) -> tuple[bool, str]:
         m = spec.m
         if q % 2 == 0:
             return False, "requires odd q"
-        if (q - 1) % m != 0:
-            return False, f"requires q == 1 (mod {m}); got q={q}"
-        return True, f"q odd and q == 1 (mod {m})"
+        # the 2-dimensional representations are realised over F_q(zeta + 1/zeta)
+        if (q - 1) % m == 0:
+            return True, f"q odd and q == 1 (mod {m})"
+        if (q + 1) % m == 0:
+            return True, f"q odd and q == -1 (mod {m})"
+        return False, f"requires q == +-1 (mod {m}); got q={q}"
     if spec.family == "sym":
         if spec.m == 4:
             if p in (2, 3):

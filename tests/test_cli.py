@@ -275,11 +275,15 @@ def test_poly_eval_negative_point(capsys):
 
 
 def test_verify_dihedral_splitting_gate(capsys):
-    # q=7 passes the dihedral:3 congruence conditions; q=5 does not, and
-    # the verify command refuses rather than asserting anything about it
+    # q=7 == 1 and q=5 == -1 (mod 3) both split dihedral:3, and brute force
+    # agrees with the polynomial at each
     code, out, _ = run(capsys, "verify", "--group", "dihedral:3", "-n", "2", "-q", "7")
     assert code == 0
     assert out.splitlines()[-1] == "PASS"
-    code, _, err = run(capsys, "verify", "--group", "dihedral:3", "-n", "2", "-q", "5")
+    code, out, _ = run(capsys, "verify", "--group", "dihedral:3", "-n", "2", "-q", "5")
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS"
+    # q=7 is neither 1 nor -1 (mod 5), and the verify command refuses it
+    code, _, err = run(capsys, "verify", "--group", "dihedral:5", "-n", "2", "-q", "7")
     assert code == 1
-    assert "not a splitting field" in err
+    assert "requires q == +-1 (mod 5); got q=7" in err

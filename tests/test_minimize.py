@@ -153,6 +153,14 @@ def test_eligible_tuples_sorted_and_complete(s4):
         assert weight(t, s4) == 9 and min(t) >= 0
 
 
+def test_eligible_tuples_many_coordinates():
+    # one coordinate per tuple entry: a walk that recursed per coordinate
+    # would exceed the interpreter's recursion limit here
+    tuples = eligible_tuples(make_profile("cyclic:2000"), 1)
+    assert len(tuples) == 2000
+    assert tuples[0] == (0,) * 1999 + (1,) and tuples[-1] == (1,) + (0,) * 1999
+
+
 def test_eligible_tuples_resource_limit(c2):
     with pytest.raises(ResourceLimit):
         eligible_tuples(c2, 10, max_tuples=3)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,7 @@ from glhom import (
     parse_group_spec,
     parse_presentation,
 )
-from glhom.oracle import (
-    _eval_word_pair,
-    _order_filtered_candidates,
-    count_units_of_order_dividing,
-)
+from glhom.oracle import _eval_word, _unit_blocks, count_units_of_order_dividing
 from conftest import make_profile
 
 
@@ -119,6 +117,10 @@ def test_hom_count_resource_limit():
     pres = builtin_presentation(parse_group_spec("cyclic:2"))
     with pytest.raises(ResourceLimit):
         hom_count_bruteforce(pres, 3, 5, max_candidates=10**4)
+    # each generator's q^(n^2) fits, but the candidate tuples do not
+    pres = builtin_presentation(parse_group_spec("dihedral:5"))
+    with pytest.raises(ResourceLimit, match="177550 candidate tuples exceed the cap 20000"):
+        hom_count_bruteforce(pres, 2, 11, max_candidates=20000)
 
 
 def test_hom_count_rejects_composite_field():
@@ -180,14 +182,15 @@ def test_shuffled_candidate_order_is_invariant():
     # counting over any fixed reordering of the candidate lists gives the
     # same total
     q = 7
-    xs = _order_filtered_candidates(2, q, 3, 10**8)
-    ys = _order_filtered_candidates(2, q, 2, 10**8)
-    word = (1, 2, 1, 2)
+
+    def candidates(m):
+        return np.concatenate([mats for mats, _ in _unit_blocks(2, q, [(1,) * m], False, 10**8)])
+
+    xs, ys = candidates(3), candidates(2)
+    rows = np.array(list(itertools.product(range(len(xs)), range(len(ys)))))
 
     def count(xs_order, ys_order):
-        cur = _eval_word_pair(word, xs_order, ys_order, None, None, q)
-        eye = np.eye(2, dtype=np.int64)
-        return int((cur == eye).all(axis=(2, 3)).sum())
+        return int(_eval_word((1, 2, 1, 2), rows, [xs_order, ys_order], [None, None], q).sum())
 
     base = count(xs, ys)
     rng = np.random.default_rng(7)
@@ -195,6 +198,59 @@ def test_shuffled_candidate_order_is_invariant():
     assert base == shuffled
     pres = builtin_presentation(parse_group_spec("dihedral:3"))
     assert base == hom_count_bruteforce(pres, 2, q)
+
+
+def _count_by_nested_loops(pres, n, q):
+    """Reference count: every generator tuple from ``gl_enumerate``, words
+    multiplied out with ``PrimeFieldMatrix``."""
+
+    def value(word, combo):
+        cur = PrimeFieldMatrix.identity(n, q)
+        for letter in word:
+            g = combo[abs(letter) - 1]
+            cur = cur * (g if letter > 0 else g.inverse())
+        return cur
+
+    units = list(gl_enumerate(n, q))
+    return sum(
+        all(value(word, combo).is_identity for word in pres.relators)
+        for combo in itertools.product(units, repeat=pres.generator_count)
+    )
+
+
+_S4_COXETER = (
+    "gens=3; rel=x1^2; rel=x2^2; rel=x3^2; rel=(x1*x2)^3; rel=(x2*x3)^3; rel=(x1*x3)^2"
+)
+# x2 shares no relator with x3, so the join carries it between x1 and x3
+_X1_X3_COMMUTE = "gens=3; rel=x1*x3*x1^-1*x3^-1; rel=x2^3"
+
+
+@pytest.mark.parametrize(
+    "text, n, q",
+    [
+        ("gens=2; rel=x1^3; rel=x2^2; rel=x2*x1*x2^-1*x1", 2, 3),
+        ("gens=2; rel=x1*x2*x1^-1*x2^-1", 2, 3),
+        ("gens=2; rel=x1^-4; rel=x2^-1*x1*x2*x1", 2, 3),
+        ("gens=2; rel=x1^2*x2^-3", 1, 7),
+        (_S4_COXETER, 2, 2),
+        (_S4_COXETER, 1, 7),
+        (_X1_X3_COMMUTE, 2, 2),
+        (_X1_X3_COMMUTE, 1, 7),
+    ],
+)
+def test_bruteforce_matches_nested_loops(text, n, q):
+    pres = parse_presentation(text)
+    assert hom_count_bruteforce(pres, n, q) == _count_by_nested_loops(pres, n, q)
+
+
+@pytest.mark.parametrize("q, expected", [(3, 344), (5, 848)])
+def test_abelian_commutator_presentation_matches_polynomial(q, expected):
+    pres = parse_presentation(
+        "gens=3; rel=x1^2; rel=x2^2; rel=x3^2; "
+        "rel=x1*x2*x1^-1*x2^-1; rel=x1*x3*x1^-1*x3^-1; rel=x2*x3*x2^-1*x3^-1"
+    )
+    assert hom_count_bruteforce(pres, 2, q) == expected
+    assert hom_count_poly(make_profile("abelian:2x2x2"), 2).evaluate(q) == expected
 
 
 def test_minimal_tuples_naive_examples(s4, d3):

@@ -9,6 +9,9 @@ from glhom import (
     ParseError,
     UnsupportedFamily,
     ValidationError,
+    builtin_presentation,
+    hom_count_bruteforce,
+    hom_count_poly,
     parse_group_spec,
     profile_of,
     splitting_field_check,
@@ -149,10 +152,27 @@ def test_splitting_abelian_uses_exponent():
 
 
 def test_splitting_dihedral():
-    spec = parse_group_spec("dihedral:5")
-    assert splitting_field_check(spec, 11)[0]
-    assert not splitting_field_check(spec, 16)[0]  # even q
-    assert not splitting_field_check(spec, 7)[0]  # 7 != 1 mod 5
+    d5 = parse_group_spec("dihedral:5")
+    assert splitting_field_check(d5, 11) == (True, "q odd and q == 1 (mod 5)")
+    assert splitting_field_check(d5, 16) == (False, "requires odd q")
+    assert not splitting_field_check(d5, 7)[0]  # 7 != +-1 mod 5
+    # and rightly so: brute force and the polynomial differ there
+    assert hom_count_bruteforce(builtin_presentation(d5), 2, 7) == 58
+    assert hom_count_poly(profile_of(d5), 2).evaluate(7) == 730
+    # q == -1 (mod m) splits too: brute force equals the polynomial there
+    for text, q in (
+        ("dihedral:3", 5),
+        ("dihedral:5", 19),
+        ("dihedral:4", 3),
+        ("dihedral:4", 7),
+        ("dihedral:6", 5),
+        ("dihedral:6", 11),
+    ):
+        spec = parse_group_spec(text)
+        assert splitting_field_check(spec, q) == (True, f"q odd and q == -1 (mod {spec.m})")
+        pres = builtin_presentation(spec)
+        for n in (1, 2):
+            assert hom_count_bruteforce(pres, n, q) == hom_count_poly(profile_of(spec), n).evaluate(q)
 
 
 def test_splitting_sym():
