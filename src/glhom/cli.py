@@ -171,7 +171,6 @@ def _cmd_poly(profile, spec, args) -> int:
 
 def _cmd_leading(profile, args) -> int:
     lt = leading_term(profile, args.n)
-    bound = stability_bound(profile)
     payload = {
         "command": "leading",
         "group": str(profile),
@@ -180,17 +179,14 @@ def _cmd_leading(profile, args) -> int:
         "coefficient": lt.coefficient,
         "exponent": lt.exponent,
         "stable": lt.stable,
-        "n_threshold": bound.n_threshold,
+        "n_threshold": lt.n_threshold,
     }
     if lt.stable:
         text = f"{lt.coefficient} * q^{lt.exponent} (stable)"
     else:
-        text = (
-            f"{lt.coefficient} * q^{lt.exponent}"
-            f" (unstable: n={lt.n} < N={bound.n_threshold})"
-        )
+        text = f"{lt.coefficient} * q^{lt.exponent} (unstable: n={lt.n} < N={lt.n_threshold})"
         print(
-            f"warning: n={lt.n} is below the stability threshold N={bound.n_threshold};"
+            f"warning: n={lt.n} is below the stability threshold N={lt.n_threshold};"
             " the reported term is the formula value and is not certified to match"
             " the true degree",
             file=sys.stderr,
@@ -217,14 +213,13 @@ def _cmd_bound(profile, args) -> int:
 
 def _cmd_variety(profile, args) -> int:
     report = variety_report(profile, args.n)
-    bound = stability_bound(profile)
     payload = {
         "command": "variety",
         "group": str(profile),
         "n": args.n,
         "dimension": report.dimension,
         "components": report.top_components,
-        "n_threshold": bound.n_threshold,
+        "n_threshold": report.n_threshold,
     }
     text = f"dimension {report.dimension}, {report.top_components} components"
     _emit(payload, args.json, [text])
@@ -270,6 +265,10 @@ def _cmd_verify(profile, spec, args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    # values such as f_60(1000) have more digits than str() allows by default
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         spec = parse_group_spec(args.group)
@@ -294,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
     except GlhomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

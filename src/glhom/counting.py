@@ -5,14 +5,15 @@ conjugation orbit of homomorphisms, of size |GL_n(q)| / prod |GL_{n_i}(q)|
 (a polynomial in q).  Summing over all eligible tuples gives the full
 count polynomial f_n with f_n(q) = |Hom(A, GL_n(q))| whenever F_q splits
 the group; ``hom_count_poly`` builds it by a knapsack DP without listing
-the tuples.  The top of f_n is controlled by the minimal tuples alone:
+the tuples, on plain ints: every polynomial is its value at q = 2^B, with
+B fixed by the same DP run at q = 1.  The top of f_n is controlled by the
+minimal tuples alone:
 degree n^2(1 - 1/a) - eps_r and leading coefficient m_r, with r = n mod a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import (
     IneligibleTuple,
@@ -22,11 +23,12 @@ from .errors import (
     ResourceLimit,
     UnstableRegime,
 )
-from .intpoly import IntPolynomial, _add_shifted_into, _mul_lists, div_exact, gl_order_poly
+from .intpoly import IntPolynomial, _unpack, div_exact, gl_order_poly
 from .minimize import minimal_tuples, stability_bound
 from .profiles import DegreeProfile, validate_profile
 
 DEFAULT_MAX_TUPLES = 10**6
+MAX_PACKED_BITS = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,7 @@ class LeadingTerm:
     n: int
     r: int
     stable: bool
+    n_threshold: int
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,7 @@ class VarietyReport:
 
     dimension: int
     top_components: int
+    n_threshold: int
 
 
 def orbit_poly(profile: DegreeProfile, entries: tuple[int, ...]) -> IntPolynomial:
@@ -90,23 +94,33 @@ def _count_eligible(degrees: tuple[int, ...], n: int) -> int:
     return ways[n]
 
 
-def _gauss_diagonal(diag: dict[int, list[list[int]]], m: int, k: int) -> list[int]:
-    """Gaussian binomial [m + k; k]_q, memoised as diag[m] = [[m; 0], [m + 1; 1], ...].
+def _packed_states(degrees: tuple[int, ...], n: int, bits: int) -> dict[int, int]:
+    """P_{n,M}(2^bits) for each M, from the knapsack DP described in ``hom_count_poly``.
 
-    Each step is [m + j; j] = [m + j - 1; j - 1] (q^(m+j) - 1) / (q^j - 1),
-    the exact division done from the top coefficient down.  As
-    [m + k; k] = [m + k; m], callers pass m <= k to keep the memo small.
+    The Gaussian factor [M'; k] at Q = 2^bits is read off one q-Pascal row,
+    [M'; k] = [M' - 1; k - 1] + Q^k [M' - 1; k], updated in place; the
+    transitions of a coordinate are taken in order of their target M' = M + k.
+    [M'; 0] = [M'; M'] = 1 needs no row, so the first coordinate builds none.
     """
-    col = diag.setdefault(m, [[1]])
-    for j in range(len(col), k + 1):
-        prev = col[-1]
-        up = [0] * (m + j) + prev
-        up[: len(prev)] = [u - c for u, c in zip(up, prev)]
-        quot = up[j:]
-        for r in range(j):
-            quot[r::j] = list(accumulate(quot[r::j][::-1]))[::-1]
-        col.append(quot)
-    return col[k]
+    states = {(0, 0): 1}
+    for j, d in enumerate(degrees):
+        by_target: dict[int, list[tuple[int, int, int]]] = {}
+        for (w, m), value in states.items():
+            for k in range((n - w) // d + 1) if j + 1 < len(degrees) else (n - w,):
+                by_target.setdefault(m + k, []).append((w + k * d, m, value))
+        states = {}
+        row = [1]  # [len(row) - 1; k] at Q, grown only as far as some 0 < k < M' needs it
+        for target in sorted(by_target):
+            for w, m, value in by_target.pop(target):
+                k = target - m
+                if 0 < k < target:
+                    while len(row) <= target:
+                        row.append(1)
+                        for i in range(len(row) - 2, 0, -1):
+                            row[i] = row[i - 1] + (row[i] << bits * i)
+                    value *= row[k]
+                states[w, target] = states.get((w, target), 0) + (value << bits * m * k)
+    return {m: value for (w, m), value in states.items() if w == n}
 
 
 def hom_count_poly(
@@ -120,8 +134,13 @@ def hom_count_poly(
     State (w, M) (weight used, M = sum n_i) holds the non-negative polynomial
     P_{w,M} = sum_t [M; t]_q q^(sum_{i<j} n_i n_j).  Value k on a coordinate
     of degree d moves it to (w + k d, M + k) times [M + k; k]_q q^(M k), and
-    f_n = sum_M |GL_n| / |GL_M| * P_{n,M}.  Raises ResourceLimit, before any
-    polynomial work, past ``max_tuples`` eligible tuples (counted, not listed).
+    f_n = sum_M |GL_n| / |GL_M| * P_{n,M}.  Each polynomial is one int, its
+    value at q = 2^B, and f_n is unpacked once.  B comes from the same DP at
+    q = 1: |GL_n| / |GL_M| has |coefficients| summing to at most 2^(n-M), so
+    sum_M P_{n,M}(1) 2^(n-M) bounds every coefficient of f_n.  Raises
+    ResourceLimit, before any polynomial work, past ``max_tuples`` eligible
+    tuples (counted, not listed) or when the packed working set (a q-Pascal
+    row plus one state) could pass ``MAX_PACKED_BITS``.
     """
     validate_profile(profile)
     if n < 0:
@@ -131,25 +150,23 @@ def hom_count_poly(
         raise ResourceLimit(
             f"n={n} has {count} eligible tuples, more than --max-tuples {max_tuples}"
         )
-    diag: dict[int, list[list[int]]] = {}
+    # P_{n,M}(1) <= s^M, so the sum above is at most (n + 1) max(s, 2)^n
+    max_bits = n * (max(profile.s, 2) - 1).bit_length() + (n + 1).bit_length() + 2
+    working = (n**3 // 6 + n * n + 1) * max_bits
+    if working > MAX_PACKED_BITS:
+        raise ResourceLimit(
+            f"n={n} needs about {working} bits for a q-Pascal row and one packed state,"
+            f" more than the cap of {MAX_PACKED_BITS} bits"
+        )
     degrees = profile.degrees[::-1]  # largest first: fewer states; d_1 = 1 last fills to n
-    states: dict[tuple[int, int], list[int]] = {(0, 0): [1]}
-    for j, d in enumerate(degrees):
-        nxt: dict[tuple[int, int], list[int]] = {}
-        for (w, m), poly in states.items():
-            for k in range((n - w) // d + 1) if j + 1 < len(degrees) else (n - w,):
-                factor = _mul_lists(poly, _gauss_diagonal(diag, *sorted((m, k)))) if k else poly
-                _add_shifted_into(nxt.setdefault((w + k * d, m + k), []), factor, m * k)
-        states = nxt
-    # Horner over M, with |GL_M| / |GL_(M-1)| = q^(2M-1) - q^(M-1)
-    total: list[int] = []
-    for m in range(n + 1):
-        if total:
-            step = [0] * (2 * m - 1) + total
-            step[m - 1 : m - 1 + len(total)] = [u - c for u, c in zip(step[m - 1 :], total)]
-            total = step
-        _add_shifted_into(total, states.get((n, m), ()), 0)
-    return IntPolynomial(total)
+    l1 = sum(value << (n - m) for m, value in _packed_states(degrees, n, 0).items())
+    bits = l1.bit_length() + 2
+    final = _packed_states(degrees, n, bits)
+    # Horner over M, with |GL_M| / |GL_(M-1)| = Q^(2M-1) - Q^(M-1)
+    total = final.get(0, 0)
+    for m in range(1, n + 1):
+        total = (total << bits * (2 * m - 1)) - (total << bits * (m - 1)) + final.get(m, 0)
+    return IntPolynomial(_unpack(total, bits))
 
 
 def leading_term(profile: DegreeProfile, n: int) -> LeadingTerm:
@@ -162,6 +179,10 @@ def leading_term(profile: DegreeProfile, n: int) -> LeadingTerm:
     validate_profile(profile)
     if n < 0:
         raise RangeError("dimension must be >= 0")
+    return _leading_term(profile, n, stability_bound(profile).n_threshold)
+
+
+def _leading_term(profile: DegreeProfile, n: int, n_threshold: int) -> LeadingTerm:
     a = profile.order
     r = n % a
     rep = minimal_tuples(profile, r)
@@ -170,13 +191,13 @@ def leading_term(profile: DegreeProfile, n: int) -> LeadingTerm:
     exponent = n * n - (n * n - r * r) // a - rep.s_r
     if exponent < 0:
         raise InvariantViolation(f"leading exponent {exponent} is negative")
-    bound = stability_bound(profile)
     return LeadingTerm(
         coefficient=rep.m_r,
         exponent=exponent,
         n=n,
         r=r,
-        stable=n >= bound.n_threshold,
+        stable=n >= n_threshold,
+        n_threshold=n_threshold,
     )
 
 
@@ -186,10 +207,8 @@ def variety_report(profile: DegreeProfile, n: int) -> VarietyReport:
     Only valid in the stable regime n >= N; below it the leading-term
     formula is uncertified and UnstableRegime is raised.
     """
-    bound = stability_bound(profile)
-    if n < bound.n_threshold:
-        raise UnstableRegime(
-            f"n={n} is below the stability threshold N={bound.n_threshold}"
-        )
-    lt = leading_term(profile, n)
-    return VarietyReport(dimension=lt.exponent, top_components=lt.coefficient)
+    n_threshold = stability_bound(profile).n_threshold
+    if n < n_threshold:
+        raise UnstableRegime(f"n={n} is below the stability threshold N={n_threshold}")
+    lt = _leading_term(profile, n, n_threshold)
+    return VarietyReport(lt.exponent, lt.coefficient, n_threshold)

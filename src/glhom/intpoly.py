@@ -3,12 +3,14 @@
 Polynomials live in Z[q] and are stored densely (coefficient index =
 exponent).  Coefficients are arbitrary-precision Python ints; inner
 coefficients of the polynomials built here grow combinatorially even
-when the leading ones stay small.
+when the leading ones stay small.  Products use Kronecker substitution:
+``_pack`` evaluates each factor at q = 2^B, one big-int multiply follows,
+and ``_unpack`` reads the balanced base-2^B digits back; ``hom_count_poly``
+runs its whole DP on the same packed form.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -16,10 +18,6 @@ from .errors import DivisionByZero, NonZeroRemainder, RangeError
 
 #: Degree of the zero polynomial.  Compares below every integer degree.
 NEG_INFINITY = float("-inf")
-
-# Above this many coefficient products, multiplication switches from
-# schoolbook to Kronecker substitution (packing into one big int).
-_SCHOOLBOOK_CUTOFF = 4096
 
 
 def _trimmed(coeffs: list[int]) -> list[int]:
@@ -37,76 +35,39 @@ def _add_lists(a: list[int], b: list[int]) -> list[int]:
     return _trimmed(out)
 
 
-def _add_shifted_into(target: list[int], src: Iterable[int], shift: int) -> None:
-    """In-place target += q^shift * src, growing target as needed."""
-    src = list(src)
-    need = shift + len(src)
-    if len(target) < need:
-        target.extend([0] * (need - len(target)))
-    for i, c in enumerate(src):
-        target[shift + i] += c
+def _pack(coeffs: Iterable[int], bits: int) -> int:
+    """Value at q = 2^bits of the polynomial with these (signed) coefficients.
 
-
-def _mul_schoolbook(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _trimmed(out)
-
-
-def _mul_kronecker_nonneg(a: list[int], b: list[int]) -> list[int]:
-    """Product of coefficient lists with non-negative entries.
-
-    Packs each polynomial into a single big integer with a fixed number
-    of bytes per coefficient, multiplies once (CPython's big-int multiply
-    is subquadratic), and unpacks.  The slot width is sized so that no
-    product coefficient can carry into its neighbour.
+    Neighbours are merged pairwise: ceil(log2(length)) passes, not one per term.
     """
-    ma = max(a)
-    mb = max(b)
-    if ma == 0 or mb == 0:
-        return []
-    bound = min(len(a), len(b)) * ma * mb
-    nbytes = (bound.bit_length() + 8) // 8
-    pa = int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in a), "little")
-    pb = int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in b), "little")
-    prod = pa * pb
-    terms = len(a) + len(b) - 1
-    raw = prod.to_bytes(terms * nbytes + nbytes, "little")
-    out = [
-        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
-        for i in range(terms)
-    ]
-    return _trimmed(out)
+    vals = list(coeffs) or [0]
+    while len(vals) > 1:
+        if len(vals) % 2:
+            vals.append(0)
+        vals = [lo + (hi << bits) for lo, hi in zip(vals[::2], vals[1::2])]
+        bits *= 2
+    return vals[0]
 
 
-def _mul_lists(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    if len(a) * len(b) <= _SCHOOLBOOK_CUTOFF:
-        return _mul_schoolbook(a, b)
-    a_neg = [-c if c < 0 else 0 for c in a]
-    b_neg = [-c if c < 0 else 0 for c in b]
-    if not any(a_neg) and not any(b_neg):
-        return _mul_kronecker_nonneg(a, b)
-    a_pos = [c if c > 0 else 0 for c in a]
-    b_pos = [c if c > 0 else 0 for c in b]
-    out: list[int] = []
-    for left, right, sign in (
-        (a_pos, b_pos, 1),
-        (a_neg, b_neg, 1),
-        (a_pos, b_neg, -1),
-        (a_neg, b_pos, -1),
-    ):
-        if any(left) and any(right):
-            part = _mul_kronecker_nonneg(left, right)
-            if sign < 0:
-                part = [-c for c in part]
-            out = _add_lists(out, part)
-    return out
+def _unpack(value: int, bits: int) -> list[int]:
+    """Balanced base-2^bits digits of ``value``, lowest first: ``_pack`` inverted.
+
+    Exact when every coefficient has |c| < 2^(bits-1): a block of h digits is
+    then the residue of ``value`` mod 2^(h*bits) nearest to zero.  Blocks are
+    halved top down, so there are ceil(log2(length)) passes.
+    """
+    levels = (abs(value).bit_length() // bits).bit_length()
+    vals = [value]
+    for level in range(levels - 1, -1, -1):
+        width = bits << level
+        mask = (1 << width) - 1
+        half = 1 << (width - 1)
+        split: list[int] = []
+        for v in vals:
+            lo = ((v + half) & mask) - half
+            split += (lo, (v - lo) >> width)
+        vals = split
+    return _trimmed(vals)
 
 
 class IntPolynomial:
@@ -183,7 +144,10 @@ class IntPolynomial:
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial(c * other for c in self._coeffs)
-        return IntPolynomial(_mul_lists(list(self._coeffs), list(other._coeffs)))
+        a, b = self._coeffs, other._coeffs
+        bound = min(len(a), len(b)) * max(map(abs, a), default=0) * max(map(abs, b), default=0)
+        bits = bound.bit_length() + 1
+        return IntPolynomial(_unpack(_pack(a, bits) * _pack(b, bits), bits))
 
     __rmul__ = __mul__
 
@@ -256,10 +220,11 @@ class IntPolynomial:
 def div_exact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     """Exact quotient num / den, asserting the division leaves no remainder.
 
-    Long division runs over exact rationals (a pure integer path is used
-    for a unit leading coefficient, where no denominators can appear) and
-    the result is asserted integral with zero remainder.  A nonzero
-    remainder raises NonZeroRemainder rather than returning anything.
+    Integer long division: each quotient coefficient is a step's top
+    remainder over the leading coefficient of ``den``, so an integral
+    quotient never needs a fraction.  A step that does not divide leaves
+    its residue in a slot no later step touches, so any nonzero remainder,
+    fractional quotient included, raises NonZeroRemainder.
     """
     if den.is_zero:
         raise DivisionByZero("division by the zero polynomial")
@@ -269,34 +234,18 @@ def div_exact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     dd = len(den.coefficients) - 1
     if dn < dd:
         raise NonZeroRemainder("dividend degree below divisor degree")
-    lead = den.coefficients[-1]
     d = den.coefficients
-    if lead in (1, -1):
-        rem: list[int] = list(num.coefficients)
-        quot: list[int] = [0] * (dn - dd + 1)
-        for k in range(dn - dd, -1, -1):
-            c = rem[k + dd] * lead  # lead is its own inverse
-            if c:
-                quot[k] = c
-                for j in range(dd + 1):
-                    rem[k + j] -= c * d[j]
-        if any(rem):
-            raise NonZeroRemainder("polynomial division left a remainder")
-        return IntPolynomial(quot)
-    frem: list[Fraction] = [Fraction(c) for c in num.coefficients]
-    fquot: list[Fraction] = [Fraction(0)] * (dn - dd + 1)
-    flead = Fraction(lead)
+    rem = list(num.coefficients)
+    quot = [0] * (dn - dd + 1)
     for k in range(dn - dd, -1, -1):
-        c = frem[k + dd] / flead
+        c = rem[k + dd] // d[-1]
         if c:
-            fquot[k] = c
+            quot[k] = c
             for j in range(dd + 1):
-                frem[k + j] -= c * d[j]
-    if any(frem):
+                rem[k + j] -= c * d[j]
+    if any(rem):
         raise NonZeroRemainder("polynomial division left a remainder")
-    if any(c.denominator != 1 for c in fquot):
-        raise NonZeroRemainder("quotient is not integral")
-    return IntPolynomial(int(c) for c in fquot)
+    return IntPolynomial(quot)
 
 
 @lru_cache(maxsize=None)
@@ -309,10 +258,5 @@ def gl_order_poly(n: int) -> IntPolynomial:
         raise RangeError("matrix dimension must be >= 0")
     coeffs = [1]
     for i in range(n):
-        nxt = [0] * (len(coeffs) + n)
-        for e, c in enumerate(coeffs):
-            if c:
-                nxt[e + n] += c
-                nxt[e + i] -= c
-        coeffs = _trimmed(nxt)
+        coeffs = _add_lists([0] * n + coeffs, [0] * i + [-c for c in coeffs])
     return IntPolynomial(coeffs)

@@ -423,12 +423,16 @@ def hom_count_bruteforce(
         else:
             ends_at[max(gens) - 1].append(word)
 
-    mats: list[np.ndarray] = []
-    invs: list[np.ndarray | None] = []
-    for words in own:
-        blocks = list(_unit_blocks(n, q, words, with_inverses, max_candidates))
-        mats.append(np.concatenate([m for m, _ in blocks]))
-        invs.append(np.concatenate([i for _, i in blocks]) if with_inverses else None)
+    keys = [tuple(sorted(words)) for words in own]
+    streamed: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
+    for key in dict.fromkeys(keys):  # one stream per distinct list of one-generator relators
+        blocks = list(_unit_blocks(n, q, list(key), with_inverses, max_candidates))
+        streamed[key] = (
+            np.concatenate([m for m, _ in blocks]),
+            np.concatenate([i for _, i in blocks]) if with_inverses else None,
+        )
+    mats = [streamed[key][0] for key in keys]
+    invs = [streamed[key][1] for key in keys]
 
     sizes = [len(m) for m in mats]
     total_tuples = math.prod(sizes)

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+
+import pytest
 
 import glhom.cli as cli
-from glhom import IntPolynomial
+import glhom.counting as counting
+from glhom import IntPolynomial, hom_count_poly, parse_group_spec, profile_of, stability_bound
 
 
 def run(capsys, *argv):
@@ -233,6 +237,66 @@ def test_poly_many_coordinates(capsys):
     )
     assert code == 0
     assert out == "1999000*q^2 + 1999000*q + 2000\n"
+
+
+def test_poly_refuses_packed_working_set_before_building(capsys):
+    code, out, err = run(capsys, "poly", "--group", "cyclic:2", "-n", "2000")
+    assert code == 3
+    assert out == ""
+    assert re.search(r"n=2000 needs about \d+ bits for a q-Pascal row and one packed state", err)
+
+
+def test_poly_eval_prints_values_past_the_str_digit_limit(capsys):
+    # f_60(1000) has about 10^4 digits; main lifts str()'s default limit and restores it
+    limit = sys.get_int_max_str_digits()
+    value = hom_count_poly(profile_of(parse_group_spec("cyclic:2")), 60).evaluate(1000)
+    argv = ("poly", "--group", "cyclic:2", "-n", "60", "--eval", "1000")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    digits = out.splitlines()[1].removeprefix("f(1000) = ")
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0 and payload["evaluations"][0]["value"] == digits
+    try:
+        sys.set_int_max_str_digits(0)
+        assert digits == str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_UNSTABLE_WARNING = (
+    "warning: n=3 is below the stability threshold N=120; the reported term is the"
+    " formula value and is not certified to match the true degree\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err, n_threshold",
+    [
+        (("leading", "--group", "sym:5", "-n", "3"), 0,
+         "4 * q^7 (unstable: n=3 < N=120)\n", _UNSTABLE_WARNING, 120),
+        (("leading", "--group", "sym:4", "-n", "25"), 0, "2 * q^598 (stable)\n", "", 0),
+        (("variety", "--group", "sym:4", "-n", "25"), 0, "dimension 598, 2 components\n", "", 0),
+        (("variety", "--group", "sym:5", "-n", "3"), 2, "",
+         "error: n=3 is below the stability threshold N=120\n", 120),
+    ],
+)
+def test_stability_bound_computed_once_per_command(
+    capsys, monkeypatch, argv, code, out, err, n_threshold
+):
+    calls = []
+
+    def counted(profile):
+        calls.append(profile)
+        return stability_bound(profile)
+
+    monkeypatch.setattr(counting, "stability_bound", counted)
+    monkeypatch.setattr(cli, "stability_bound", counted)
+    assert run(capsys, *argv) == (code, out, err)
+    assert len(calls) == 1
+    json_code, json_out, _ = run(capsys, *argv, "--json")
+    assert json_code == code and len(calls) == 2
+    if code == 0:
+        assert json.loads(json_out)["n_threshold"] == n_threshold
 
 
 def test_output_byte_identical_across_runs(capsys):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from glhom import (
     NEG_INFINITY,
@@ -14,9 +16,9 @@ from glhom import (
     div_exact,
     gl_order_poly,
 )
-from glhom.intpoly import _mul_kronecker_nonneg, _mul_schoolbook
 
 P = IntPolynomial
+_Q = sympy.Symbol("q")
 
 
 def test_canonical_form_trims_trailing_zeros():
@@ -126,19 +128,33 @@ def test_evaluate_is_ring_homomorphism():
         assert (p + r).evaluate(x) == p.evaluate(x) + r.evaluate(x)
 
 
-def test_kronecker_matches_schoolbook():
-    rng = random.Random(3)
-    for _ in range(20):
-        a = [rng.randint(0, 10**6) for _ in range(rng.randrange(1, 300))]
-        b = [rng.randint(0, 10**6) for _ in range(rng.randrange(1, 300))]
-        assert _mul_kronecker_nonneg(a, b) == _mul_schoolbook(a, b)
-    # signed inputs exercise the sign-split dispatch in __mul__
-    for _ in range(10):
-        a = P([rng.randint(-10**6, 10**6) for _ in range(200)])
-        b = P([rng.randint(-10**6, 10**6) for _ in range(150)])
-        assert (a * b).coefficients == tuple(
-            _mul_schoolbook(list(a.coefficients), list(b.coefficients))
-        )
+_signed_polys = st.lists(
+    st.integers(min_value=-(2**80), max_value=2**80) | st.integers(min_value=-9, max_value=9),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signed_polys, _signed_polys)
+def test_ring_operations_match_sympy(a, b):
+    pa, pb = P(a), P(b)
+    sa, sb = (sympy.Poly(c[::-1] or [0], _Q, domain=sympy.QQ) for c in (a, b))
+    assert (pa * pb).coefficients == _sympy_coeffs(sa * sb)
+    assert (pa + pb).coefficients == _sympy_coeffs(sa + sb)
+    if pb.is_zero:
+        return
+    assert div_exact(pa * pb, pb) == pa
+    quot, rem = sa.div(sb)
+    if rem.is_zero and all(c.q == 1 for c in quot.all_coeffs()):
+        assert div_exact(pa, pb).coefficients == _sympy_coeffs(quot)
+    else:
+        with pytest.raises(NonZeroRemainder):
+            div_exact(pa, pb)
+
+
+def _sympy_coeffs(poly) -> tuple[int, ...]:
+    """Coefficients lowest first, as IntPolynomial stores them."""
+    return () if poly.is_zero else tuple(int(c) for c in reversed(poly.all_coeffs()))
 
 
 def test_big_coefficients_survive():

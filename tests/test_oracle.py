@@ -25,6 +25,7 @@ from glhom import (
     parse_group_spec,
     parse_presentation,
 )
+import glhom.oracle as oracle
 from glhom.oracle import _eval_word, _unit_blocks, count_units_of_order_dividing
 from conftest import make_profile
 
@@ -251,6 +252,23 @@ def test_abelian_commutator_presentation_matches_polynomial(q, expected):
     )
     assert hom_count_bruteforce(pres, 2, q) == expected
     assert hom_count_poly(make_profile("abelian:2x2x2"), 2).evaluate(q) == expected
+
+
+def test_shared_one_generator_relators_stream_once(monkeypatch):
+    # x1, x2, x3 all carry the relator x^2: GL_2(5) is streamed once, not three times
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _unit_blocks(*args)
+
+    monkeypatch.setattr(oracle, "_unit_blocks", counted)
+    pres = parse_presentation(
+        "gens=3; rel=x1^2; rel=x2^2; rel=x3^2; "
+        "rel=x1*x2*x1^-1*x2^-1; rel=x1*x3*x1^-1*x3^-1; rel=x2*x3*x2^-1*x3^-1"
+    )
+    assert hom_count_bruteforce(pres, 2, 5) == 848
+    assert len(calls) == 1
 
 
 def test_minimal_tuples_naive_examples(s4, d3):
