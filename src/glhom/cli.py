@@ -21,7 +21,7 @@ from .counting import (
     variety_report,
 )
 from .errors import GlhomError, ResourceLimit, UnstableRegime, ValidationError
-from .minimize import minimal_tuples, stability_bound
+from .minimize import residue_reports, stability_bound
 from .oracle import DEFAULT_MAX_CANDIDATES, builtin_presentation, hom_count_bruteforce
 from .profiles import parse_group_spec, profile_of, splitting_field_check
 
@@ -94,13 +94,13 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
 
 def _cmd_table(profile, args) -> int:
     a = profile.order
-    reports = [minimal_tuples(profile, r) for r in range(a)]
-    bound = stability_bound(profile)
+    reports = list(residue_reports(profile))
+    bound = stability_bound(profile, reports)
     rows = [
         {
             "r": rep.r,
             "m": rep.m_r,
-            "sample": list(rep.tuples[0]),
+            "sample": list(rep.sample),
             "s": rep.s_r,
             "eps": _fraction_str(rep.eps_r),
         }
@@ -117,12 +117,12 @@ def _cmd_table(profile, args) -> int:
         "threshold_ceiling": a * (a - 1),
     }
     sample_w = max(
-        len("sample tuple"), max(len(_tuple_str(rep.tuples[0])) for rep in reports)
+        len("sample tuple"), max(len(_tuple_str(rep.sample)) for rep in reports)
     )
     lines = [f"{'r':>4}  {'m_r':>6}  {'sample tuple':<{sample_w}}  {'S_r':>6}  eps_r"]
     for rep in reports:
         lines.append(
-            f"{rep.r:>4}  {rep.m_r:>6}  {_tuple_str(rep.tuples[0]):<{sample_w}}"
+            f"{rep.r:>4}  {rep.m_r:>6}  {_tuple_str(rep.sample):<{sample_w}}"
             f"  {rep.s_r:>6}  {_fraction_str(rep.eps_r)}"
         )
     lines.append(f"b = {bound.b}")

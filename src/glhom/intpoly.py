@@ -115,10 +115,6 @@ class IntPolynomial:
     def leading_coefficient(self) -> int:
         return self._coeffs[-1] if self._coeffs else 0
 
-    @property
-    def constant_term(self) -> int:
-        return self._coeffs[0] if self._coeffs else 0
-
     def coefficient(self, exponent: int) -> int:
         if 0 <= exponent < len(self._coeffs):
             return self._coeffs[exponent]
@@ -248,7 +244,7 @@ def div_exact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(quot)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def gl_order_poly(n: int) -> IntPolynomial:
     """Order of GL_n as a polynomial in q: prod_{i=0}^{n-1} (q^n - q^i).
 

@@ -1,40 +1,62 @@
-"""Minimal-tuple search: integer least squares on a weighted-sum constraint.
+"""Minimal tuples: the integer s-tuples with sum n_i d_i = w that minimise sum n_i^2.
 
-For a profile with degrees (d_1, ..., d_s) and a target weight w, the
-admissible tuples are the integer s-tuples with sum n_i d_i = w; this
-module finds ALL of them minimising sum n_i^2 (branch and bound, exact
-arithmetic only), and derives the quantities that control the top of the
-homomorphism-count polynomial: S_r, m_r, eps_r and the stability bound N.
+They give S_r, m_r, eps_r and the stability bound N.  The search runs over
+the distinct degrees: c coordinates of degree d sharing a total U are best
+split evenly, into f = U // c and f + 1, at cost c*f^2 + rho*(2f+1)
+(rho = U % c) in C(c, rho) ways, with lowest entry f.  A min-plus DP over
+the weight of the groups taken so far, whose equal-cost states add their
+counts and keep the larger b, gives S_r, m_r and b; backtracking gives the
+lex-first tuple.  Each total U ranges over (U - c*d*w/a)^2 <= c*slack,
+slack being a rounded feasible point's cost minus w^2/a, and the degree-1
+group takes the weight left.  Tuples are listed only on demand, up to
+MAX_LISTED_TUPLES.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate, chain, combinations, groupby, product
+from math import comb, isqrt
+from typing import Callable, Iterable, Iterator
 
 from .errors import InvariantViolation, LengthMismatch, RangeError, ResourceLimit
 from .profiles import DegreeProfile, validate_profile
 
+MAX_LISTED_TUPLES = 10**5
+
 
 @dataclass(frozen=True)
 class MinimalReport:
-    """All minimal tuples for one target weight, with their invariants.
+    """The minimal tuples of one weight: invariants, the lex-first one, a lazy listing.
 
-    ``eps_r`` is the exact rational defect S_r - r^2/a between the integer
-    minimum and the real-relaxation minimum; it is >= 0 and vanishes only
-    at weight 0 (for weights below the group order).
+    ``eps_r`` = S_r - r^2/a is >= 0 and, below the group order, 0 only at
+    r = 0.  ``m_r`` counts the ordered minimal tuples; ``b`` is the least
+    b >= 0 with b*d_i + t_i >= 0 for all of them.  ``==`` ignores ``listing``.
     """
 
     r: int
-    tuples: tuple[tuple[int, ...], ...]
     s_r: int
     eps_r: Fraction
+    m_r: int
+    sample: tuple[int, ...]
+    b: int
+    listing: Callable[[], Iterable[tuple[int, ...]]] = field(compare=False, repr=False)
 
     @property
-    def m_r(self) -> int:
-        """Number of minimal tuples (counts ordered tuples, no symmetry quotient)."""
-        return len(self.tuples)
+    def tuples(self) -> tuple[tuple[int, ...], ...]:
+        """Every minimal tuple in lex order; ResourceLimit past MAX_LISTED_TUPLES."""
+        if self.m_r > MAX_LISTED_TUPLES:
+            raise ResourceLimit(
+                f"{self.m_r} minimal tuples for weight {self.r}, more than the"
+                f" listing cap {MAX_LISTED_TUPLES}"
+            )
+        out = tuple(sorted(self.listing()))
+        if len(out) != self.m_r or out[0] != self.sample:
+            raise InvariantViolation(
+                f"listed {len(out)} tuples from {out[:1]}, counted {self.m_r} from {self.sample}"
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -44,13 +66,15 @@ class LiftedReport:
     n: int
     k: int
     r: int
-    tuples: tuple[tuple[int, ...], ...]
     square_sum: int
     all_eligible: bool
+    count: int
+    residue: MinimalReport = field(repr=False)
+    profile: DegreeProfile = field(repr=False)
 
     @property
-    def count(self) -> int:
-        return len(self.tuples)
+    def tuples(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(lift_minimal(self.profile, t, self.k) for t in self.residue.tuples)
 
 
 @dataclass(frozen=True)
@@ -70,121 +94,107 @@ def weight(entries: tuple[int, ...], profile: DegreeProfile) -> int:
     return sum(e * d for e, d in zip(entries, profile.degrees))
 
 
-def square_sum(entries: tuple[int, ...]) -> int:
-    return sum(e * e for e in entries)
+def _cost(total: int, c: int) -> int:
+    """Least square-sum of c integers adding up to ``total``: the even split's."""
+    f, rho = divmod(total, c)
+    return c * f * f + rho * (2 * f + 1)
 
 
-@lru_cache(maxsize=None)
-def _search_minimal(degrees: tuple[int, ...], w: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """All integer tuples with sum n_i d_i == w minimising sum n_i^2.
-
-    Depth-first branch and bound.  Coordinates are visited in decreasing
-    degree order; at each node the completion is bounded below by the
-    Cauchy-Schwarz relaxation ceil(w'^2 / sum of remaining d_i^2).  Values
-    for a coordinate are swept outward from the rounded real-relaxation
-    optimum, stopping once the exact rational bound strictly exceeds the
-    incumbent (strict, so tied optima are never pruned: every optimum is
-    required, not one representative).  Returns (min square-sum, tuples
-    sorted lexicographically in profile coordinate order).
-    """
-    s = len(degrees)
-    order = sorted(range(s), key=lambda i: (-degrees[i], i))
-    dseq = [degrees[i] for i in order]
-    sqsuf = [0] * (s + 1)
-    for j in range(s - 1, -1, -1):
-        sqsuf[j] = sqsuf[j + 1] + dseq[j] * dseq[j]
-
-    best = w * w  # (w, 0, ..., 0) on a degree-1 coordinate is admissible
-    sols: list[tuple[int, ...]] = []
-    cur = [0] * s
-
-    def visit_leaf(j: int, w_rem: int, cur_sq: int) -> None:
-        nonlocal best
-        d = dseq[j]
-        if w_rem % d:
-            return
-        v = w_rem // d
-        tot = cur_sq + v * v
-        if tot > best:
-            return
-        cur[j] = v
-        if tot < best:
-            best = tot
-            sols.clear()
-        sols.append(tuple(cur))
-
-    def rec(j: int, w_rem: int, cur_sq: int) -> None:
-        if j == s - 1:
-            visit_leaf(j, w_rem, cur_sq)
-            return
-        d = dseq[j]
-        s_all = sqsuf[j]
-        s_rest = sqsuf[j + 1]
-        center = (2 * w_rem * d + s_all) // (2 * s_all)
-
-        def try_value(v: int) -> bool:
-            """Recurse into v if it can still reach the incumbent.
-
-            Returns True when the exact relaxation bound strictly exceeds
-            the incumbent, i.e. the sweep may stop once past the real
-            optimum (the bound is convex in v).
-            """
-            budget = best - cur_sq - v * v
-            w2 = w_rem - v * d
-            if budget < 0 or w2 * w2 > budget * s_rest:
-                return True
-            lb = (w2 * w2 + s_rest - 1) // s_rest
-            if cur_sq + v * v + lb <= best:
-                cur[j] = v
-                rec(j + 1, w2, cur_sq + v * v)
-            return False
-
-        v = center
-        while True:
-            exceeded = try_value(v)
-            if exceeded and v > center:
-                break
-            v += 1
-        v = center - 1
-        while not try_value(v):
-            v -= 1
-
-    rec(0, w, 0)
-
-    remapped = []
-    for sol in sols:
-        t = [0] * s
-        for pos, i in enumerate(order):
-            t[i] = sol[pos]
-        remapped.append(tuple(t))
-    remapped.sort()
-    return best, tuple(remapped)
+def _groups(degrees: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(degree, multiplicity) of each distinct degree, in coordinate order."""
+    return [(d, len(list(run))) for d, run in groupby(degrees)]
 
 
-def _report(profile: DegreeProfile, w: int) -> MinimalReport:
-    s_min, tuples = _search_minimal(profile.degrees, w)
-    eps = Fraction(s_min) - Fraction(w * w, profile.order)
-    return MinimalReport(r=w, tuples=tuples, s_r=s_min, eps_r=eps)
+def _solve(groups: list[tuple[int, int]], order: int, w: int) -> MinimalReport:
+    """The minimal tuples of weight w, by the grouped DP of the module docstring."""
+    # A feasible point, rounding the totals from the largest degree down, each
+    # absorbing the weight error a*sum d*(U - c*d*w/a) of those before it.
+    guess, error = [0] * len(groups), 0
+    for j in range(len(groups) - 1, 0, -1):
+        d, c = groups[j]
+        guess[j] = (2 * (c * d * d * w - error) + order * d) // (2 * order * d)
+        error += d * (order * guess[j] - c * d * w)
+    guess[0] = w - sum(d * u for (d, _), u in zip(groups, guess))
+    feasible = sum(_cost(u, c) for (_, c), u in zip(groups, guess))
+    slack = order * feasible - w * w
+    ranges = [range(0)]  # the degree-1 total is w minus the others'
+    for d, c in groups[1:]:
+        reach = isqrt(order * c * slack)
+        ranges.append(range(-((reach - c * d * w) // order), (c * d * w + reach) // order + 1))
+    # tables[j][W] = (cost, count, b) of the optima of groups j.. at weight W.  A
+    # state goes once its cost plus the real minimum (w - W)^2 / room of the
+    # groups before j exceeds the feasible cost; room = 0 at j = 0 keeps W = w.
+    rooms = list(accumulate((c * d * d for d, c in groups), initial=0))
+    tables = {len(groups): {0: (0, 1, 0)}}
+    for j in range(len(groups) - 1, -1, -1):
+        (d, c), room, table = groups[j], rooms[j], tables.setdefault(j, {})
+        for weight_rest, (cost, count, b) in tables[j + 1].items():
+            for u in ranges[j] or (w - weight_rest,):
+                key, cost_k = weight_rest + d * u, cost + _cost(u, c)
+                if cost_k * room + (w - key) ** 2 > feasible * room:
+                    continue
+                count_k, b_k = count * comb(c, u % c), max(b, -(u // c // d))
+                old = table.get(key, (cost_k + 1,))
+                if cost_k < old[0]:
+                    table[key] = (cost_k, count_k, b_k)
+                elif cost_k == old[0]:
+                    table[key] = (cost_k, old[1] + count_k, max(old[2], b_k))
+    s_min, count, b = tables[0][w]
+    if not w * w <= s_min * order <= feasible * order:
+        raise InvariantViolation(f"minimum {s_min} for weight {w} is outside [w^2/a, {feasible}]")
+
+    def totals() -> Iterator[tuple[int, ...]]:
+        """Every optimal vector of group totals, in lex order (an explicit stack)."""
+        stack = [((), w)]
+        while stack:
+            path, left = stack.pop()
+            j = len(path)
+            if j == len(groups):
+                yield path
+                continue
+            (d, c), after = groups[j], tables[j + 1]
+            stack.extend(
+                (path + (u,), left - d * u)
+                for u in reversed(ranges[j] or sorted(left - key for key in after))
+                if after.get(left - d * u, (None,))[0] == tables[j][left][0] - _cost(u, c)
+            )
+
+    def listing() -> Iterator[tuple[int, ...]]:
+        for path in totals():
+            splits = [
+                [[u // c + (j in up) for j in range(c)] for up in combinations(range(c), u % c)]
+                for (_, c), u in zip(groups, path)
+            ]
+            yield from (tuple(chain.from_iterable(parts)) for parts in product(*splits))
+
+    sample: list[int] = []
+    for (_, c), u in zip(groups, next(totals())):
+        sample += [u // c] * (c - u % c) + [u // c + 1] * (u % c)
+    eps = Fraction(s_min) - Fraction(w * w, order)
+    return MinimalReport(w, s_min, eps, count, tuple(sample), b, listing)
 
 
 def minimal_tuples(profile: DegreeProfile, r: int) -> MinimalReport:
-    """All minimal tuples for a residue 0 <= r < a, lexicographically sorted."""
+    """Minimal tuples for a residue 0 <= r < a."""
     validate_profile(profile)
     if not 0 <= r < profile.order:
         raise RangeError(f"residue r={r} outside [0, {profile.order})")
-    return _report(profile, r)
+    return _solve(_groups(profile.degrees), profile.order, r)
 
 
 def minimal_tuples_direct(profile: DegreeProfile, n: int) -> MinimalReport:
-    """Minimal tuples for an arbitrary weight n >= 0 by direct search.
-
-    Same search as ``minimal_tuples`` but without the residue restriction;
-    useful to cross-check the lifting correspondence at moderate n.
-    """
+    """Minimal tuples for any weight n >= 0; cross-checks the lift at moderate n."""
     validate_profile(profile)
     if n < 0:
         raise RangeError("weight must be >= 0")
-    return _report(profile, n)
+    return _solve(_groups(profile.degrees), profile.order, n)
+
+
+def residue_reports(profile: DegreeProfile) -> Iterator[MinimalReport]:
+    """The report of every residue 0 <= r < a, in order, with the degrees grouped once."""
+    validate_profile(profile)
+    groups = _groups(profile.degrees)
+    return (_solve(groups, profile.order, r) for r in range(profile.order))
 
 
 def epsilon(profile: DegreeProfile, r: int) -> Fraction:
@@ -192,20 +202,16 @@ def epsilon(profile: DegreeProfile, r: int) -> Fraction:
     return minimal_tuples(profile, r).eps_r
 
 
-def stability_bound(profile: DegreeProfile) -> StabilityBound:
+def stability_bound(
+    profile: DegreeProfile, reports: Iterable[MinimalReport] | None = None
+) -> StabilityBound:
     """Smallest b such that b*d_i + r_i >= 0 over all residues' minimal tuples.
 
     N = b*a; beyond N every minimal tuple is eligible.  N never exceeds
-    a*(a-1).
+    a*(a-1).  ``reports``, if given, are the profile's ``residue_reports``.
     """
-    validate_profile(profile)
     a = profile.order
-    b = 0
-    for r in range(a):
-        for t in _report(profile, r).tuples:
-            for e, d in zip(t, profile.degrees):
-                if e < 0:
-                    b = max(b, (-e + d - 1) // d)
+    b = max(rep.b for rep in reports or residue_reports(profile))
     n_threshold = b * a
     if n_threshold > a * (a - 1):
         raise InvariantViolation(f"stability bound N={n_threshold} exceeds a(a-1)={a * (a - 1)}")
@@ -229,24 +235,18 @@ def minimal_tuples_for_n(profile: DegreeProfile, n: int) -> LiftedReport:
     """Minimal tuples for dimension n, via the residue lift n = k*a + r.
 
     The lifted square-sum is k^2*a + 2*k*r + S_r.  ``all_eligible`` flags
-    whether every lifted tuple is entrywise non-negative; for n past the
-    stability bound it is always True.
+    whether every lifted tuple is entrywise non-negative, that is k >= b_r;
+    past the stability bound it always is.  ``tuples`` lists them on demand.
     """
     validate_profile(profile)
     if n < 0:
         raise RangeError("dimension must be >= 0")
     a = profile.order
     k, r = divmod(n, a)
-    rep = _report(profile, r)
-    lifted = tuple(lift_minimal(profile, t, k) for t in rep.tuples)
-    sq = k * k * a + 2 * k * r + rep.s_r
+    rep = _solve(_groups(profile.degrees), a, r)
     return LiftedReport(
-        n=n,
-        k=k,
-        r=r,
-        tuples=lifted,
-        square_sum=sq,
-        all_eligible=all(min(t) >= 0 for t in lifted),
+        n=n, k=k, r=r, square_sum=k * k * a + 2 * k * r + rep.s_r,
+        all_eligible=k >= rep.b, count=rep.m_r, residue=rep, profile=profile,
     )
 
 

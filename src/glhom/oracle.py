@@ -474,10 +474,10 @@ def minimal_tuples_naive(
 ) -> MinimalReport:
     """Minimal tuples for r by full enumeration of the box [-r, r]^s.
 
-    Same contract as ``minimize.minimal_tuples`` but with no pruning at
-    all; the box is valid because the tuple (r, 0, ..., 0) already gives
-    square-sum r^2.  Intended as the cross-validation oracle for the
-    branch-and-bound search.
+    Same fields as ``minimize.minimal_tuples``, but every one is read off
+    the full sorted list of optima (``tuples`` serves that list), with no
+    pruning and no degree grouping; the box holds them all because
+    (r, 0, ..., 0) already has square-sum r^2.  The cross-check of the DP.
     """
     validate_profile(profile)
     if not 0 <= r < profile.order:
@@ -511,7 +511,10 @@ def minimal_tuples_naive(
     rows.sort()
     return MinimalReport(
         r=r,
-        tuples=tuple(rows),
         s_r=best,
         eps_r=Fraction(best) - Fraction(r * r, profile.order),
+        m_r=len(rows),
+        sample=rows[0],
+        b=max(0, max(-(e // d) for row in rows for e, d in zip(row, profile.degrees))),
+        listing=lambda: rows,
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 
@@ -351,3 +352,46 @@ def test_verify_dihedral_splitting_gate(capsys):
     code, _, err = run(capsys, "verify", "--group", "dihedral:5", "-n", "2", "-q", "7")
     assert code == 1
     assert "requires q == +-1 (mod 5); got q=7" in err
+
+
+def _table_rows(out):
+    """(r, m_r, sample, S_r, eps_r) for each row of a text table."""
+    return [line.split() for line in out.splitlines()[1:-2]]
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("bound", "--group", "cyclic:300"), "b=0, N=0 (<= a(a-1)=89700)\n"),
+        # C(1500, 5) minimal tuples of weight 5, exponent 5^2 - 0 - S_5 = 20
+        (("leading", "--group", "cyclic:1500", "-n", "5"), "62860358437800 * q^20 (stable)\n"),
+    ],
+)
+def test_large_order_queries(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
+
+
+def test_table_dihedral40_duality(capsys):
+    code, out, err = run(capsys, "table", "--group", "dihedral:40")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[-2:] == ["b = 0", "N = 0 (<= a(a-1) = 6320)"]
+    rows = _table_rows(out)
+    assert [int(row[0]) for row in rows] == list(range(80))
+    for r in range(1, 80):
+        assert rows[r][1] == rows[80 - r][1], r  # m_r = m_{a-r}
+        assert rows[r][4] == rows[80 - r][4], r  # eps_r = eps_{a-r}
+
+
+def test_table_dihedral41_closed_forms(capsys):
+    code, out, _ = run(capsys, "table", "--group", "dihedral:41")
+    assert code == 0
+    l = 20  # degree-2 coordinates of dihedral:41
+    checked = 0
+    for r_text, m_text, _, s_text, _ in _table_rows(out):
+        k, odd = divmod(int(r_text), 2)
+        if 2 * k <= l:
+            assert int(m_text) == (2 if odd else 1) * math.comb(l, k), r_text
+            assert int(s_text) == k + odd, r_text
+            checked += 1
+    assert checked == 22

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glhom import (
+    DegreeProfile,
     LengthMismatch,
     RangeError,
     ResourceLimit,
@@ -16,9 +20,11 @@ from glhom import (
     minimal_tuples,
     minimal_tuples_direct,
     minimal_tuples_for_n,
+    minimal_tuples_naive,
     stability_bound,
     weight,
 )
+from glhom.minimize import MAX_LISTED_TUPLES
 from conftest import BUILTIN_SPECS, make_profile
 
 
@@ -182,3 +188,91 @@ def test_cauchy_schwarz_floor_and_box_ceiling():
 
 def test_reports_are_deterministic(s5):
     assert minimal_tuples(s5, 59) == minimal_tuples(s5, 59)
+    assert minimal_tuples(s5, 59).tuples == minimal_tuples(s5, 59).tuples
+
+
+def _b_of(tuples, degrees):
+    """Least b >= 0 with b*d_i + t_i >= 0 for every listed tuple t."""
+    return max([0] + [math.ceil(-e / d) for t in tuples for e, d in zip(t, degrees)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    extra=st.lists(st.integers(min_value=1, max_value=6), max_size=6),
+    ones=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_grouped_dp_equals_naive_box_on_random_profiles(extra, ones, data):
+    degrees = (1,) * ones + tuple(sorted(extra))
+    profile = DegreeProfile(order=sum(d * d for d in degrees), degrees=degrees)
+    # the naive box [-r, r]^s stays at most 10^5 points
+    r_max = min(profile.order - 1, max(r for r in range(30) if (2 * r + 1) ** profile.s <= 10**5))
+    r = data.draw(st.integers(min_value=0, max_value=r_max), label="r")
+    naive, rep = minimal_tuples_naive(profile, r), minimal_tuples(profile, r)
+    assert (rep.s_r, rep.eps_r, rep.m_r) == (naive.s_r, naive.eps_r, len(naive.tuples))
+    assert rep.tuples == naive.tuples
+    assert rep.sample == naive.tuples[0]
+    assert rep.b == naive.b == _b_of(naive.tuples, degrees)
+
+
+@pytest.mark.parametrize(
+    "degrees", [(1, 4, 5), (1, 3, 5), (1, 2, 2, 3, 6), (1, 11, 12), (1, 10, 17), (1, 11, 24)]
+)
+def test_grouped_dp_equals_naive_box_with_negative_entries(degrees):
+    # tied optima with different b, and entries below -1 on coordinates of degree > 1
+    profile = DegreeProfile(order=sum(d * d for d in degrees), degrees=degrees)
+    residues = [r for r in range(profile.order) if (2 * r + 1) ** profile.s <= 10**5]
+    for r in residues:
+        naive, rep = minimal_tuples_naive(profile, r), minimal_tuples(profile, r)
+        assert rep == naive and rep.tuples == naive.tuples, r
+        assert rep.b == _b_of(naive.tuples, degrees), r
+    assert max(minimal_tuples(profile, r).b for r in residues) >= 1
+
+
+@pytest.mark.parametrize("text", ["cyclic:97", "cyclic:300", "abelian:6x20"])
+def test_abelian_closed_form_at_large_order(text):
+    profile = make_profile(text)
+    a = profile.order
+    for r in range(a):
+        rep = minimal_tuples(profile, r)
+        assert (rep.m_r, rep.s_r, rep.b) == (math.comb(a, r), r, 0), r
+        assert rep.sample == (0,) * (a - r) + (1,) * r
+    assert stability_bound(profile).n_threshold == 0
+
+
+@pytest.mark.parametrize("m", [41, 61, 101])
+def test_odd_dihedral_closed_form_at_large_order(m):
+    # criterion 8's closed forms, l = (m-1)/2 degree-2 coordinates, r = 2k + odd
+    profile = make_profile(f"dihedral:{m}")
+    l = (m - 1) // 2
+    for r in range(2 * m):
+        k, odd = divmod(r, 2)
+        if 2 * k > l:
+            continue
+        rep = minimal_tuples(profile, r)
+        assert rep.m_r == (2 if odd else 1) * math.comb(l, k), r
+        assert rep.s_r == k + odd, r
+
+
+def test_tuples_listing_is_capped():
+    profile = make_profile("cyclic:40")
+    start = time.perf_counter()
+    rep = minimal_tuples(profile, 20)
+    assert rep.m_r == math.comb(40, 20) == 137846528820
+    assert rep.sample == (0,) * 20 + (1,) * 20
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ResourceLimit, match=f"137846528820 .* cap {MAX_LISTED_TUPLES}"):
+        rep.tuples
+    with pytest.raises(ResourceLimit, match="137846528820"):
+        minimal_tuples_for_n(profile, 60).tuples
+    assert minimal_tuples_for_n(profile, 60).count == 137846528820
+    # just under the cap the listing is built, sorted and complete
+    rep = minimal_tuples(make_profile("cyclic:17"), 8)
+    assert rep.m_r == math.comb(17, 8) <= MAX_LISTED_TUPLES
+    assert len(set(rep.tuples)) == rep.m_r and list(rep.tuples) == sorted(rep.tuples)
+
+
+def test_all_eligible_is_k_at_least_b_r(s5):
+    for n in range(0, 3 * s5.order, 7):
+        lifted = minimal_tuples_for_n(s5, n)
+        assert lifted.all_eligible == all(min(t) >= 0 for t in lifted.tuples), n

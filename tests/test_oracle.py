@@ -273,6 +273,7 @@ def test_shared_one_generator_relators_stream_once(monkeypatch):
 
 def test_minimal_tuples_naive_examples(s4, d3):
     assert minimal_tuples_naive(s4, 4) == minimal_tuples(s4, 4)
+    assert minimal_tuples_naive(s4, 4).tuples == minimal_tuples(s4, 4).tuples
     rep = minimal_tuples_naive(s4, 0)
     assert rep.tuples == ((0, 0, 0, 0, 0),)
     rep = minimal_tuples_naive(d3, 4)
@@ -292,7 +293,8 @@ def test_naive_matches_search_on_small_profiles(d3):
         for r in range(profile.order):
             if (2 * r + 1) ** profile.s > 10**6:
                 continue
-            assert minimal_tuples_naive(profile, r) == minimal_tuples(profile, r)
+            naive, searched = minimal_tuples_naive(profile, r), minimal_tuples(profile, r)
+            assert naive == searched and naive.tuples == searched.tuples
 
 
 def test_sym4_dimension_two_against_polynomial(s4):
