@@ -14,12 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .counting import (
-    DEFAULT_MAX_TUPLES,
-    hom_count_poly,
-    leading_term,
-    variety_report,
-)
+from .counting import hom_count_poly, leading_term, variety_report
 from .errors import GlhomError, ResourceLimit, UnstableRegime, ValidationError
 from .minimize import residue_reports, stability_bound
 from .oracle import DEFAULT_MAX_CANDIDATES, builtin_presentation, hom_count_bruteforce
@@ -42,18 +37,6 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--group", required=True, help="group spec, e.g. sym:4 or cyclic:6")
     common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument(
-        "--max-tuples",
-        type=int,
-        default=DEFAULT_MAX_TUPLES,
-        help="cap on eligible tuples for poly and verify (counted, not listed)",
-    )
-    common.add_argument(
-        "--max-gl",
-        type=int,
-        default=DEFAULT_MAX_CANDIDATES,
-        help="cap on brute-force candidate matrices",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", parents=[common], help="per-residue minimal-tuple table")
@@ -70,6 +53,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", parents=[common], help="polynomial vs brute force")
     p.add_argument("-n", type=int, required=True, dest="n")
     p.add_argument("-q", type=int, required=True, dest="q")
+    p.add_argument(
+        "--max-gl", type=int, default=DEFAULT_MAX_CANDIDATES, help="cap on brute-force candidates"
+    )
 
     p = sub.add_parser("variety", parents=[common], help="representation variety dimension")
     p.add_argument("-n", type=int, required=True, dest="n")
@@ -85,14 +71,10 @@ def _tuple_str(t: tuple[int, ...]) -> str:
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    print(json.dumps(payload, indent=2) if as_json else "\n".join(text_lines))
 
 
-def _cmd_table(profile, args) -> int:
+def _cmd_table(profile, spec, args) -> int:
     a = profile.order
     reports = list(residue_reports(profile))
     bound = stability_bound(profile, reports)
@@ -125,8 +107,7 @@ def _cmd_table(profile, args) -> int:
             f"{rep.r:>4}  {rep.m_r:>6}  {_tuple_str(rep.sample):<{sample_w}}"
             f"  {rep.s_r:>6}  {_fraction_str(rep.eps_r)}"
         )
-    lines.append(f"b = {bound.b}")
-    lines.append(f"N = {bound.n_threshold} (<= a(a-1) = {a * (a - 1)})")
+    lines += [f"b = {bound.b}", f"N = {bound.n_threshold} (<= a(a-1) = {a * (a - 1)})"]
     _emit(payload, args.json, lines)
     return 0
 
@@ -141,7 +122,7 @@ def _parse_eval_points(text: str | None) -> list[int]:
 
 
 def _cmd_poly(profile, spec, args) -> int:
-    poly = hom_count_poly(profile, args.n, max_tuples=args.max_tuples)
+    poly = hom_count_poly(profile, args.n)
     evaluations = []
     for x in _parse_eval_points(args.eval_points):
         try:
@@ -169,7 +150,7 @@ def _cmd_poly(profile, spec, args) -> int:
     return 0
 
 
-def _cmd_leading(profile, args) -> int:
+def _cmd_leading(profile, spec, args) -> int:
     lt = leading_term(profile, args.n)
     payload = {
         "command": "leading",
@@ -195,7 +176,7 @@ def _cmd_leading(profile, args) -> int:
     return 0
 
 
-def _cmd_bound(profile, args) -> int:
+def _cmd_bound(profile, spec, args) -> int:
     a = profile.order
     bound = stability_bound(profile)
     payload = {
@@ -211,7 +192,7 @@ def _cmd_bound(profile, args) -> int:
     return 0
 
 
-def _cmd_variety(profile, args) -> int:
+def _cmd_variety(profile, spec, args) -> int:
     report = variety_report(profile, args.n)
     payload = {
         "command": "variety",
@@ -241,7 +222,7 @@ def _cmd_verify(profile, spec, args) -> int:
             file=sys.stderr,
         )
         return 1
-    poly = hom_count_poly(profile, args.n, max_tuples=args.max_tuples)
+    poly = hom_count_poly(profile, args.n)
     value = poly.evaluate(args.q)
     brute = hom_count_bruteforce(presentation, args.n, args.q, max_candidates=args.max_gl)
     match = value == brute
@@ -263,6 +244,12 @@ def _cmd_verify(profile, spec, args) -> int:
     return 0 if match else 2
 
 
+_COMMANDS = {
+    "table": _cmd_table, "poly": _cmd_poly, "leading": _cmd_leading,
+    "bound": _cmd_bound, "verify": _cmd_verify, "variety": _cmd_variety,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     # values such as f_60(1000) have more digits than str() allows by default
@@ -273,26 +260,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         spec = parse_group_spec(args.group)
         profile = profile_of(spec)
-        if args.command == "table":
-            return _cmd_table(profile, args)
-        if args.command == "poly":
-            return _cmd_poly(profile, spec, args)
-        if args.command == "leading":
-            return _cmd_leading(profile, args)
-        if args.command == "bound":
-            return _cmd_bound(profile, args)
-        if args.command == "variety":
-            return _cmd_variety(profile, args)
-        return _cmd_verify(profile, spec, args)
-    except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except UnstableRegime as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _COMMANDS[args.command](profile, spec, args)
     except GlhomError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, ResourceLimit) else 2 if isinstance(exc, UnstableRegime) else 1
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -6,14 +6,16 @@ conjugation orbit of homomorphisms, of size |GL_n(q)| / prod |GL_{n_i}(q)|
 count polynomial f_n with f_n(q) = |Hom(A, GL_n(q))| whenever F_q splits
 the group; ``hom_count_poly`` builds it by a knapsack DP without listing
 the tuples, on plain ints: every polynomial is its value at q = 2^B, with
-B fixed by the same DP run at q = 1.  The top of f_n is controlled by the
-minimal tuples alone:
+B fixed by the same DP run at q = 1, after a pre-flight that bounds its
+memory and, from its exact step count, its work.  The top of f_n is
+controlled by the minimal tuples alone:
 degree n^2(1 - 1/a) - eps_r and leading coefficient m_r, with r = n mod a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import (
     IneligibleTuple,
@@ -27,8 +29,10 @@ from .intpoly import IntPolynomial, _unpack, div_exact, gl_order_poly
 from .minimize import minimal_tuples, stability_bound
 from .profiles import DegreeProfile, validate_profile
 
-DEFAULT_MAX_TUPLES = 10**6
 MAX_PACKED_BITS = 1 << 31
+# At 0.1-2.2 ns a bit, this admits cyclic:2 n=332 and sym:4 n=80, not sym:4 n=120
+MAX_WORK_BITS = 1 << 35
+STEP_OVERHEAD_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,24 @@ def orbit_poly(profile: DegreeProfile, entries: tuple[int, ...]) -> IntPolynomia
     return quot
 
 
-def _count_eligible(degrees: tuple[int, ...], n: int) -> int:
-    """Number of non-negative tuples with sum n_i d_i = n (coin-change count, O(s*n))."""
-    ways = [1] + [0] * n
-    for d in degrees:
-        for w in range(d, n + 1):
-            ways[w] += ways[w - d]
-    return ways[n]
+def _transitions(degrees: tuple[int, ...], n: int) -> int:
+    """How many (state, k) steps ``_packed_states(degrees, n, bits)`` takes, at any bits.
+
+    One coordinate of degree d reaches the same states (w, M) as any number of
+    them, so each distinct degree is walked once.  Bit M of masks[w] marks (w, M);
+    the last coordinate takes one step per state.
+    """
+    masks, total = {0: 1}, 0
+    for d, run in groupby(degrees[:-1]):
+        grown: dict[int, int] = {}
+        for w, mask in masks.items():
+            total += mask.bit_count() * ((n - w) // d + 1)
+            for k in range((n - w) // d + 1):
+                grown[w + k * d] = grown.get(w + k * d, 0) | mask << k
+        masks = grown
+        repeats = len(list(run)) - 1
+        total += repeats * sum(mask.bit_count() * ((n - w) // d + 1) for w, mask in masks.items())
+    return total + sum(mask.bit_count() for mask in masks.values())
 
 
 def _packed_states(degrees: tuple[int, ...], n: int, bits: int) -> dict[int, int]:
@@ -123,9 +138,30 @@ def _packed_states(degrees: tuple[int, ...], n: int, bits: int) -> dict[int, int
     return {m: value for (w, m), value in states.items() if w == n}
 
 
-def hom_count_poly(
-    profile: DegreeProfile, n: int, max_tuples: int | None = DEFAULT_MAX_TUPLES
-) -> IntPolynomial:
+def _preflight(degrees: tuple[int, ...], n: int) -> None:
+    """ResourceLimit if f_n's DP could pass the memory cap or the work cap.
+
+    Memory is a q-Pascal row plus one packed state.  Work is the exact step
+    count times the widest state, plus STEP_OVERHEAD_BITS per step.
+    """
+    # P_{n,M}(1) <= s^M, so sum_M P_{n,M}(1) 2^(n-M) <= (n + 1) max(s, 2)^n
+    max_bits = n * (max(len(degrees), 2) - 1).bit_length() + (n + 1).bit_length() + 2
+    working = (n**3 // 6 + n * n + 1) * max_bits
+    if working > MAX_PACKED_BITS:
+        raise ResourceLimit(
+            f"n={n} needs about {working} bits for a q-Pascal row and one packed state,"
+            f" more than the cap of {MAX_PACKED_BITS} bits"
+        )
+    steps = _transitions(degrees, n)
+    work = steps * ((n * n + 1) * max_bits + STEP_OVERHEAD_BITS)
+    if work > MAX_WORK_BITS:
+        raise ResourceLimit(
+            f"n={n} needs about {work} bits of packed arithmetic ({steps} DP steps),"
+            f" more than the cap of {MAX_WORK_BITS} bits"
+        )
+
+
+def hom_count_poly(profile: DegreeProfile, n: int) -> IntPolynomial:
     """Full count polynomial f_n, equal to the sum of ``orbit_poly`` over ``eligible_tuples``.
 
     Evaluating at any prime power q for which F_q splits the group gives
@@ -137,28 +173,14 @@ def hom_count_poly(
     f_n = sum_M |GL_n| / |GL_M| * P_{n,M}.  Each polynomial is one int, its
     value at q = 2^B, and f_n is unpacked once.  B comes from the same DP at
     q = 1: |GL_n| / |GL_M| has |coefficients| summing to at most 2^(n-M), so
-    sum_M P_{n,M}(1) 2^(n-M) bounds every coefficient of f_n.  Raises
-    ResourceLimit, before any polynomial work, past ``max_tuples`` eligible
-    tuples (counted, not listed) or when the packed working set (a q-Pascal
-    row plus one state) could pass ``MAX_PACKED_BITS``.
+    sum_M P_{n,M}(1) 2^(n-M) bounds every coefficient of f_n.  ``_preflight``
+    raises ResourceLimit first, past MAX_PACKED_BITS or MAX_WORK_BITS.
     """
     validate_profile(profile)
     if n < 0:
         raise RangeError("dimension must be >= 0")
-    count = _count_eligible(profile.degrees, n)
-    if max_tuples is not None and count > max_tuples:
-        raise ResourceLimit(
-            f"n={n} has {count} eligible tuples, more than --max-tuples {max_tuples}"
-        )
-    # P_{n,M}(1) <= s^M, so the sum above is at most (n + 1) max(s, 2)^n
-    max_bits = n * (max(profile.s, 2) - 1).bit_length() + (n + 1).bit_length() + 2
-    working = (n**3 // 6 + n * n + 1) * max_bits
-    if working > MAX_PACKED_BITS:
-        raise ResourceLimit(
-            f"n={n} needs about {working} bits for a q-Pascal row and one packed state,"
-            f" more than the cap of {MAX_PACKED_BITS} bits"
-        )
     degrees = profile.degrees[::-1]  # largest first: fewer states; d_1 = 1 last fills to n
+    _preflight(degrees, n)
     l1 = sum(value << (n - m) for m, value in _packed_states(degrees, n, 0).items())
     bits = l1.bit_length() + 2
     final = _packed_states(degrees, n, bits)

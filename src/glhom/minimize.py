@@ -8,8 +8,8 @@ the weight of the groups taken so far, whose equal-cost states add their
 counts and keep the larger b, gives S_r, m_r and b; backtracking gives the
 lex-first tuple.  Each total U ranges over (U - c*d*w/a)^2 <= c*slack,
 slack being a rounded feasible point's cost minus w^2/a, and the degree-1
-group takes the weight left.  Tuples are listed only on demand, up to
-MAX_LISTED_TUPLES.
+group takes the weight left.  Minimal and eligible tuples are listed only
+on demand, up to MAX_LISTED_TUPLES.
 """
 
 from __future__ import annotations
@@ -250,13 +250,11 @@ def minimal_tuples_for_n(profile: DegreeProfile, n: int) -> LiftedReport:
     )
 
 
-def eligible_tuples(
-    profile: DegreeProfile, n: int, max_tuples: int | None = None
-) -> tuple[tuple[int, ...], ...]:
+def eligible_tuples(profile: DegreeProfile, n: int) -> tuple[tuple[int, ...], ...]:
     """All non-negative integer tuples with sum n_i d_i = n, in lex order.
 
     These index the conjugation orbits of the homomorphism set in
-    dimension n.  Raises ResourceLimit if more than ``max_tuples`` exist.
+    dimension n.  Raises ResourceLimit past MAX_LISTED_TUPLES of them.
     """
     validate_profile(profile)
     if n < 0:
@@ -271,9 +269,10 @@ def eligible_tuples(
         if rem[-1] % degrees[-1] == 0:
             t[-1] = rem[-1] // degrees[-1]
             out.append(tuple(t))
-            if max_tuples is not None and len(out) > max_tuples:
+            if len(out) > MAX_LISTED_TUPLES:
                 raise ResourceLimit(
-                    f"more than {max_tuples} eligible tuples for n={n}"
+                    f"more than {MAX_LISTED_TUPLES} eligible tuples for n={n},"
+                    " past the listing cap"
                 )
         j = s - 2
         while j >= 0 and (t[j] + 1) * degrees[j] > rem[j]:

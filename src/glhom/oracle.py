@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvariantViolation, ParseError, RangeError, ResourceLimit, ValidationError
 from .minimize import MinimalReport
-from .profiles import DegreeProfile, GroupSpec, validate_profile
+from .profiles import DegreeProfile, GroupSpec, prime_base, validate_profile
 
 DEFAULT_MAX_CANDIDATES = 10**8
 
@@ -29,17 +29,8 @@ _BLOCK_ROWS = 1 << 16
 _JOIN_ENTRIES = 1 << 20
 
 
-def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    for d in range(2, int(q**0.5) + 1):
-        if q % d == 0:
-            return False
-    return True
-
-
 def _require_prime(q: int) -> None:
-    if not is_prime(q):
+    if prime_base(q) != q:
         raise ValidationError(f"q={q} must be prime for brute-force enumeration")
 
 

@@ -179,23 +179,36 @@ def profile_of(spec: GroupSpec) -> DegreeProfile:
     return profile
 
 
-def _prime_of(q: int) -> int:
-    """Smallest prime factor of q, insisting q is a prime power."""
-    if q < 2:
-        raise ValidationError("q must be a prime power >= 2")
-    p = None
-    for cand in range(2, math.isqrt(q) + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    if p is None:
-        return q  # q itself is prime
-    rest = q
-    while rest % p == 0:
-        rest //= p
-    if rest != 1:
-        raise ValidationError(f"q={q} is not a prime power")
-    return p
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981  # least strong pseudoprime to every base in _MR_BASES
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin on the first 13 prime bases, exact for p < PSI_13."""
+    if p < 2 or any(p % b == 0 for b in _MR_BASES):
+        return p in _MR_BASES
+    twos = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^twos * odd
+    for b in _MR_BASES:
+        chain = [pow(b, (p - 1) >> twos << i, p) for i in range(twos)]
+        if chain[0] != 1 and p - 1 not in chain:
+            return False
+    return True
+
+
+def prime_base(q: int) -> int | None:
+    """The prime p with q = p^k, k >= 1, or None if q is no prime power.
+
+    Exact below PSI_13 (Sorenson and Webster, Math. Comp. 2017); ValidationError past it.
+    """
+    if q >= PSI_13:
+        raise ValidationError(f"q={q} is at least {PSI_13}, past the exact primality test")
+    for k in range(1, q.bit_length() if q > 1 else 1):
+        root = 1 << -(-q.bit_length() // k)  # above the k-th root; Newton steps come down
+        while (step := ((k - 1) * root + q // root ** (k - 1)) // k) < root:
+            root = step
+        if root**k == q and _is_prime(root):
+            return root
+    return None
 
 
 def splitting_field_check(spec: GroupSpec, q: int) -> tuple[bool, str]:
@@ -205,7 +218,11 @@ def splitting_field_check(spec: GroupSpec, q: int) -> tuple[bool, str]:
     built-in family; custom profiles cannot carry enough information, so
     the check is delegated to the caller there.
     """
-    p = _prime_of(q)
+    if q < 2:
+        raise ValidationError("q must be a prime power >= 2")
+    p = prime_base(q)
+    if p is None:
+        raise ValidationError(f"q={q} is not a prime power")
     if spec.family == "cyclic":
         m = spec.m
         if (q - 1) % m == 0:

@@ -209,11 +209,9 @@ def test_missing_required_flag_exit_1(capsys):
 
 
 def test_resource_limit_exit_3(capsys):
-    code, _, err = run(
-        capsys, "poly", "--group", "cyclic:2", "-n", "50", "--max-tuples", "10"
-    )
+    code, _, err = run(capsys, "poly", "--group", "sym:4", "-n", "120")
     assert code == 3
-    assert "eligible tuples" in err
+    assert "bits of packed arithmetic (59395 DP steps)" in err
     code, _, err = run(
         capsys, "verify", "--group", "cyclic:2", "-n", "3", "-q", "5",
         "--max-gl", "1000",
@@ -222,22 +220,52 @@ def test_resource_limit_exit_3(capsys):
 
 
 def test_resource_limit_counts_before_building(capsys):
-    # the cap fires on the counted tuples, before any polynomial of size n
-    code, out, err = run(
-        capsys, "poly", "--group", "cyclic:2", "-n", "5000", "--max-tuples", "10"
-    )
+    # the work cap fires on the counted DP steps, before any polynomial is built;
+    # ~10^185 eligible tuples, 132597450 steps
+    code, out, err = run(capsys, "poly", "--group", "cyclic:100000", "-n", "50")
     assert code == 3
     assert out == ""
-    assert "n=5000 has 5001 eligible tuples, more than --max-tuples 10" in err
+    assert re.search(
+        r"n=50 needs about \d+ bits of packed arithmetic \(132597450 DP steps\),"
+        r" more than the cap of 34359738368 bits",
+        err,
+    )
 
 
 def test_poly_many_coordinates(capsys):
     # a + C(a, 2)(q^2 + q) for a = 2000 one-dimensional characters
-    code, out, _ = run(
-        capsys, "poly", "--group", "cyclic:2000", "-n", "2", "--max-tuples", "3000000"
-    )
+    code, out, _ = run(capsys, "poly", "--group", "cyclic:2000", "-n", "2")
     assert code == 0
     assert out == "1999000*q^2 + 1999000*q + 2000\n"
+
+
+def test_options_of_each_subcommand():
+    # every option a subcommand accepts; a new knob has to be added here
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    options = {
+        name: {s for a in p._actions for s in a.option_strings}
+        for name, p in sub.choices.items()
+    }
+    common = {"-h", "--help", "--group", "--json"}
+    assert options == {
+        "table": common,
+        "poly": common | {"-n", "--eval"},
+        "leading": common | {"-n"},
+        "bound": common,
+        "verify": common | {"-n", "-q", "--max-gl"},
+        "variety": common | {"-n"},
+    }
+
+
+def test_prime_eval_point_past_trial_division(capsys):
+    # 2^61 - 1 is prime; trial division up to its square root would not finish
+    q = 2**61 - 1
+    code, out, _ = run(capsys, "poly", "--group", "cyclic:2", "-n", "1", "--eval", str(q))
+    assert code == 0
+    assert out == f"2\nf({q}) = 2 = |Hom(A, GL_1({q}))|\n"
+    code, out, err = run(capsys, "verify", "--group", "cyclic:2", "-n", "2", "-q", str(q))
+    assert code == 3 and out == ""
+    assert f"q^(n^2) = {q**4} exceeds the candidate cap 100000000" in err
 
 
 def test_poly_refuses_packed_working_set_before_building(capsys):

@@ -113,7 +113,26 @@ def test_hom_count_poly_matches_orbit_sum_random_profiles(extra, n):
     degrees = (1, *sorted(extra))
     profile = DegreeProfile(order=sum(d * d for d in degrees), degrees=degrees)
     assert hom_count_poly(profile, n) == _orbit_sum(profile, n)
-    assert counting._count_eligible(degrees, n) == len(eligible_tuples(profile, n))
+
+
+def _walked_steps(degrees: tuple[int, ...], n: int) -> int:
+    """(state, k) steps of the f_n DP, by walking every coordinate's state set."""
+    states, steps = {(0, 0)}, 0
+    for j, d in enumerate(degrees):
+        ks = [range((n - w) // d + 1) if j + 1 < len(degrees) else (n - w,) for w, _ in states]
+        steps += sum(map(len, ks))
+        states = {(w + k * d, m + k) for (w, m), kk in zip(states, ks) for k in kk}
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    extra=st.lists(st.integers(min_value=1, max_value=6), max_size=6),
+    n=st.integers(min_value=0, max_value=30),
+)
+def test_preflight_step_count_matches_a_full_walk(extra, n):
+    degrees = (1, *sorted(extra))[::-1]  # the order hom_count_poly walks them in
+    assert counting._transitions(degrees, n) == _walked_steps(degrees, n)
 
 
 def test_hom_count_poly_partition_identity(s4, d3):
@@ -128,10 +147,14 @@ def test_hom_count_poly_partition_identity(s4, d3):
                 assert gl_n.evaluate(q) % part == 0  # orbit-stabilizer
 
 
-def test_hom_count_poly_resource_limit(c2):
-    with pytest.raises(ResourceLimit):
-        hom_count_poly(c2, 50, max_tuples=10)
-    assert hom_count_poly(c2, 50, max_tuples=51).degree == 50 * 50 // 2
+def test_hom_count_poly_resource_limit(c2, monkeypatch):
+    # n=50 on cyclic:2: 102 DP steps, each up to (50^2 + 1) * 58 bits wide plus the overhead
+    estimate = 102 * (2501 * 58 + counting.STEP_OVERHEAD_BITS)
+    monkeypatch.setattr(counting, "MAX_WORK_BITS", estimate)
+    assert hom_count_poly(c2, 50).degree == 50 * 50 // 2
+    monkeypatch.setattr(counting, "MAX_WORK_BITS", estimate - 1)
+    with pytest.raises(ResourceLimit, match=f"about {estimate} bits .* cap of {estimate - 1} bits"):
+        hom_count_poly(c2, 50)
 
 
 def test_hom_count_poly_range(c2):

@@ -24,6 +24,7 @@ from glhom import (
     stability_bound,
     weight,
 )
+import glhom.minimize as minimize
 from glhom.minimize import MAX_LISTED_TUPLES
 from conftest import BUILTIN_SPECS, make_profile
 
@@ -167,9 +168,11 @@ def test_eligible_tuples_many_coordinates():
     assert tuples[0] == (0,) * 1999 + (1,) and tuples[-1] == (1,) + (0,) * 1999
 
 
-def test_eligible_tuples_resource_limit(c2):
-    with pytest.raises(ResourceLimit):
-        eligible_tuples(c2, 10, max_tuples=3)
+def test_eligible_tuples_resource_limit(c2, monkeypatch):
+    monkeypatch.setattr(minimize, "MAX_LISTED_TUPLES", 3)
+    assert len(eligible_tuples(c2, 2)) == 3
+    with pytest.raises(ResourceLimit, match="more than 3 eligible tuples for n=10"):
+        eligible_tuples(c2, 10)
 
 
 def test_cauchy_schwarz_floor_and_box_ceiling():

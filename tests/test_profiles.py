@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from glhom import (
     DegreeProfile,
@@ -17,6 +19,7 @@ from glhom import (
     splitting_field_check,
     validate_profile,
 )
+from glhom.profiles import PSI_13, prime_base
 
 
 def test_parse_cyclic():
@@ -227,3 +230,46 @@ def test_family_degree_square_sums():
     for m in range(1, 20):
         p = profile_of(parse_group_spec(f"cyclic:{m}"))
         assert p.order == m
+
+
+def _base_by_factoring(q: int) -> int | None:
+    factors = sympy.factorint(q) if q > 1 else {}
+    return next(iter(factors)) if len(factors) == 1 else None
+
+
+# the least composites passing Miller-Rabin on every prime base up to 17, 31
+# and 37 (psi_7, psi_9 and psi_12), then primes and prime powers up to the bound
+_HARD = (
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+    2**61 - 1,
+    3**51,
+    2**81,
+    (2**31 - 1) ** 2,
+    41**14,
+    PSI_13 - 2,
+)
+
+
+def test_prime_base_matches_factoring():
+    for q in [*range(-3, 3000), *_HARD]:
+        assert prime_base(q) == _base_by_factoring(q), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.integers(min_value=2, max_value=10**8),
+    k=st.integers(min_value=1, max_value=3),
+    odd=st.integers(min_value=0, max_value=PSI_13 // 2 - 1),
+)
+def test_prime_base_random(base, k, odd):
+    for q in (base**k, 2 * odd + 1):
+        assert prime_base(q) == _base_by_factoring(q), q
+
+
+def test_prime_base_refuses_past_its_exact_range():
+    with pytest.raises(ValidationError, match=f"q={PSI_13} is at least {PSI_13}"):
+        prime_base(PSI_13)
+    with pytest.raises(ValidationError, match="at least"):
+        splitting_field_check(parse_group_spec("cyclic:2"), PSI_13 + 2)
