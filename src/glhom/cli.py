@@ -17,7 +17,7 @@ from fractions import Fraction
 from .counting import hom_count_poly, leading_term, variety_report
 from .errors import GlhomError, ResourceLimit, UnstableRegime, ValidationError
 from .minimize import residue_reports, stability_bound
-from .oracle import DEFAULT_MAX_CANDIDATES, builtin_presentation, hom_count_bruteforce
+from .oracle import builtin_presentation, hom_count_bruteforce
 from .profiles import parse_group_spec, profile_of, splitting_field_check
 
 
@@ -53,9 +53,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", parents=[common], help="polynomial vs brute force")
     p.add_argument("-n", type=int, required=True, dest="n")
     p.add_argument("-q", type=int, required=True, dest="q")
-    p.add_argument(
-        "--max-gl", type=int, default=DEFAULT_MAX_CANDIDATES, help="cap on brute-force candidates"
-    )
 
     p = sub.add_parser("variety", parents=[common], help="representation variety dimension")
     p.add_argument("-n", type=int, required=True, dest="n")
@@ -72,6 +69,14 @@ def _tuple_str(t: tuple[int, ...]) -> str:
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
     print(json.dumps(payload, indent=2) if as_json else "\n".join(text_lines))
+
+
+def _splits(spec, q: int) -> tuple[bool, str]:
+    """``splitting_field_check``, with a q it refuses read as not splitting, for its reason."""
+    try:
+        return splitting_field_check(spec, q)
+    except ValidationError as exc:
+        return False, str(exc)
 
 
 def _cmd_table(profile, spec, args) -> int:
@@ -125,10 +130,7 @@ def _cmd_poly(profile, spec, args) -> int:
     poly = hom_count_poly(profile, args.n)
     evaluations = []
     for x in _parse_eval_points(args.eval_points):
-        try:
-            ok, reason = splitting_field_check(spec, x)
-        except ValidationError as exc:
-            ok, reason = False, str(exc)
+        ok, reason = _splits(spec, x)
         evaluations.append(
             {"q": x, "value": str(poly.evaluate(x)), "splitting_field": ok, "reason": reason}
         )
@@ -210,21 +212,13 @@ def _cmd_variety(profile, spec, args) -> int:
 def _cmd_verify(profile, spec, args) -> int:
     presentation = builtin_presentation(spec)
     if presentation is None:
-        print(f"error: no built-in presentation paired with {spec}", file=sys.stderr)
-        return 1
-    try:
-        ok, reason = splitting_field_check(spec, args.q)
-    except ValidationError as exc:
-        ok, reason = False, str(exc)
+        raise ValidationError(f"no built-in presentation paired with {spec}")
+    ok, reason = _splits(spec, args.q)
     if not ok:
-        print(
-            f"error: F_{args.q} is not a splitting field for {spec}: {reason}",
-            file=sys.stderr,
-        )
-        return 1
-    poly = hom_count_poly(profile, args.n)
-    value = poly.evaluate(args.q)
-    brute = hom_count_bruteforce(presentation, args.n, args.q, max_candidates=args.max_gl)
+        raise ValidationError(f"F_{args.q} is not a splitting field for {spec}: {reason}")
+    # the oracle's own refusals (n range, prime q, candidate cap) come before f_n is built
+    brute = hom_count_bruteforce(presentation, args.n, args.q)
+    value = hom_count_poly(profile, args.n).evaluate(args.q)
     match = value == brute
     payload = {
         "command": "verify",

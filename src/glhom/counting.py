@@ -16,18 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from typing import Iterator
 
 from .errors import (
     IneligibleTuple,
     InvariantViolation,
-    LengthMismatch,
     RangeError,
     ResourceLimit,
     UnstableRegime,
 )
 from .intpoly import IntPolynomial, _unpack, div_exact, gl_order_poly
-from .minimize import minimal_tuples, stability_bound
-from .profiles import DegreeProfile, validate_profile
+from .minimize import MinimalReport, residue_reports, stability_bound, weight
+from .profiles import DegreeProfile
 
 MAX_PACKED_BITS = 1 << 31
 # At 0.1-2.2 ns a bit, this admits cyclic:2 n=332 and sym:4 n=80, not sym:4 n=120
@@ -70,14 +70,9 @@ def orbit_poly(profile: DegreeProfile, entries: tuple[int, ...]) -> IntPolynomia
     bug and raises NonZeroRemainder.  Degree is n^2 - sum n_i^2, leading
     coefficient 1; a quotient of any other shape raises InvariantViolation.
     """
-    validate_profile(profile)
-    if len(entries) != profile.s:
-        raise LengthMismatch(
-            f"tuple has {len(entries)} entries, profile has {profile.s} coordinates"
-        )
+    n = weight(entries, profile)
     if any(e < 0 for e in entries):
         raise IneligibleTuple(f"tuple {entries} has negative entries")
-    n = sum(e * d for e, d in zip(entries, profile.degrees))
     den = IntPolynomial.one()
     for e in entries:
         if e:
@@ -141,12 +136,14 @@ def _packed_states(degrees: tuple[int, ...], n: int, bits: int) -> dict[int, int
 def _preflight(degrees: tuple[int, ...], n: int) -> None:
     """ResourceLimit if f_n's DP could pass the memory cap or the work cap.
 
-    Memory is a q-Pascal row plus one packed state.  Work is the exact step
-    count times the widest state, plus STEP_OVERHEAD_BITS per step.
+    Memory is a q-Pascal row, which a single coordinate never builds, plus
+    one packed state.  Work is the exact step count times the widest state,
+    plus STEP_OVERHEAD_BITS per step.
     """
     # P_{n,M}(1) <= s^M, so sum_M P_{n,M}(1) 2^(n-M) <= (n + 1) max(s, 2)^n
     max_bits = n * (max(len(degrees), 2) - 1).bit_length() + (n + 1).bit_length() + 2
-    working = (n**3 // 6 + n * n + 1) * max_bits
+    row = n**3 // 6 if len(degrees) > 1 else 0
+    working = (row + n * n + 1) * max_bits
     if working > MAX_PACKED_BITS:
         raise ResourceLimit(
             f"n={n} needs about {working} bits for a q-Pascal row and one packed state,"
@@ -176,7 +173,6 @@ def hom_count_poly(profile: DegreeProfile, n: int) -> IntPolynomial:
     sum_M P_{n,M}(1) 2^(n-M) bounds every coefficient of f_n.  ``_preflight``
     raises ResourceLimit first, past MAX_PACKED_BITS or MAX_WORK_BITS.
     """
-    validate_profile(profile)
     if n < 0:
         raise RangeError("dimension must be >= 0")
     degrees = profile.degrees[::-1]  # largest first: fewer states; d_1 = 1 last fills to n
@@ -196,18 +192,24 @@ def leading_term(profile: DegreeProfile, n: int) -> LeadingTerm:
 
     The exponent n^2 - (n^2 - r^2)/a - S_r is provably integral; this is
     checked rather than trusted.  For n below the stability bound the
-    formula values are returned with ``stable=False``.
+    formula values are returned with ``stable=False``.  Each residue is
+    solved once: its report serves both the bound and the term.
     """
-    validate_profile(profile)
     if n < 0:
         raise RangeError("dimension must be >= 0")
-    return _leading_term(profile, n, stability_bound(profile).n_threshold)
-
-
-def _leading_term(profile: DegreeProfile, n: int, n_threshold: int) -> LeadingTerm:
     a = profile.order
     r = n % a
-    rep = minimal_tuples(profile, r)
+    kept: list[MinimalReport] = []
+
+    def reports() -> Iterator[MinimalReport]:
+        """Every residue's report, keeping only residue r's as they stream past."""
+        for report in residue_reports(profile):
+            if report.r == r:
+                kept.append(report)
+            yield report
+
+    n_threshold = stability_bound(profile, reports()).n_threshold
+    rep = kept[0]
     if (n * n - r * r) % a:
         raise InvariantViolation(f"n^2 - r^2 = {n * n - r * r} is not divisible by a={a}")
     exponent = n * n - (n * n - r * r) // a - rep.s_r
@@ -229,8 +231,8 @@ def variety_report(profile: DegreeProfile, n: int) -> VarietyReport:
     Only valid in the stable regime n >= N; below it the leading-term
     formula is uncertified and UnstableRegime is raised.
     """
-    n_threshold = stability_bound(profile).n_threshold
-    if n < n_threshold:
-        raise UnstableRegime(f"n={n} is below the stability threshold N={n_threshold}")
-    lt = _leading_term(profile, n, n_threshold)
-    return VarietyReport(lt.exponent, lt.coefficient, n_threshold)
+    # a negative n lies below every N >= 0, so it is refused as unstable, not as out of range
+    lt = leading_term(profile, max(n, 0))
+    if n < lt.n_threshold:
+        raise UnstableRegime(f"n={n} is below the stability threshold N={lt.n_threshold}")
+    return VarietyReport(lt.exponent, lt.coefficient, lt.n_threshold)

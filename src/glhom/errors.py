@@ -48,7 +48,7 @@ class InvariantViolation(GlhomError, RuntimeError):
 
 
 class ResourceLimit(GlhomError, RuntimeError):
-    """A configurable enumeration cap was exceeded."""
+    """A resource cap was exceeded; the message names the quantity and the cap."""
 
 
 class UnstableRegime(GlhomError, ValueError):

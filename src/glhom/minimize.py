@@ -21,7 +21,7 @@ from math import comb, isqrt
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvariantViolation, LengthMismatch, RangeError, ResourceLimit
-from .profiles import DegreeProfile, validate_profile
+from .profiles import DegreeProfile
 
 MAX_LISTED_TUPLES = 10**5
 
@@ -176,7 +176,6 @@ def _solve(groups: list[tuple[int, int]], order: int, w: int) -> MinimalReport:
 
 def minimal_tuples(profile: DegreeProfile, r: int) -> MinimalReport:
     """Minimal tuples for a residue 0 <= r < a."""
-    validate_profile(profile)
     if not 0 <= r < profile.order:
         raise RangeError(f"residue r={r} outside [0, {profile.order})")
     return _solve(_groups(profile.degrees), profile.order, r)
@@ -184,7 +183,6 @@ def minimal_tuples(profile: DegreeProfile, r: int) -> MinimalReport:
 
 def minimal_tuples_direct(profile: DegreeProfile, n: int) -> MinimalReport:
     """Minimal tuples for any weight n >= 0; cross-checks the lift at moderate n."""
-    validate_profile(profile)
     if n < 0:
         raise RangeError("weight must be >= 0")
     return _solve(_groups(profile.degrees), profile.order, n)
@@ -192,7 +190,6 @@ def minimal_tuples_direct(profile: DegreeProfile, n: int) -> MinimalReport:
 
 def residue_reports(profile: DegreeProfile) -> Iterator[MinimalReport]:
     """The report of every residue 0 <= r < a, in order, with the degrees grouped once."""
-    validate_profile(profile)
     groups = _groups(profile.degrees)
     return (_solve(groups, profile.order, r) for r in range(profile.order))
 
@@ -238,7 +235,6 @@ def minimal_tuples_for_n(profile: DegreeProfile, n: int) -> LiftedReport:
     whether every lifted tuple is entrywise non-negative, that is k >= b_r;
     past the stability bound it always is.  ``tuples`` lists them on demand.
     """
-    validate_profile(profile)
     if n < 0:
         raise RangeError("dimension must be >= 0")
     a = profile.order
@@ -256,7 +252,6 @@ def eligible_tuples(profile: DegreeProfile, n: int) -> tuple[tuple[int, ...], ..
     These index the conjugation orbits of the homomorphism set in
     dimension n.  Raises ResourceLimit past MAX_LISTED_TUPLES of them.
     """
-    validate_profile(profile)
     if n < 0:
         raise RangeError("dimension must be >= 0")
     degrees, s = profile.degrees, profile.s

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import InvariantViolation, ParseError, RangeError, ResourceLimit, ValidationError
 from .minimize import MinimalReport
-from .profiles import DegreeProfile, GroupSpec, prime_base, validate_profile
+from .profiles import DegreeProfile, GroupSpec, prime_base
 
-DEFAULT_MAX_CANDIDATES = 10**8
+MAX_CANDIDATES = 10**8  # caps q^(n^2), the candidate tuples and the naive box alike
 
 _BLOCK_ROWS = 1 << 16
 _JOIN_ENTRIES = 1 << 20
@@ -118,27 +118,25 @@ def _minor3(e, i: int, j: int) -> int:
     )
 
 
-def _check_enum_args(n: int, q: int, max_candidates: int) -> int:
+def _check_enum_args(n: int, q: int) -> int:
     if not 1 <= n <= 3:
         raise RangeError("matrix enumeration supports 1 <= n <= 3")
     _require_prime(q)
     total = q ** (n * n)
-    if total > max_candidates:
+    if total > MAX_CANDIDATES:
         raise ResourceLimit(
-            f"q^(n^2) = {total} exceeds the candidate cap {max_candidates}"
+            f"q^(n^2) = {total} exceeds the candidate cap {MAX_CANDIDATES}"
         )
     return total
 
 
-def gl_enumerate(
-    n: int, q: int, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> Iterator[PrimeFieldMatrix]:
+def gl_enumerate(n: int, q: int) -> Iterator[PrimeFieldMatrix]:
     """Every invertible n x n matrix over F_q exactly once, as a lazy stream.
 
-    Argument problems are reported immediately; the companion count lives
-    in ``gl_count``.
+    Argument problems, q^(n^2) past MAX_CANDIDATES too, are reported
+    immediately; the companion count lives in ``gl_count``.
     """
-    _check_enum_args(n, q, max_candidates)
+    _check_enum_args(n, q)
 
     def stream() -> Iterator[PrimeFieldMatrix]:
         for flat in itertools.product(range(q), repeat=n * n):
@@ -221,7 +219,6 @@ def _unit_blocks(
     q: int,
     words: list[tuple[int, ...]],
     with_inverses: bool,
-    cap: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """The invertible matrices of each ``_matrix_blocks`` block, with inverses.
 
@@ -229,7 +226,7 @@ def _unit_blocks(
     matrices on which every one of them is the identity are kept.  The
     inverses are ``None`` unless ``with_inverses`` is set.
     """
-    total = _check_enum_args(n, q, cap)
+    total = _check_enum_args(n, q)
     for mats in _matrix_blocks(n, q, total):
         mats = mats[_det_mod(mats, q) != 0]
         invs = _batch_inverse(mats, q) if with_inverses else None
@@ -240,21 +237,19 @@ def _unit_blocks(
         yield mats, invs
 
 
-def gl_count(n: int, q: int, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> int:
+def gl_count(n: int, q: int) -> int:
     """|GL_n(q)| by direct enumeration (vectorised); the stream's companion count."""
-    return sum(len(mats) for mats, _ in _unit_blocks(n, q, [], False, max_candidates))
+    return sum(len(mats) for mats, _ in _unit_blocks(n, q, [], False))
 
 
-def count_units_of_order_dividing(
-    n: int, q: int, m: int, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> int:
+def count_units_of_order_dividing(n: int, q: int, m: int) -> int:
     """One-pass order filter over the matrix stream (pure Python, no numpy).
 
     Slow reference path kept separate from the vectorised enumeration so
     the two can be checked against each other.
     """
     count = 0
-    for g in gl_enumerate(n, q, max_candidates):
+    for g in gl_enumerate(n, q):
         if g.power(m).is_identity:
             count += 1
     return count
@@ -382,12 +377,7 @@ def builtin_presentation(spec: GroupSpec) -> Presentation | None:
     return None
 
 
-def hom_count_bruteforce(
-    presentation: Presentation,
-    n: int,
-    q: int,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> int:
+def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
     """Count homomorphisms from the presented group into GL_n(q) directly.
 
     Counts generator tuples (g_1, ..., g_k) of invertible matrices under
@@ -396,6 +386,7 @@ def hom_count_bruteforce(
     generator (a power relator g^m leaves the matrices of order dividing
     m).  Tuples are then joined one generator at a time, and each other
     relator is checked as soon as its highest generator is assigned.
+    Both q^(n^2) and the product of the candidate counts are capped at MAX_CANDIDATES.
     """
     _require_prime(q)
     if n < 0:
@@ -417,7 +408,7 @@ def hom_count_bruteforce(
     keys = [tuple(sorted(words)) for words in own]
     streamed: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
     for key in dict.fromkeys(keys):  # one stream per distinct list of one-generator relators
-        blocks = list(_unit_blocks(n, q, list(key), with_inverses, max_candidates))
+        blocks = list(_unit_blocks(n, q, list(key), with_inverses))
         streamed[key] = (
             np.concatenate([m for m, _ in blocks]),
             np.concatenate([i for _, i in blocks]) if with_inverses else None,
@@ -427,9 +418,9 @@ def hom_count_bruteforce(
 
     sizes = [len(m) for m in mats]
     total_tuples = math.prod(sizes)
-    if total_tuples > max_candidates:
+    if total_tuples > MAX_CANDIDATES:
         raise ResourceLimit(
-            f"{total_tuples} candidate tuples exceed the cap {max_candidates}"
+            f"{total_tuples} candidate tuples exceed the cap {MAX_CANDIDATES}"
         )
     if total_tuples == 0:
         return 0
@@ -460,25 +451,23 @@ def hom_count_bruteforce(
     return count
 
 
-def minimal_tuples_naive(
-    profile: DegreeProfile, r: int, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> MinimalReport:
+def minimal_tuples_naive(profile: DegreeProfile, r: int) -> MinimalReport:
     """Minimal tuples for r by full enumeration of the box [-r, r]^s.
 
     Same fields as ``minimize.minimal_tuples``, but every one is read off
     the full sorted list of optima (``tuples`` serves that list), with no
     pruning and no degree grouping; the box holds them all because
-    (r, 0, ..., 0) already has square-sum r^2.  The cross-check of the DP.
+    (r, 0, ..., 0) already has square-sum r^2.  The cross-check of the DP,
+    capped at MAX_CANDIDATES box points.
     """
-    validate_profile(profile)
     if not 0 <= r < profile.order:
         raise RangeError(f"residue r={r} outside [0, {profile.order})")
     s = profile.s
     side = 2 * r + 1
     total = side**s
-    if total > max_candidates:
+    if total > MAX_CANDIDATES:
         raise ResourceLimit(
-            f"box size {total} exceeds the candidate cap {max_candidates}"
+            f"box size {total} exceeds the candidate cap {MAX_CANDIDATES}"
         )
     degrees = np.array(profile.degrees, dtype=np.int64)
     powers = side ** np.arange(s, dtype=np.int64)

@@ -25,11 +25,14 @@ _SYM_PROFILES = {
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """Group order plus the sorted degrees of its irreducible representations."""
+    """Group order plus sorted irreducible degrees; construction runs ``validate_profile``."""
 
     order: int
     degrees: tuple[int, ...]
     label: str | None = None
+
+    def __post_init__(self):
+        validate_profile(self)
 
     @property
     def s(self) -> int:
@@ -148,35 +151,32 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 def profile_of(spec: GroupSpec) -> DegreeProfile:
-    """Degree profile of a group spec; always validated before returning.
+    """Degree profile of a group spec; ValidationError if the profile is invalid.
 
     Custom degree lists are sorted into canonical (non-decreasing) order.
     """
     label = str(spec)
     if spec.family == "cyclic":
-        profile = DegreeProfile(order=spec.m, degrees=(1,) * spec.m, label=label)
-    elif spec.family == "abelian":
+        return DegreeProfile(order=spec.m, degrees=(1,) * spec.m, label=label)
+    if spec.family == "abelian":
         a = math.prod(spec.invariant_factors)
-        profile = DegreeProfile(order=a, degrees=(1,) * a, label=label)
-    elif spec.family == "dihedral":
+        return DegreeProfile(order=a, degrees=(1,) * a, label=label)
+    if spec.family == "dihedral":
         m = spec.m
         if m % 2 == 1:
             degrees = (1, 1) + (2,) * ((m - 1) // 2)
         else:
             degrees = (1, 1, 1, 1) + (2,) * ((m - 2) // 2)
-        profile = DegreeProfile(order=2 * m, degrees=degrees, label=label)
-    elif spec.family == "sym":
-        profile = DegreeProfile(
+        return DegreeProfile(order=2 * m, degrees=degrees, label=label)
+    if spec.family == "sym":
+        return DegreeProfile(
             order=math.factorial(spec.m), degrees=_SYM_PROFILES[spec.m], label=label
         )
-    elif spec.family == "custom":
-        profile = DegreeProfile(
+    if spec.family == "custom":
+        return DegreeProfile(
             order=spec.order, degrees=tuple(sorted(spec.degrees)), label=label
         )
-    else:  # pragma: no cover - families are closed
-        raise UnsupportedFamily(f"unknown group family {spec.family!r}")
-    validate_profile(profile)
-    return profile
+    raise UnsupportedFamily(f"unknown group family {spec.family!r}")  # pragma: no cover
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -11,6 +11,7 @@ import pytest
 
 import glhom.cli as cli
 import glhom.counting as counting
+import glhom.minimize as minimize
 from glhom import IntPolynomial, hom_count_poly, parse_group_spec, profile_of, stability_bound
 
 
@@ -212,11 +213,18 @@ def test_resource_limit_exit_3(capsys):
     code, _, err = run(capsys, "poly", "--group", "sym:4", "-n", "120")
     assert code == 3
     assert "bits of packed arithmetic (59395 DP steps)" in err
-    code, _, err = run(
-        capsys, "verify", "--group", "cyclic:2", "-n", "3", "-q", "5",
-        "--max-gl", "1000",
-    )
-    assert code == 3
+    code, out, err = run(capsys, "verify", "--group", "cyclic:2", "-n", "3", "-q", "11")
+    assert (code, out) == (3, "")
+    assert err == "error: q^(n^2) = 2357947691 exceeds the candidate cap 100000000\n"
+
+
+def test_verify_refuses_before_building_the_polynomial(capsys, monkeypatch):
+    # the oracle's n range is checked before f_200 is built
+    built = []
+    monkeypatch.setattr(cli, "hom_count_poly", lambda *args: built.append(args))
+    code, out, err = run(capsys, "verify", "--group", "cyclic:2", "-n", "200", "-q", "3")
+    assert (code, out, err) == (1, "", "error: matrix enumeration supports 1 <= n <= 3\n")
+    assert built == []
 
 
 def test_resource_limit_counts_before_building(capsys):
@@ -252,7 +260,7 @@ def test_options_of_each_subcommand():
         "poly": common | {"-n", "--eval"},
         "leading": common | {"-n"},
         "bound": common,
-        "verify": common | {"-n", "-q", "--max-gl"},
+        "verify": common | {"-n", "-q"},
         "variety": common | {"-n"},
     }
 
@@ -312,16 +320,23 @@ _UNSTABLE_WARNING = (
 def test_stability_bound_computed_once_per_command(
     capsys, monkeypatch, argv, code, out, err, n_threshold
 ):
-    calls = []
+    calls, solves, solve = [], [], minimize._solve
 
-    def counted(profile):
+    def counted(profile, reports=None):
         calls.append(profile)
-        return stability_bound(profile)
+        return stability_bound(profile, reports)
+
+    def counted_solve(*args):
+        solves.append(args[-1])  # the weight w
+        return solve(*args)
 
     monkeypatch.setattr(counting, "stability_bound", counted)
     monkeypatch.setattr(cli, "stability_bound", counted)
+    monkeypatch.setattr(minimize, "_solve", counted_solve)
     assert run(capsys, *argv) == (code, out, err)
     assert len(calls) == 1
+    # each residue is solved once, for the bound and the leading term alike
+    assert sorted(solves) == list(range(calls[0].order))
     json_code, json_out, _ = run(capsys, *argv, "--json")
     assert json_code == code and len(calls) == 2
     if code == 0:
@@ -393,6 +408,8 @@ def _table_rows(out):
         (("bound", "--group", "cyclic:300"), "b=0, N=0 (<= a(a-1)=89700)\n"),
         # C(1500, 5) minimal tuples of weight 5, exponent 5^2 - 0 - S_5 = 20
         (("leading", "--group", "cyclic:1500", "-n", "5"), "62860358437800 * q^20 (stable)\n"),
+        # a single coordinate builds no q-Pascal row, so the pre-flight does not count one
+        (("poly", "--group", "cyclic:1", "-n", "400"), "1\n"),
     ],
 )
 def test_large_order_queries(capsys, argv, out):

@@ -51,15 +51,16 @@ def test_gl_count_matches_order_polynomial(n, q):
     assert gl_count(n, q) == gl_order_poly(n).evaluate(q)
 
 
-def test_gl_enumerate_guards():
+def test_gl_enumerate_guards(monkeypatch):
     with pytest.raises(RangeError):
         gl_count(4, 2)
     with pytest.raises(RangeError):
         next(gl_enumerate(0, 2))
     with pytest.raises(ValidationError):
         gl_count(2, 4)
+    monkeypatch.setattr(oracle, "MAX_CANDIDATES", 10**5)
     with pytest.raises(ResourceLimit):
-        gl_count(3, 5, max_candidates=10**5)
+        gl_count(3, 5)
 
 
 def test_prime_field_matrix_ops():
@@ -114,14 +115,16 @@ def test_negative_exponent_relators():
     assert hom_count_bruteforce(conj, 2, 7) == hom_count_bruteforce(plain, 2, 7)
 
 
-def test_hom_count_resource_limit():
+def test_hom_count_resource_limit(monkeypatch):
     pres = builtin_presentation(parse_group_spec("cyclic:2"))
+    monkeypatch.setattr(oracle, "MAX_CANDIDATES", 10**4)
     with pytest.raises(ResourceLimit):
-        hom_count_bruteforce(pres, 3, 5, max_candidates=10**4)
+        hom_count_bruteforce(pres, 3, 5)
     # each generator's q^(n^2) fits, but the candidate tuples do not
     pres = builtin_presentation(parse_group_spec("dihedral:5"))
+    monkeypatch.setattr(oracle, "MAX_CANDIDATES", 20000)
     with pytest.raises(ResourceLimit, match="177550 candidate tuples exceed the cap 20000"):
-        hom_count_bruteforce(pres, 2, 11, max_candidates=20000)
+        hom_count_bruteforce(pres, 2, 11)
 
 
 def test_hom_count_rejects_composite_field():
@@ -185,7 +188,7 @@ def test_shuffled_candidate_order_is_invariant():
     q = 7
 
     def candidates(m):
-        return np.concatenate([mats for mats, _ in _unit_blocks(2, q, [(1,) * m], False, 10**8)])
+        return np.concatenate([mats for mats, _ in _unit_blocks(2, q, [(1,) * m], False)])
 
     xs, ys = candidates(3), candidates(2)
     rows = np.array(list(itertools.product(range(len(xs)), range(len(ys)))))
@@ -280,11 +283,12 @@ def test_minimal_tuples_naive_examples(s4, d3):
     assert rep.tuples == ((1, 1, 1),) and rep.s_r == 3
 
 
-def test_minimal_tuples_naive_guards(s4):
+def test_minimal_tuples_naive_guards(s4, monkeypatch):
     with pytest.raises(RangeError):
         minimal_tuples_naive(s4, 24)
+    monkeypatch.setattr(oracle, "MAX_CANDIDATES", 10**6)
     with pytest.raises(ResourceLimit):
-        minimal_tuples_naive(s4, 20, max_candidates=10**6)
+        minimal_tuples_naive(s4, 20)
 
 
 def test_naive_matches_search_on_small_profiles(d3):

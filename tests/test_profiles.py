@@ -126,17 +126,18 @@ def test_profile_custom_invalid():
 
 
 def test_validate_profile():
+    # construction validates, so an invalid profile cannot be built
     validate_profile(DegreeProfile(order=24, degrees=(1, 1, 2, 3, 3)))
-    with pytest.raises(ValidationError, match="degree-square sum"):
-        validate_profile(DegreeProfile(order=6, degrees=(1, 2)))
-    with pytest.raises(ValidationError, match="d_1"):
-        validate_profile(DegreeProfile(order=4, degrees=(2,)))
-    with pytest.raises(ValidationError, match="sorted"):
-        validate_profile(DegreeProfile(order=6, degrees=(1, 2, 1)))
-    with pytest.raises(ValidationError, match="empty"):
-        validate_profile(DegreeProfile(order=0, degrees=()))
-    with pytest.raises(ValidationError, match="positive"):
-        validate_profile(DegreeProfile(order=1, degrees=(0, 1)))
+    with pytest.raises(ValidationError, match=r"^degree-square sum 5 != 6 \(group order\)$"):
+        DegreeProfile(order=6, degrees=(1, 2))
+    with pytest.raises(ValidationError, match="^d_1 != 1: the trivial representation must be"):
+        DegreeProfile(order=4, degrees=(2,))
+    with pytest.raises(ValidationError, match="^degrees must be sorted non-decreasing$"):
+        DegreeProfile(order=6, degrees=(1, 2, 1))
+    with pytest.raises(ValidationError, match="^degree list is empty$"):
+        DegreeProfile(order=0, degrees=())
+    with pytest.raises(ValidationError, match="^degrees must be positive integers$"):
+        DegreeProfile(order=1, degrees=(0, 1))
 
 
 def test_splitting_cyclic():

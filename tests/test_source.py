@@ -41,3 +41,42 @@ def test_no_unbounded_caches():
     ]
     assert found == []
     assert gl_order_poly.cache_info().maxsize is not None
+
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def test_profiles_validate_only_on_construction():
+    # every DegreeProfile is valid once built, so nothing else re-validates one
+    trees = _trees()
+    calls = [
+        (name, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] == "validate_profile"
+    ]
+    post_init = next(
+        fn
+        for fn in ast.walk(trees["profiles.py"])
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+    )
+    assert [
+        (name, post_init.lineno < line <= post_init.end_lineno) for name, line in calls
+    ] == [("profiles.py", True)]
+
+
+def test_no_cap_parameters():
+    # caps are module constants (oracle.MAX_CANDIDATES, counting.MAX_WORK_BITS, ...),
+    # never arguments
+    found = [
+        f"{name}:{fn.name}({arg.arg})"
+        for name, tree in _trees().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if arg.arg in ("max_candidates", "cap")
+    ]
+    assert found == []
