@@ -44,16 +44,6 @@ from .minimize import (
     stability_bound,
     weight,
 )
-from .oracle import (
-    Presentation,
-    PrimeFieldMatrix,
-    builtin_presentation,
-    gl_count,
-    gl_enumerate,
-    hom_count_bruteforce,
-    minimal_tuples_naive,
-    parse_presentation,
-)
 from .profiles import (
     DegreeProfile,
     GroupSpec,
@@ -64,6 +54,21 @@ from .profiles import (
 )
 
 __version__ = "0.1.0"
+
+# the oracle, and numpy with it, is imported on first use: only ``verify`` needs it
+_ORACLE_NAMES = frozenset({
+    "Presentation", "PrimeFieldMatrix", "builtin_presentation", "gl_count",
+    "gl_enumerate", "hom_count_bruteforce", "minimal_tuples_naive", "parse_presentation",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DegreeProfile",

@@ -17,7 +17,6 @@ from fractions import Fraction
 from .counting import hom_count_poly, leading_term, variety_report
 from .errors import GlhomError, ResourceLimit, UnstableRegime, ValidationError
 from .minimize import residue_reports, stability_bound
-from .oracle import builtin_presentation, hom_count_bruteforce
 from .profiles import parse_group_spec, profile_of, splitting_field_check
 
 
@@ -210,6 +209,8 @@ def _cmd_variety(profile, spec, args) -> int:
 
 
 def _cmd_verify(profile, spec, args) -> int:
+    from .oracle import builtin_presentation, hom_count_bruteforce  # numpy: verify only
+
     presentation = builtin_presentation(spec)
     if presentation is None:
         raise ValidationError(f"no built-in presentation paired with {spec}")

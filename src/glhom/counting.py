@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterator
 
 from .errors import (
     IneligibleTuple,
@@ -26,7 +25,7 @@ from .errors import (
     UnstableRegime,
 )
 from .intpoly import IntPolynomial, _unpack, div_exact, gl_order_poly
-from .minimize import MinimalReport, residue_reports, stability_bound, weight
+from .minimize import minimal_tuples, stability_bound, weight
 from .profiles import DegreeProfile
 
 MAX_PACKED_BITS = 1 << 31
@@ -145,8 +144,9 @@ def _preflight(degrees: tuple[int, ...], n: int) -> None:
     row = n**3 // 6 if len(degrees) > 1 else 0
     working = (row + n * n + 1) * max_bits
     if working > MAX_PACKED_BITS:
+        held = "a q-Pascal row and one packed state" if row else "one packed state"
         raise ResourceLimit(
-            f"n={n} needs about {working} bits for a q-Pascal row and one packed state,"
+            f"n={n} needs about {working} bits for {held},"
             f" more than the cap of {MAX_PACKED_BITS} bits"
         )
     steps = _transitions(degrees, n)
@@ -192,24 +192,15 @@ def leading_term(profile: DegreeProfile, n: int) -> LeadingTerm:
 
     The exponent n^2 - (n^2 - r^2)/a - S_r is provably integral; this is
     checked rather than trusted.  For n below the stability bound the
-    formula values are returned with ``stable=False``.  Each residue is
-    solved once: its report serves both the bound and the term.
+    formula values are returned with ``stable=False``.  Only residue r is
+    solved with counts; the bound needs each residue's b alone.
     """
     if n < 0:
         raise RangeError("dimension must be >= 0")
     a = profile.order
     r = n % a
-    kept: list[MinimalReport] = []
-
-    def reports() -> Iterator[MinimalReport]:
-        """Every residue's report, keeping only residue r's as they stream past."""
-        for report in residue_reports(profile):
-            if report.r == r:
-                kept.append(report)
-            yield report
-
-    n_threshold = stability_bound(profile, reports()).n_threshold
-    rep = kept[0]
+    n_threshold = stability_bound(profile).n_threshold
+    rep = minimal_tuples(profile, r)
     if (n * n - r * r) % a:
         raise InvariantViolation(f"n^2 - r^2 = {n * n - r * r} is not divisible by a={a}")
     exponent = n * n - (n * n - r * r) // a - rep.s_r

@@ -105,8 +105,13 @@ def _groups(degrees: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(d, len(list(run))) for d, run in groupby(degrees)]
 
 
-def _solve(groups: list[tuple[int, int]], order: int, w: int) -> MinimalReport:
-    """The minimal tuples of weight w, by the grouped DP of the module docstring."""
+def _solve(
+    groups: list[tuple[int, int]], order: int, w: int, counts: bool = True
+) -> MinimalReport | int:
+    """The minimal tuples of weight w, by the grouped DP of the module docstring.
+
+    With ``counts=False`` the DP carries no counts and only b is returned.
+    """
     # A feasible point, rounding the totals from the largest degree down, each
     # absorbing the weight error a*sum d*(U - c*d*w/a) of those before it.
     guess, error = [0] * len(groups), 0
@@ -133,7 +138,8 @@ def _solve(groups: list[tuple[int, int]], order: int, w: int) -> MinimalReport:
                 key, cost_k = weight_rest + d * u, cost + _cost(u, c)
                 if cost_k * room + (w - key) ** 2 > feasible * room:
                     continue
-                count_k, b_k = count * comb(c, u % c), max(b, -(u // c // d))
+                count_k = count * comb(c, u % c) if counts else 0
+                b_k = max(b, -(u // c // d))
                 old = table.get(key, (cost_k + 1,))
                 if cost_k < old[0]:
                     table[key] = (cost_k, count_k, b_k)
@@ -142,6 +148,8 @@ def _solve(groups: list[tuple[int, int]], order: int, w: int) -> MinimalReport:
     s_min, count, b = tables[0][w]
     if not w * w <= s_min * order <= feasible * order:
         raise InvariantViolation(f"minimum {s_min} for weight {w} is outside [w^2/a, {feasible}]")
+    if not counts:
+        return b
 
     def totals() -> Iterator[tuple[int, ...]]:
         """Every optimal vector of group totals, in lex order (an explicit stack)."""
@@ -205,10 +213,15 @@ def stability_bound(
     """Smallest b such that b*d_i + r_i >= 0 over all residues' minimal tuples.
 
     N = b*a; beyond N every minimal tuple is eligible.  N never exceeds
-    a*(a-1).  ``reports``, if given, are the profile's ``residue_reports``.
+    a*(a-1).  ``reports``, if given, are the profile's ``residue_reports``;
+    otherwise each residue's DP runs without counts, samples or eps_r.
     """
     a = profile.order
-    b = max(rep.b for rep in reports or residue_reports(profile))
+    if reports is None:
+        groups = _groups(profile.degrees)
+        b = max(_solve(groups, a, r, counts=False) for r in range(a))
+    else:
+        b = max(rep.b for rep in reports)
     n_threshold = b * a
     if n_threshold > a * (a - 1):
         raise InvariantViolation(f"stability bound N={n_threshold} exceeds a(a-1)={a * (a - 1)}")

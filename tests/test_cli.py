@@ -6,12 +6,14 @@ import json
 import math
 import re
 import sys
+import time
 
 import pytest
 
 import glhom.cli as cli
 import glhom.counting as counting
 import glhom.minimize as minimize
+import glhom.oracle
 from glhom import IntPolynomial, hom_count_poly, parse_group_spec, profile_of, stability_bound
 
 
@@ -178,7 +180,7 @@ def test_verify_no_presentation_exit_1(capsys):
 
 
 def test_verify_fail_exit_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "hom_count_bruteforce", lambda *a, **k: 999)
+    monkeypatch.setattr(glhom.oracle, "hom_count_bruteforce", lambda *a, **k: 999)
     code, out, _ = run(capsys, "verify", "--group", "cyclic:2", "-n", "2", "-q", "3")
     assert code == 2
     assert out.splitlines()[-1] == "FAIL"
@@ -283,6 +285,25 @@ def test_poly_refuses_packed_working_set_before_building(capsys):
     assert re.search(r"n=2000 needs about \d+ bits for a q-Pascal row and one packed state", err)
 
 
+def test_poly_refusal_names_only_the_packed_state_for_one_coordinate(capsys):
+    # a single coordinate builds no q-Pascal row, so the message does not name one
+    code, out, err = run(capsys, "poly", "--group", "cyclic:1", "-n", "1290")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: n=1290 needs about 2168323603 bits for one packed state,"
+        " more than the cap of 2147483648 bits\n"
+    )
+
+
+def test_bound_needs_no_counts(capsys):
+    # b alone: no C(20000, r) and no 20000-entry sample per residue
+    start = time.perf_counter()
+    assert run(capsys, "bound", "--group", "cyclic:20000") == (
+        0, "b=0, N=0 (<= a(a-1)=399980000)\n", ""
+    )
+    assert time.perf_counter() - start < 10
+
+
 def test_poly_eval_prints_values_past_the_str_digit_limit(capsys):
     # f_60(1000) has about 10^4 digits; main lifts str()'s default limit and restores it
     limit = sys.get_int_max_str_digits()
@@ -326,17 +347,18 @@ def test_stability_bound_computed_once_per_command(
         calls.append(profile)
         return stability_bound(profile, reports)
 
-    def counted_solve(*args):
-        solves.append(args[-1])  # the weight w
-        return solve(*args)
+    def counted_solve(groups, order, w, **kwargs):
+        solves.append((w, kwargs.get("counts", True)))
+        return solve(groups, order, w, **kwargs)
 
     monkeypatch.setattr(counting, "stability_bound", counted)
     monkeypatch.setattr(cli, "stability_bound", counted)
     monkeypatch.setattr(minimize, "_solve", counted_solve)
     assert run(capsys, *argv) == (code, out, err)
     assert len(calls) == 1
-    # each residue is solved once, for the bound and the leading term alike
-    assert sorted(solves) == list(range(calls[0].order))
+    # each residue is solved once without counts for b, and residue r once with them
+    r = int(argv[-1]) % calls[0].order
+    assert sorted(solves) == sorted([(w, False) for w in range(calls[0].order)] + [(r, True)])
     json_code, json_out, _ = run(capsys, *argv, "--json")
     assert json_code == code and len(calls) == 2
     if code == 0:

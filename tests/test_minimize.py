@@ -218,6 +218,22 @@ def test_grouped_dp_equals_naive_box_on_random_profiles(extra, ones, data):
     assert rep.b == naive.b == _b_of(naive.tuples, degrees)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    extra=st.lists(st.integers(min_value=1, max_value=7), max_size=4),
+    ones=st.integers(min_value=1, max_value=4),
+)
+def test_count_free_bound_equals_full_reports_and_box(extra, ones):
+    degrees = (1,) * ones + tuple(sorted(extra))
+    profile = DegreeProfile(order=sum(d * d for d in degrees), degrees=degrees)
+    b = stability_bound(profile).b
+    assert b == max(rep.b for rep in minimize.residue_reports(profile))
+    # the naive box [-r, r]^s of every residue, at most 2*10^5 points in all
+    residues = range(profile.order)
+    if sum((2 * r + 1) ** profile.s for r in residues) <= 2 * 10**5:
+        assert b == max(minimal_tuples_naive(profile, r).b for r in residues)
+
+
 @pytest.mark.parametrize(
     "degrees", [(1, 4, 5), (1, 3, 5), (1, 2, 2, 3, 6), (1, 11, 12), (1, 10, 17), (1, 11, 24)]
 )

@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import ast
+import doctest
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import glhom
 from glhom import gl_order_poly
@@ -43,7 +50,6 @@ def test_no_unbounded_caches():
     assert gl_order_poly.cache_info().maxsize is not None
 
 
-
 def _trees() -> dict[str, ast.Module]:
     return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
 
@@ -80,3 +86,83 @@ def test_no_cap_parameters():
         if arg.arg in ("max_candidates", "cap")
     ]
     assert found == []
+
+
+def _module_level_imports(node: ast.AST):
+    """Import statements that run when the module is imported: none inside a def."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _module_level_imports(child)
+
+
+def _imported(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """Dotted names an import reaches, within the package: ``from . import oracle`` -> oracle."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    return [name.lstrip(".").removeprefix("glhom.") for name in names]
+
+
+def test_only_the_oracle_imports_numpy_and_nothing_imports_it_eagerly():
+    found = {
+        (path.name, name.split(".")[0])
+        for path in SOURCES
+        for node in _module_level_imports(ast.parse(path.read_text(), filename=str(path)))
+        for name in _imported(node)
+        if name.split(".")[0] in ("numpy", "oracle")
+    }
+    assert found == {("oracle.py", "numpy")}
+
+
+_IMPORT_PROBE = """
+import contextlib, io, sys
+import glhom.cli
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = glhom.cli.main(argv)
+    print(code, "numpy" in sys.modules, "glhom.oracle" in sys.modules)
+"""
+
+
+def test_residue_and_poly_commands_leave_numpy_unloaded():
+    # a fresh interpreter: the test process has numpy loaded already
+    argvs = [
+        ["table", "--group", "sym:4"],
+        ["bound", "--group", "sym:5"],
+        ["leading", "--group", "sym:4", "-n", "25"],
+        ["variety", "--group", "sym:4", "-n", "25"],
+        ["poly", "--group", "dihedral:5", "-n", "4", "--eval", "11"],
+        ["verify", "--group", "cyclic:2", "-n", "2", "-q", "3"],
+    ]
+    path = [str(Path(glhom.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE.format(argvs=argvs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.splitlines() == ["0 False False"] * 5 + ["0 True True"]
+
+
+def test_lazy_oracle_names_resolve_as_before():
+    namespace: dict = {}
+    exec("from glhom import *", namespace)
+    assert set(glhom.__all__) <= set(namespace)
+    assert glhom.hom_count_bruteforce is namespace["hom_count_bruteforce"]
+    assert glhom.hom_count_bruteforce is glhom.oracle.hom_count_bruteforce
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        glhom.no_such_name
+
+
+def test_readme_examples_run():
+    # the README's >>> blocks, under doctest; they also exercise ``from glhom import *``
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S) if ">>>" in b]
+    assert blocks
+    runner, parser = doctest.DocTestRunner(), doctest.DocTestParser()
+    report: list[str] = []
+    for block in blocks:
+        runner.run(parser.get_doctest(block, {}, "README.md", "README.md", 0), out=report.append)
+    assert (runner.failures, "".join(report)) == (0, "")
