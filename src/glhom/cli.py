@@ -16,8 +16,10 @@ from fractions import Fraction
 
 from .counting import hom_count_poly, leading_term, variety_report
 from .errors import GlhomError, ResourceLimit, UnstableRegime, ValidationError
-from .minimize import residue_reports, stability_bound
+from .minimize import minimal_tuples, stability_bound
 from .profiles import parse_group_spec, profile_of, splitting_field_check
+
+MAX_TABLE_ENTRIES = 2**21  # a rows of s-entry samples: admits cyclic:1448 and dihedral:1400
 
 
 class _UsageError(GlhomError):
@@ -79,8 +81,13 @@ def _splits(spec, q: int) -> tuple[bool, str]:
 
 
 def _cmd_table(profile, spec, args) -> int:
-    a = profile.order
-    reports = list(residue_reports(profile))
+    a, s = profile.order, profile.s
+    if a * s > MAX_TABLE_ENTRIES:
+        raise ResourceLimit(
+            f"table of a={a} rows by s={s} coordinates has {a * s} sample entries,"
+            f" more than the cap of {MAX_TABLE_ENTRIES}"
+        )
+    reports = [minimal_tuples(profile, r) for r in range(a)]
     bound = stability_bound(profile, reports)
     rows = [
         {
@@ -102,9 +109,7 @@ def _cmd_table(profile, spec, args) -> int:
         "n_threshold": bound.n_threshold,
         "threshold_ceiling": a * (a - 1),
     }
-    sample_w = max(
-        len("sample tuple"), max(len(_tuple_str(rep.sample)) for rep in reports)
-    )
+    sample_w = max(len("sample tuple"), *(len(_tuple_str(rep.sample)) for rep in reports))
     lines = [f"{'r':>4}  {'m_r':>6}  {'sample tuple':<{sample_w}}  {'S_r':>6}  eps_r"]
     for rep in reports:
         lines.append(

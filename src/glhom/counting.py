@@ -15,7 +15,6 @@ degree n^2(1 - 1/a) - eps_r and leading coefficient m_r, with r = n mod a.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 from .errors import (
     IneligibleTuple,
@@ -83,23 +82,25 @@ def orbit_poly(profile: DegreeProfile, entries: tuple[int, ...]) -> IntPolynomia
     return quot
 
 
-def _transitions(degrees: tuple[int, ...], n: int) -> int:
-    """How many (state, k) steps ``_packed_states(degrees, n, bits)`` takes, at any bits.
+def _transitions(groups: tuple[tuple[int, int], ...], n: int) -> int:
+    """How many (state, k) steps ``_packed_states`` takes, at any bits, on ``groups``.
 
-    One coordinate of degree d reaches the same states (w, M) as any number of
-    them, so each distinct degree is walked once.  Bit M of masks[w] marks (w, M);
-    the last coordinate takes one step per state.
+    ``groups`` are (d, c) pairs, largest d first.  One coordinate of degree d reaches
+    the same states (w, M) as any number of them, so each group is walked once.
+    Bit M of masks[w] marks (w, M); the last coordinate takes one step per state.
     """
+    *head, (_, ones) = groups
     masks, total = {0: 1}, 0
-    for d, run in groupby(degrees[:-1]):
+    for d, c in [*head, (1, ones - 1)]:
+        if not c:
+            continue
         grown: dict[int, int] = {}
         for w, mask in masks.items():
             total += mask.bit_count() * ((n - w) // d + 1)
             for k in range((n - w) // d + 1):
                 grown[w + k * d] = grown.get(w + k * d, 0) | mask << k
         masks = grown
-        repeats = len(list(run)) - 1
-        total += repeats * sum(mask.bit_count() * ((n - w) // d + 1) for w, mask in masks.items())
+        total += (c - 1) * sum(mask.bit_count() * ((n - w) // d + 1) for w, mask in masks.items())
     return total + sum(mask.bit_count() for mask in masks.values())
 
 
@@ -132,7 +133,7 @@ def _packed_states(degrees: tuple[int, ...], n: int, bits: int) -> dict[int, int
     return {m: value for (w, m), value in states.items() if w == n}
 
 
-def _preflight(degrees: tuple[int, ...], n: int) -> None:
+def _preflight(groups: tuple[tuple[int, int], ...], n: int) -> None:
     """ResourceLimit if f_n's DP could pass the memory cap or the work cap.
 
     Memory is a q-Pascal row, which a single coordinate never builds, plus
@@ -140,8 +141,9 @@ def _preflight(degrees: tuple[int, ...], n: int) -> None:
     plus STEP_OVERHEAD_BITS per step.
     """
     # P_{n,M}(1) <= s^M, so sum_M P_{n,M}(1) 2^(n-M) <= (n + 1) max(s, 2)^n
-    max_bits = n * (max(len(degrees), 2) - 1).bit_length() + (n + 1).bit_length() + 2
-    row = n**3 // 6 if len(degrees) > 1 else 0
+    s = sum(c for _, c in groups)
+    max_bits = n * (max(s, 2) - 1).bit_length() + (n + 1).bit_length() + 2
+    row = n**3 // 6 if s > 1 else 0
     working = (row + n * n + 1) * max_bits
     if working > MAX_PACKED_BITS:
         held = "a q-Pascal row and one packed state" if row else "one packed state"
@@ -149,7 +151,7 @@ def _preflight(degrees: tuple[int, ...], n: int) -> None:
             f"n={n} needs about {working} bits for {held},"
             f" more than the cap of {MAX_PACKED_BITS} bits"
         )
-    steps = _transitions(degrees, n)
+    steps = _transitions(groups, n)
     work = steps * ((n * n + 1) * max_bits + STEP_OVERHEAD_BITS)
     if work > MAX_WORK_BITS:
         raise ResourceLimit(
@@ -175,8 +177,8 @@ def hom_count_poly(profile: DegreeProfile, n: int) -> IntPolynomial:
     """
     if n < 0:
         raise RangeError("dimension must be >= 0")
+    _preflight(profile.groups[::-1], n)
     degrees = profile.degrees[::-1]  # largest first: fewer states; d_1 = 1 last fills to n
-    _preflight(degrees, n)
     l1 = sum(value << (n - m) for m, value in _packed_states(degrees, n, 0).items())
     bits = l1.bit_length() + 2
     final = _packed_states(degrees, n, bits)

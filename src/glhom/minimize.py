@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, groupby, product
+from itertools import accumulate, chain, combinations, product
 from math import comb, isqrt
 from typing import Callable, Iterable, Iterator
 
@@ -100,13 +100,8 @@ def _cost(total: int, c: int) -> int:
     return c * f * f + rho * (2 * f + 1)
 
 
-def _groups(degrees: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(degree, multiplicity) of each distinct degree, in coordinate order."""
-    return [(d, len(list(run))) for d, run in groupby(degrees)]
-
-
 def _solve(
-    groups: list[tuple[int, int]], order: int, w: int, counts: bool = True
+    groups: tuple[tuple[int, int], ...], order: int, w: int, counts: bool = True
 ) -> MinimalReport | int:
     """The minimal tuples of weight w, by the grouped DP of the module docstring.
 
@@ -186,20 +181,14 @@ def minimal_tuples(profile: DegreeProfile, r: int) -> MinimalReport:
     """Minimal tuples for a residue 0 <= r < a."""
     if not 0 <= r < profile.order:
         raise RangeError(f"residue r={r} outside [0, {profile.order})")
-    return _solve(_groups(profile.degrees), profile.order, r)
+    return _solve(profile.groups, profile.order, r)
 
 
 def minimal_tuples_direct(profile: DegreeProfile, n: int) -> MinimalReport:
     """Minimal tuples for any weight n >= 0; cross-checks the lift at moderate n."""
     if n < 0:
         raise RangeError("weight must be >= 0")
-    return _solve(_groups(profile.degrees), profile.order, n)
-
-
-def residue_reports(profile: DegreeProfile) -> Iterator[MinimalReport]:
-    """The report of every residue 0 <= r < a, in order, with the degrees grouped once."""
-    groups = _groups(profile.degrees)
-    return (_solve(groups, profile.order, r) for r in range(profile.order))
+    return _solve(profile.groups, profile.order, n)
 
 
 def epsilon(profile: DegreeProfile, r: int) -> Fraction:
@@ -213,13 +202,12 @@ def stability_bound(
     """Smallest b such that b*d_i + r_i >= 0 over all residues' minimal tuples.
 
     N = b*a; beyond N every minimal tuple is eligible.  N never exceeds
-    a*(a-1).  ``reports``, if given, are the profile's ``residue_reports``;
+    a*(a-1).  ``reports``, if given, are every residue's ``minimal_tuples``;
     otherwise each residue's DP runs without counts, samples or eps_r.
     """
     a = profile.order
     if reports is None:
-        groups = _groups(profile.degrees)
-        b = max(_solve(groups, a, r, counts=False) for r in range(a))
+        b = max(_solve(profile.groups, a, r, counts=False) for r in range(a))
     else:
         b = max(rep.b for rep in reports)
     n_threshold = b * a
@@ -252,7 +240,7 @@ def minimal_tuples_for_n(profile: DegreeProfile, n: int) -> LiftedReport:
         raise RangeError("dimension must be >= 0")
     a = profile.order
     k, r = divmod(n, a)
-    rep = _solve(_groups(profile.degrees), a, r)
+    rep = _solve(profile.groups, a, r)
     return LiftedReport(
         n=n, k=k, r=r, square_sum=k * k * a + 2 * k * r + rep.s_r,
         all_eligible=k >= rep.b, count=rep.m_r, residue=rep, profile=profile,

@@ -3,32 +3,30 @@
 A degree profile is the data the whole pipeline runs on: the group order
 ``a`` together with the multiset of irreducible representation degrees
 ``d_1 <= ... <= d_s`` over a splitting field, satisfying ``d_1 = 1`` and
-``sum d_i^2 = a``.  Profiles are inputs; beyond the built-in families no
-character theory is performed.
+``sum d_i^2 = a``, held as (degree, multiplicity) groups.  Profiles are
+inputs; beyond the built-in families no character theory is performed.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ParseError, UnsupportedFamily, ValidationError
 
 FAMILIES = ("cyclic", "abelian", "dihedral", "sym", "custom")
 
-_SYM_PROFILES = {
-    4: (1, 1, 2, 3, 3),
-    5: (1, 1, 4, 4, 5, 5, 6),
-}
+_SYM_PROFILES = {4: ((1, 2), (2, 1), (3, 2)), 5: ((1, 2), (4, 2), (5, 2), (6, 1))}
 
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """Group order plus sorted irreducible degrees; construction runs ``validate_profile``."""
+    """Group order and (d, c) degree groups, d strictly increasing, c >= 1; checked when built."""
 
     order: int
-    degrees: tuple[int, ...]
+    groups: tuple[tuple[int, int], ...]
     label: str | None = None
 
     def __post_init__(self):
@@ -37,7 +35,12 @@ class DegreeProfile:
     @property
     def s(self) -> int:
         """Number of irreducible representations (tuple coordinates)."""
-        return len(self.degrees)
+        return sum(c for _, c in self.groups)
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """The degrees d_1 <= ... <= d_s, one per coordinate: a tuple of length s."""
+        return tuple(d for d, c in self.groups for _ in range(c))
 
     def __str__(self) -> str:
         return self.label or f"order={self.order},degrees={','.join(map(str, self.degrees))}"
@@ -67,19 +70,22 @@ class GroupSpec:
 
 def validate_profile(profile: DegreeProfile) -> None:
     """Raise ValidationError naming the first violated profile invariant."""
-    if not profile.degrees:
+    distinct = [d for d, _ in profile.groups]
+    if not distinct:
         raise ValidationError("degree list is empty")
-    if any(d < 1 for d in profile.degrees):
+    if any(d < 1 for d in distinct):
         raise ValidationError("degrees must be positive integers")
-    if any(a > b for a, b in zip(profile.degrees, profile.degrees[1:])):
+    if any(c < 1 for _, c in profile.groups):
+        raise ValidationError("multiplicities must be positive integers")
+    if any(a > b for a, b in zip(distinct, distinct[1:])):
         raise ValidationError("degrees must be sorted non-decreasing")
-    if profile.degrees[0] != 1:
+    if any(a == b for a, b in zip(distinct, distinct[1:])):
+        raise ValidationError("each degree must form one group")
+    if distinct[0] != 1:
         raise ValidationError("d_1 != 1: the trivial representation must be present")
-    sq = sum(d * d for d in profile.degrees)
+    sq = sum(c * d * d for d, c in profile.groups)
     if sq != profile.order:
-        raise ValidationError(
-            f"degree-square sum {sq} != {profile.order} (group order)"
-        )
+        raise ValidationError(f"degree-square sum {sq} != {profile.order} (group order)")
 
 
 _INT_RE = re.compile(r"\d+")
@@ -153,29 +159,25 @@ def parse_group_spec(text: str) -> GroupSpec:
 def profile_of(spec: GroupSpec) -> DegreeProfile:
     """Degree profile of a group spec; ValidationError if the profile is invalid.
 
-    Custom degree lists are sorted into canonical (non-decreasing) order.
+    Custom degree lists are counted into groups of increasing degree.
     """
     label = str(spec)
     if spec.family == "cyclic":
-        return DegreeProfile(order=spec.m, degrees=(1,) * spec.m, label=label)
+        return DegreeProfile(order=spec.m, groups=((1, spec.m),), label=label)
     if spec.family == "abelian":
         a = math.prod(spec.invariant_factors)
-        return DegreeProfile(order=a, degrees=(1,) * a, label=label)
+        return DegreeProfile(order=a, groups=((1, a),), label=label)
     if spec.family == "dihedral":
-        m = spec.m
-        if m % 2 == 1:
-            degrees = (1, 1) + (2,) * ((m - 1) // 2)
-        else:
-            degrees = (1, 1, 1, 1) + (2,) * ((m - 2) // 2)
-        return DegreeProfile(order=2 * m, degrees=degrees, label=label)
+        ones = 2 if spec.m % 2 == 1 else 4  # the degree-2 ones fill the rest of 2m
+        groups = ((1, ones), (2, (2 * spec.m - ones) // 4))
+        return DegreeProfile(order=2 * spec.m, groups=groups, label=label)
     if spec.family == "sym":
         return DegreeProfile(
-            order=math.factorial(spec.m), degrees=_SYM_PROFILES[spec.m], label=label
+            order=math.factorial(spec.m), groups=_SYM_PROFILES[spec.m], label=label
         )
     if spec.family == "custom":
-        return DegreeProfile(
-            order=spec.order, degrees=tuple(sorted(spec.degrees)), label=label
-        )
+        groups = tuple(sorted(Counter(spec.degrees).items()))
+        return DegreeProfile(order=spec.order, groups=groups, label=label)
     raise UnsupportedFamily(f"unknown group family {spec.family!r}")  # pragma: no cover
 
 

@@ -2,17 +2,52 @@
 
 from __future__ import annotations
 
+import os
 import random
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import glhom
 from glhom import DegreeProfile, parse_group_spec, profile_of
 
 SEED = 20260811
+GUARD_BYTES = 512 * 2**20
 
 
 def make_profile(spec_text: str) -> DegreeProfile:
     return profile_of(parse_group_spec(spec_text))
+
+
+def custom_profile(degrees) -> DegreeProfile:
+    """The profile of a degree list in any written order, through its ``custom:`` spec."""
+    order = sum(d * d for d in degrees)
+    return make_profile(f"custom:order={order},degrees=" + ",".join(map(str, degrees)))
+
+
+def run_cli_guarded(*argv: str) -> tuple[subprocess.CompletedProcess, float]:
+    """``python -m glhom.cli ARGV`` in a child capped at GUARD_BYTES of address space.
+
+    Returns the finished process (text output) and its wall time in seconds.
+    An input that asks for more memory fails in the child instead of taking
+    the machine's.
+    """
+    path = [str(Path(glhom.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def guard():
+        resource.setrlimit(resource.RLIMIT_AS, (GUARD_BYTES, GUARD_BYTES))
+
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "glhom.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=guard, timeout=60,
+    )
+    return result, time.perf_counter() - start
 
 
 def small_profiles(max_order: int = 24, max_coords: int = 10, max_ones: int = 12):
@@ -25,7 +60,7 @@ def small_profiles(max_order: int = 24, max_coords: int = 10, max_ones: int = 12
     out: list[DegreeProfile] = []
 
     def rec(degrees: list[int], sumsq: int, last: int):
-        out.append(DegreeProfile(order=sumsq, degrees=tuple(degrees)))
+        out.append(custom_profile(degrees))
         if len(degrees) >= max_coords:
             return
         d = last

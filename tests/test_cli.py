@@ -15,6 +15,7 @@ import glhom.counting as counting
 import glhom.minimize as minimize
 import glhom.oracle
 from glhom import IntPolynomial, hom_count_poly, parse_group_spec, profile_of, stability_bound
+from conftest import run_cli_guarded
 
 
 def run(capsys, *argv):
@@ -436,6 +437,49 @@ def _table_rows(out):
 )
 def test_large_order_queries(capsys, argv, out):
     assert run(capsys, *argv) == (0, out, "")
+
+
+_WORK_CAP = (
+    r"error: n=2 needs about \d+ bits of packed arithmetic \({} DP steps\),"
+    r" more than the cap of 34359738368 bits\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # as coordinate tuples these profiles take 8 GB and 80 GB; f_2 takes 6(a - 1) DP steps
+        (("poly", "--group", "cyclic:1000000000", "-n", "2"), _WORK_CAP.format(5999999994)),
+        (("poly", "--group", "abelian:100000x100000", "-n", "2"), _WORK_CAP.format(59999999994)),
+        (
+            ("table", "--group", "cyclic:20000"),
+            r"error: table of a=20000 rows by s=20000 coordinates has 400000000 sample"
+            r" entries, more than the cap of 2097152\n",
+        ),
+    ],
+)
+def test_large_orders_refused_at_once_under_a_memory_guard(argv, err):
+    result, wall = run_cli_guarded(*argv)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert re.fullmatch(err, result.stderr)
+    assert wall < 1.0
+
+
+def test_table_cap_counts_sample_entries_before_any_residue(capsys, monkeypatch):
+    solved = []
+    monkeypatch.setattr(cli, "minimal_tuples", lambda *args: solved.append(args))
+    code, out, err = run(capsys, "table", "--group", "cyclic:1449")
+    assert (code, out, solved) == (3, "", [])
+    assert err == (
+        "error: table of a=1449 rows by s=1449 coordinates has 2099601 sample entries,"
+        " more than the cap of 2097152\n"
+    )
+    monkeypatch.undo()
+    # sym:4 has a = 24 rows of s = 5 entries: refused one below 120, answered at it
+    monkeypatch.setattr(cli, "MAX_TABLE_ENTRIES", 119)
+    assert run(capsys, "table", "--group", "sym:4")[0] == 3
+    monkeypatch.setattr(cli, "MAX_TABLE_ENTRIES", 120)
+    assert run(capsys, "table", "--group", "sym:4")[0] == 0
 
 
 def test_table_dihedral40_duality(capsys):

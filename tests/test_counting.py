@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import glhom.counting as counting
 from glhom import (
-    DegreeProfile,
     IneligibleTuple,
     InvariantViolation,
     minimal_tuples_for_n,
@@ -27,7 +26,7 @@ from glhom import (
     orbit_poly,
     variety_report,
 )
-from conftest import make_profile
+from conftest import custom_profile, make_profile
 
 
 def test_orbit_poly_examples(c2, s4):
@@ -110,8 +109,7 @@ def test_hom_count_poly_matches_orbit_sum():
     n=st.integers(min_value=0, max_value=8),
 )
 def test_hom_count_poly_matches_orbit_sum_random_profiles(extra, n):
-    degrees = (1, *sorted(extra))
-    profile = DegreeProfile(order=sum(d * d for d in degrees), degrees=degrees)
+    profile = custom_profile((1, *extra))
     assert hom_count_poly(profile, n) == _orbit_sum(profile, n)
 
 
@@ -131,8 +129,10 @@ def _walked_steps(degrees: tuple[int, ...], n: int) -> int:
     n=st.integers(min_value=0, max_value=30),
 )
 def test_preflight_step_count_matches_a_full_walk(extra, n):
-    degrees = (1, *sorted(extra))[::-1]  # the order hom_count_poly walks them in
-    assert counting._transitions(degrees, n) == _walked_steps(degrees, n)
+    profile = custom_profile((1, *extra))
+    # largest degree first, the order hom_count_poly walks them in
+    steps = counting._transitions(profile.groups[::-1], n)
+    assert steps == _walked_steps(profile.degrees[::-1], n)
 
 
 def test_hom_count_poly_partition_identity(s4, d3):

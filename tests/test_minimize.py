@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glhom import (
-    DegreeProfile,
     LengthMismatch,
     RangeError,
     ResourceLimit,
@@ -26,7 +25,7 @@ from glhom import (
 )
 import glhom.minimize as minimize
 from glhom.minimize import MAX_LISTED_TUPLES
-from conftest import BUILTIN_SPECS, make_profile
+from conftest import BUILTIN_SPECS, custom_profile, make_profile
 
 
 def test_weight(s4, s5):
@@ -207,7 +206,7 @@ def _b_of(tuples, degrees):
 )
 def test_grouped_dp_equals_naive_box_on_random_profiles(extra, ones, data):
     degrees = (1,) * ones + tuple(sorted(extra))
-    profile = DegreeProfile(order=sum(d * d for d in degrees), degrees=degrees)
+    profile = custom_profile(degrees)
     # the naive box [-r, r]^s stays at most 10^5 points
     r_max = min(profile.order - 1, max(r for r in range(30) if (2 * r + 1) ** profile.s <= 10**5))
     r = data.draw(st.integers(min_value=0, max_value=r_max), label="r")
@@ -224,10 +223,9 @@ def test_grouped_dp_equals_naive_box_on_random_profiles(extra, ones, data):
     ones=st.integers(min_value=1, max_value=4),
 )
 def test_count_free_bound_equals_full_reports_and_box(extra, ones):
-    degrees = (1,) * ones + tuple(sorted(extra))
-    profile = DegreeProfile(order=sum(d * d for d in degrees), degrees=degrees)
+    profile = custom_profile((1,) * ones + tuple(extra))
     b = stability_bound(profile).b
-    assert b == max(rep.b for rep in minimize.residue_reports(profile))
+    assert b == max(minimal_tuples(profile, r).b for r in range(profile.order))
     # the naive box [-r, r]^s of every residue, at most 2*10^5 points in all
     residues = range(profile.order)
     if sum((2 * r + 1) ** profile.s for r in residues) <= 2 * 10**5:
@@ -239,7 +237,7 @@ def test_count_free_bound_equals_full_reports_and_box(extra, ones):
 )
 def test_grouped_dp_equals_naive_box_with_negative_entries(degrees):
     # tied optima with different b, and entries below -1 on coordinates of degree > 1
-    profile = DegreeProfile(order=sum(d * d for d in degrees), degrees=degrees)
+    profile = custom_profile(degrees)
     residues = [r for r in range(profile.order) if (2 * r + 1) ** profile.s <= 10**5]
     for r in residues:
         naive, rep = minimal_tuples_naive(profile, r), minimal_tuples(profile, r)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -127,17 +129,45 @@ def test_profile_custom_invalid():
 
 def test_validate_profile():
     # construction validates, so an invalid profile cannot be built
-    validate_profile(DegreeProfile(order=24, degrees=(1, 1, 2, 3, 3)))
+    validate_profile(DegreeProfile(order=24, groups=((1, 2), (2, 1), (3, 2))))
     with pytest.raises(ValidationError, match=r"^degree-square sum 5 != 6 \(group order\)$"):
-        DegreeProfile(order=6, degrees=(1, 2))
+        DegreeProfile(order=6, groups=((1, 1), (2, 1)))
     with pytest.raises(ValidationError, match="^d_1 != 1: the trivial representation must be"):
-        DegreeProfile(order=4, degrees=(2,))
+        DegreeProfile(order=4, groups=((2, 1),))
     with pytest.raises(ValidationError, match="^degrees must be sorted non-decreasing$"):
-        DegreeProfile(order=6, degrees=(1, 2, 1))
+        DegreeProfile(order=5, groups=((2, 1), (1, 1)))
     with pytest.raises(ValidationError, match="^degree list is empty$"):
-        DegreeProfile(order=0, degrees=())
+        DegreeProfile(order=0, groups=())
     with pytest.raises(ValidationError, match="^degrees must be positive integers$"):
-        DegreeProfile(order=1, degrees=(0, 1))
+        DegreeProfile(order=1, groups=((0, 1), (1, 1)))
+
+
+def test_validate_profile_refuses_a_degree_in_two_groups_and_empty_groups():
+    # one group per degree and c >= 1, so equal multisets have one representation
+    with pytest.raises(ValidationError, match="^each degree must form one group$"):
+        DegreeProfile(order=6, groups=((1, 1), (1, 1), (2, 1)))
+    with pytest.raises(ValidationError, match="^multiplicities must be positive integers$"):
+        DegreeProfile(order=1, groups=((1, 1), (2, 0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    extra=st.lists(st.integers(min_value=1, max_value=9), max_size=12),
+    data=st.data(),
+)
+def test_profile_groups_are_canonical(extra, data):
+    degrees = sorted([1, *extra])
+    order = sum(d * d for d in degrees)
+    first, second = (
+        profile_of(parse_group_spec(f"custom:order={order},degrees=" + ",".join(map(str, w))))
+        for w in (data.draw(st.permutations(degrees)), data.draw(st.permutations(degrees)))
+    )
+    distinct = [d for d, _ in first.groups]
+    assert distinct == sorted(set(degrees)) and all(c >= 1 for _, c in first.groups)
+    assert first.degrees == tuple(degrees) and first.s == len(degrees)
+    # the label keeps the written order; the profile itself does not depend on it
+    first, second = replace(first, label=None), replace(second, label=None)
+    assert first == second and hash(first) == hash(second)
 
 
 def test_splitting_cyclic():

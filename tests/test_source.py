@@ -74,6 +74,55 @@ def test_profiles_validate_only_on_construction():
     ] == [("profiles.py", True)]
 
 
+def _attribute_readers(trees: dict[str, ast.Module], attr: str) -> set[tuple[str, str]]:
+    """(module, qualified function) of every function that reads ``<expr>.attr``."""
+    found: set[tuple[str, str]] = set()
+
+    def visit(node: ast.AST, module: str, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                found.add((module, scope))
+            visit(child, module, scope)
+
+    for module, tree in trees.items():
+        visit(tree, module, "")
+    return found
+
+
+def test_degrees_are_grouped_once_and_expanded_only_where_coordinates_are_listed():
+    # a profile holds (degree, multiplicity) groups; nothing regroups a flat
+    # degree tuple, and a new reader of the a-long expansion is added here on purpose
+    trees = _trees()
+    assert not [
+        (name, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(alias.name.split(".")[-1] == "groupby" for alias in node.names)
+    ]
+    assert not [
+        (name, fn.lineno)
+        for name, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == "_groups"
+    ]
+    assert _attribute_readers(trees, "degrees") == {
+        ("cli.py", "_cmd_table"),  # the ``degrees`` field of ``table --json``
+        ("counting.py", "hom_count_poly"),  # after its pre-flight
+        ("minimize.py", "eligible_tuples"),
+        ("minimize.py", "lift_minimal"),
+        ("minimize.py", "weight"),
+        ("oracle.py", "minimal_tuples_naive"),
+        ("profiles.py", "DegreeProfile.__str__"),
+        # GroupSpec's own field, the degrees of a custom spec as written
+        ("profiles.py", "GroupSpec.__str__"),
+        ("profiles.py", "profile_of"),
+    }
+
+
 def test_no_cap_parameters():
     # caps are module constants (oracle.MAX_CANDIDATES, counting.MAX_WORK_BITS, ...),
     # never arguments
