@@ -57,8 +57,8 @@ __version__ = "0.1.0"
 
 # the oracle, and numpy with it, is imported on first use: only ``verify`` needs it
 _ORACLE_NAMES = frozenset({
-    "Presentation", "PrimeFieldMatrix", "builtin_presentation", "gl_count",
-    "gl_enumerate", "hom_count_bruteforce", "minimal_tuples_naive", "parse_presentation",
+    "Presentation", "builtin_presentation", "gl_count", "hom_count_bruteforce",
+    "minimal_tuples_naive", "parse_presentation",
 })
 
 
@@ -86,7 +86,6 @@ __all__ = [
     "NonZeroRemainder",
     "ParseError",
     "Presentation",
-    "PrimeFieldMatrix",
     "RangeError",
     "ResourceLimit",
     "StabilityBound",
@@ -99,7 +98,6 @@ __all__ = [
     "eligible_tuples",
     "epsilon",
     "gl_count",
-    "gl_enumerate",
     "gl_order_poly",
     "hom_count_bruteforce",
     "hom_count_poly",

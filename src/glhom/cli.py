@@ -214,16 +214,18 @@ def _cmd_variety(profile, spec, args) -> int:
 
 
 def _cmd_verify(profile, spec, args) -> int:
-    from .oracle import builtin_presentation, hom_count_bruteforce  # numpy: verify only
+    from . import oracle  # numpy: verify only
 
-    presentation = builtin_presentation(spec)
-    if presentation is None:
-        raise ValidationError(f"no built-in presentation paired with {spec}")
     ok, reason = _splits(spec, args.q)
     if not ok:
         raise ValidationError(f"F_{args.q} is not a splitting field for {spec}: {reason}")
-    # the oracle's own refusals (n range, prime q, candidate cap) come before f_n is built
-    brute = hom_count_bruteforce(presentation, args.n, args.q)
+    # the refusals that need only (spec, n, q) come before the m-letter relators
+    # of cyclic:m and dihedral:m, and before f_n, are built
+    oracle._check_hom_args(args.n, args.q)
+    presentation = oracle.builtin_presentation(spec)
+    if presentation is None:
+        raise ValidationError(f"no built-in presentation paired with {spec}")
+    brute = oracle.hom_count_bruteforce(presentation, args.n, args.q)
     value = hom_count_poly(profile, args.n).evaluate(args.q)
     match = value == brute
     payload = {

@@ -5,12 +5,13 @@ the package derives through polynomial identities: the order of GL_n(q)
 for prime q and n <= 3, the number of homomorphisms from a finitely
 presented group into GL_n(q), and minimal tuples by unpruned box
 enumeration.  The implementations deliberately share no logic with the
-modules they check.
+modules they check.  Matrices and box points alike are indices read as
+mixed-radix digits (``_digit_blocks``); the pure-Python matrix reference
+that tests compare against lives with the tests.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -34,90 +35,6 @@ def _require_prime(q: int) -> None:
         raise ValidationError(f"q={q} must be prime for brute-force enumeration")
 
 
-@dataclass(frozen=True)
-class PrimeFieldMatrix:
-    """Square matrix over the prime field F_q, entries reduced mod q."""
-
-    n: int
-    q: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows, q: int) -> "PrimeFieldMatrix":
-        ent = tuple(tuple(int(x) % q for x in row) for row in rows)
-        return cls(n=len(ent), q=q, entries=ent)
-
-    @classmethod
-    def identity(cls, n: int, q: int) -> "PrimeFieldMatrix":
-        return cls(n=n, q=q, entries=tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        ))
-
-    def __mul__(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
-        n, q = self.n, self.q
-        a, b = self.entries, other.entries
-        rows = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n))
-            for i in range(n)
-        )
-        return PrimeFieldMatrix(n=n, q=q, entries=rows)
-
-    def det(self) -> int:
-        n, q, e = self.n, self.q, self.entries
-        if n == 1:
-            return e[0][0] % q
-        if n == 2:
-            return (e[0][0] * e[1][1] - e[0][1] * e[1][0]) % q
-        if n == 3:
-            return (
-                e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-                - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-                + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
-            ) % q
-        raise RangeError("determinant implemented for n <= 3 only")
-
-    def inverse(self) -> "PrimeFieldMatrix":
-        """Inverse via the adjugate; supports n <= 3."""
-        n, q, e = self.n, self.q, self.entries
-        d = self.det()
-        if d == 0:
-            raise ValidationError("matrix is singular")
-        dinv = pow(d, -1, q)
-        if n == 1:
-            adj = ((1,),)
-        elif n == 2:
-            adj = ((e[1][1], -e[0][1]), (-e[1][0], e[0][0]))
-        else:
-            adj = tuple(
-                tuple(
-                    (-1) ** (i + j) * _minor3(e, j, i) for j in range(3)
-                )
-                for i in range(3)
-            )
-        rows = tuple(tuple((x * dinv) % q for x in row) for row in adj)
-        return PrimeFieldMatrix(n=n, q=q, entries=rows)
-
-    def power(self, exponent: int) -> "PrimeFieldMatrix":
-        base = self if exponent >= 0 else self.inverse()
-        result = PrimeFieldMatrix.identity(self.n, self.q)
-        for _ in range(abs(exponent)):
-            result = result * base
-        return result
-
-    @property
-    def is_identity(self) -> bool:
-        return self == PrimeFieldMatrix.identity(self.n, self.q)
-
-
-def _minor3(e, i: int, j: int) -> int:
-    rows = [r for r in range(3) if r != i]
-    cols = [c for c in range(3) if c != j]
-    return (
-        e[rows[0]][cols[0]] * e[rows[1]][cols[1]]
-        - e[rows[0]][cols[1]] * e[rows[1]][cols[0]]
-    )
-
-
 def _check_enum_args(n: int, q: int) -> int:
     if not 1 <= n <= 3:
         raise RangeError("matrix enumeration supports 1 <= n <= 3")
@@ -130,32 +47,21 @@ def _check_enum_args(n: int, q: int) -> int:
     return total
 
 
-def gl_enumerate(n: int, q: int) -> Iterator[PrimeFieldMatrix]:
-    """Every invertible n x n matrix over F_q exactly once, as a lazy stream.
-
-    Argument problems, q^(n^2) past MAX_CANDIDATES too, are reported
-    immediately; the companion count lives in ``gl_count``.
-    """
-    _check_enum_args(n, q)
-
-    def stream() -> Iterator[PrimeFieldMatrix]:
-        for flat in itertools.product(range(q), repeat=n * n):
-            m = PrimeFieldMatrix(
-                n=n, q=q, entries=tuple(flat[i * n : (i + 1) * n] for i in range(n))
-            )
-            if m.det() != 0:
-                yield m
-
-    return stream()
+def _check_hom_args(n: int, q: int) -> None:
+    """The refusals of ``hom_count_bruteforce`` that need only n and q."""
+    _require_prime(q)
+    if n < 0:
+        raise RangeError("dimension must be >= 0")
+    if n:
+        _check_enum_args(n, q)
 
 
-def _matrix_blocks(n: int, q: int, total: int) -> Iterator[np.ndarray]:
-    """All n x n matrices over F_q as int64 arrays, in index order, in blocks."""
-    powers = q ** np.arange(n * n, dtype=np.int64)
+def _digit_blocks(base: int, width: int, total: int) -> Iterator[np.ndarray]:
+    """Indices 0 .. total-1 as rows of ``width`` digits in ``base``, low digit first, in blocks."""
+    powers = base ** np.arange(width, dtype=np.int64)
     for start in range(0, total, _BLOCK_ROWS):
         idx = np.arange(start, min(start + _BLOCK_ROWS, total), dtype=np.int64)
-        digits = (idx[:, None] // powers) % q
-        yield digits.reshape(-1, n, n)
+        yield (idx[:, None] // powers) % base
 
 
 def _det_mod(mats: np.ndarray, q: int) -> np.ndarray:
@@ -217,42 +123,32 @@ def _eval_word(
 def _unit_blocks(
     n: int,
     q: int,
-    words: list[tuple[int, ...]],
+    e: int,
     with_inverses: bool,
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """The invertible matrices of each ``_matrix_blocks`` block, with inverses.
+    """The invertible n x n matrices g with g^e = 1, block by block, with inverses.
 
-    ``words`` are one-generator relators written in the letters +-1; only
-    matrices on which every one of them is the identity are kept.  The
+    ``e = 0`` keeps every invertible matrix.  g^e is computed by repeated
+    squaring, so a power relator costs O(log e) products per block.  The
     inverses are ``None`` unless ``with_inverses`` is set.
     """
     total = _check_enum_args(n, q)
-    for mats in _matrix_blocks(n, q, total):
+    for digits in _digit_blocks(q, n * n, total):
+        mats = digits.reshape(-1, n, n)
         mats = mats[_det_mod(mats, q) != 0]
-        invs = _batch_inverse(mats, q) if with_inverses else None
-        for word in words:
-            keep = _eval_word(word, np.arange(len(mats))[:, None], [mats], [invs], q)
-            mats = mats[keep]
-            invs = invs[keep] if with_inverses else None
-        yield mats, invs
+        if e:
+            power = mats
+            for bit in bin(e)[3:]:  # the bits of e after its leading 1
+                power = np.matmul(power, power) % q
+                if bit == "1":
+                    power = np.matmul(power, mats) % q
+            mats = mats[(power == np.eye(n, dtype=np.int64)).all(axis=(1, 2))]
+        yield mats, _batch_inverse(mats, q) if with_inverses else None
 
 
 def gl_count(n: int, q: int) -> int:
-    """|GL_n(q)| by direct enumeration (vectorised); the stream's companion count."""
-    return sum(len(mats) for mats, _ in _unit_blocks(n, q, [], False))
-
-
-def count_units_of_order_dividing(n: int, q: int, m: int) -> int:
-    """One-pass order filter over the matrix stream (pure Python, no numpy).
-
-    Slow reference path kept separate from the vectorised enumeration so
-    the two can be checked against each other.
-    """
-    count = 0
-    for g in gl_enumerate(n, q):
-        if g.power(m).is_identity:
-            count += 1
-    return count
+    """|GL_n(q)| by direct enumeration (vectorised)."""
+    return sum(len(mats) for mats, _ in _unit_blocks(n, q, 0, False))
 
 
 @dataclass(frozen=True)
@@ -383,38 +279,37 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
     Counts generator tuples (g_1, ..., g_k) of invertible matrices under
     which every relator evaluates to the identity.  Each generator's
     candidates are first cut down by the relators that mention only that
-    generator (a power relator g^m leaves the matrices of order dividing
-    m).  Tuples are then joined one generator at a time, and each other
-    relator is checked as soon as its highest generator is assigned.
+    generator: such a word equals g^e, with e its signed letter count, so
+    together they leave the matrices with g^gcd = 1.  Tuples are then
+    joined one generator at a time, and each other relator is checked as
+    soon as its highest generator is assigned.
     Both q^(n^2) and the product of the candidate counts are capped at MAX_CANDIDATES.
     """
-    _require_prime(q)
-    if n < 0:
-        raise RangeError("dimension must be >= 0")
+    _check_hom_args(n, q)
     if n == 0:
         return 1  # GL_0 is trivial: exactly the empty representation
     k = presentation.generator_count
-    with_inverses = any(letter < 0 for word in presentation.relators for letter in word)
 
     ends_at: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
-    own: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
+    exponents = [0] * k  # generator g keeps the matrices with g^exponents[g] = 1
     for word in presentation.relators:
         gens = {abs(letter) for letter in word}
         if len(gens) == 1:
-            own[gens.pop() - 1].append(tuple(1 if g > 0 else -1 for g in word))
+            g = gens.pop() - 1
+            exponents[g] = math.gcd(exponents[g], sum(1 if letter > 0 else -1 for letter in word))
         else:
             ends_at[max(gens) - 1].append(word)
+    with_inverses = any(letter < 0 for words in ends_at for word in words for letter in word)
 
-    keys = [tuple(sorted(words)) for words in own]
-    streamed: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
-    for key in dict.fromkeys(keys):  # one stream per distinct list of one-generator relators
-        blocks = list(_unit_blocks(n, q, list(key), with_inverses))
-        streamed[key] = (
+    streamed: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+    for e in dict.fromkeys(exponents):  # one stream per distinct exponent
+        blocks = list(_unit_blocks(n, q, e, with_inverses))
+        streamed[e] = (
             np.concatenate([m for m, _ in blocks]),
             np.concatenate([i for _, i in blocks]) if with_inverses else None,
         )
-    mats = [streamed[key][0] for key in keys]
-    invs = [streamed[key][1] for key in keys]
+    mats = [streamed[e][0] for e in exponents]
+    invs = [streamed[e][1] for e in exponents]
 
     sizes = [len(m) for m in mats]
     total_tuples = math.prod(sizes)
@@ -470,12 +365,10 @@ def minimal_tuples_naive(profile: DegreeProfile, r: int) -> MinimalReport:
             f"box size {total} exceeds the candidate cap {MAX_CANDIDATES}"
         )
     degrees = np.array(profile.degrees, dtype=np.int64)
-    powers = side ** np.arange(s, dtype=np.int64)
     best: int | None = None
     rows: list[tuple[int, ...]] = []
-    for start in range(0, total, _BLOCK_ROWS):
-        idx = np.arange(start, min(start + _BLOCK_ROWS, total), dtype=np.int64)
-        digits = (idx[:, None] // powers) % side - r
+    for digits in _digit_blocks(side, s, total):
+        digits -= r
         hit = digits[(digits @ degrees) == r]
         if not len(hit):
             continue

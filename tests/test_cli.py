@@ -456,6 +456,11 @@ _WORK_CAP = (
             r"error: table of a=20000 rows by s=20000 coordinates has 400000000 sample"
             r" entries, more than the cap of 2097152\n",
         ),
+        # 6000000001 is prime and splits cyclic:10^9; the relator x1^(10^9) is never built
+        (
+            ("verify", "--group", "cyclic:1000000000", "-n", "1", "-q", "6000000001"),
+            r"error: q\^\(n\^2\) = 6000000001 exceeds the candidate cap 100000000\n",
+        ),
     ],
 )
 def test_large_orders_refused_at_once_under_a_memory_guard(argv, err):
@@ -463,6 +468,38 @@ def test_large_orders_refused_at_once_under_a_memory_guard(argv, err):
     assert (result.returncode, result.stdout) == (3, "")
     assert re.fullmatch(err, result.stderr)
     assert wall < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err, seconds",
+    [
+        # the splitting check comes before the 10^9-letter relator is built
+        (
+            ("verify", "--group", "cyclic:1000000000", "-n", "1", "-q", "3"),
+            1, "",
+            "error: F_3 is not a splitting field for cyclic:1000000000:"
+            " requires q == 1 (mod 1000000000); got q=3\n",
+            1.0,
+        ),
+        (
+            ("verify", "--group", "dihedral:1000000000", "-n", "1", "-q", "3"),
+            1, "",
+            "error: F_3 is not a splitting field for dihedral:1000000000:"
+            " requires q == +-1 (mod 1000000000); got q=3\n",
+            1.0,
+        ),
+        # x1^20000 by repeated squaring: 18 products per block, not 19999
+        (
+            ("verify", "--group", "cyclic:20000", "-n", "1", "-q", "160001"),
+            0, "f(160001) = 20000\nbrute force = 20000\nPASS\n", "",
+            2.0,
+        ),
+    ],
+)
+def test_verify_on_large_orders_under_a_memory_guard(argv, code, out, err, seconds):
+    result, wall = run_cli_guarded(*argv)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+    assert wall < seconds
 
 
 def test_table_cap_counts_sample_entries_before_any_residue(capsys, monkeypatch):

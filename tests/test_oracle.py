@@ -10,13 +10,11 @@ import pytest
 from glhom import (
     ParseError,
     Presentation,
-    PrimeFieldMatrix,
     RangeError,
     ResourceLimit,
     ValidationError,
     builtin_presentation,
     gl_count,
-    gl_enumerate,
     gl_order_poly,
     hom_count_bruteforce,
     hom_count_poly,
@@ -26,8 +24,9 @@ from glhom import (
     parse_presentation,
 )
 import glhom.oracle as oracle
-from glhom.oracle import _eval_word, _unit_blocks, count_units_of_order_dividing
+from glhom.oracle import _eval_word, _unit_blocks
 from conftest import make_profile
+from prime_field import PrimeFieldMatrix, count_units_of_order_dividing, gl_enumerate
 
 
 def test_gl_count_examples():
@@ -188,7 +187,7 @@ def test_shuffled_candidate_order_is_invariant():
     q = 7
 
     def candidates(m):
-        return np.concatenate([mats for mats, _ in _unit_blocks(2, q, [(1,) * m], False)])
+        return np.concatenate([mats for mats, _ in _unit_blocks(2, q, m, False)])
 
     xs, ys = candidates(3), candidates(2)
     rows = np.array(list(itertools.product(range(len(xs)), range(len(ys)))))
@@ -227,6 +226,7 @@ _S4_COXETER = (
 )
 # x2 shares no relator with x3, so the join carries it between x1 and x3
 _X1_X3_COMMUTE = "gens=3; rel=x1*x3*x1^-1*x3^-1; rel=x2^3"
+_MIXED_SIGN_POWERS = "gens=2; rel=x1^3*x1^-5; rel=x1^4; rel=x2^3; rel=x1*x2*x1^-1*x2^-1"
 
 
 @pytest.mark.parametrize(
@@ -240,6 +240,11 @@ _X1_X3_COMMUTE = "gens=3; rel=x1*x3*x1^-1*x3^-1; rel=x2^3"
         (_S4_COXETER, 1, 7),
         (_X1_X3_COMMUTE, 2, 2),
         (_X1_X3_COMMUTE, 1, 7),
+        # x1's one-generator words say x1^-2 = x1^4 = 1, together x1^2 = 1
+        (_MIXED_SIGN_POWERS, 2, 3),
+        (_MIXED_SIGN_POWERS, 1, 7),
+        # x1*x1^-1 has exponent 0 and leaves every x1
+        ("gens=2; rel=x1*x1^-1; rel=x2^2; rel=x1*x2*x1^-1*x2^-1", 2, 3),
     ],
 )
 def test_bruteforce_matches_nested_loops(text, n, q):

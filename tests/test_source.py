@@ -137,6 +137,32 @@ def test_no_cap_parameters():
     assert found == []
 
 
+def test_one_enumerator_and_one_digit_walk_in_the_oracle():
+    # the pure-Python matrix reference lives in tests/prime_field.py; the
+    # package keeps the numpy enumerator, whose index-to-digits walk is stated once
+    trees = _trees()
+    oracle_tree = trees["oracle.py"]
+    assert {
+        node.name for node in oracle_tree.body if isinstance(node, ast.ClassDef)
+    } == {"Presentation", "_WordParser"}
+    assert "itertools" not in {
+        name.split(".")[0]
+        for node in ast.walk(oracle_tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _imported(node)
+    }
+    assert {
+        (name, fn.name)
+        for name, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "_BLOCK_ROWS"
+    } == {("oracle.py", "_digit_blocks")}
+    with pytest.raises(AttributeError, match="no attribute 'PrimeFieldMatrix'"):
+        glhom.PrimeFieldMatrix
+
+
 def _module_level_imports(node: ast.AST):
     """Import statements that run when the module is imported: none inside a def."""
     for child in ast.iter_child_nodes(node):
