@@ -220,12 +220,12 @@ def _cmd_verify(profile, spec, args) -> int:
     if not ok:
         raise ValidationError(f"F_{args.q} is not a splitting field for {spec}: {reason}")
     # the refusals that need only (spec, n, q) come before the m-letter relators
-    # of cyclic:m and dihedral:m, and before f_n, are built
+    # of cyclic:m and dihedral:m, and before f_n, are built; n = 0 builds none
     oracle._check_hom_args(args.n, args.q)
-    presentation = oracle.builtin_presentation(spec)
-    if presentation is None:
+    build = oracle._builtin(spec)
+    if build is None:
         raise ValidationError(f"no built-in presentation paired with {spec}")
-    brute = oracle.hom_count_bruteforce(presentation, args.n, args.q)
+    brute = oracle.hom_count_bruteforce(build(), args.n, args.q) if args.n else 1
     value = hom_count_poly(profile, args.n).evaluate(args.q)
     match = value == brute
     payload = {

@@ -177,6 +177,8 @@ def hom_count_poly(profile: DegreeProfile, n: int) -> IntPolynomial:
     """
     if n < 0:
         raise RangeError("dimension must be >= 0")
+    if n == 0:
+        return IntPolynomial.one()  # GL_0 is trivial, whatever the number of coordinates
     _preflight(profile.groups[::-1], n)
     degrees = profile.degrees[::-1]  # largest first: fewer states; d_1 = 1 last fills to n
     l1 = sum(value << (n - m) for m, value in _packed_states(degrees, n, 0).items())

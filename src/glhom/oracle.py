@@ -6,8 +6,9 @@ for prime q and n <= 3, the number of homomorphisms from a finitely
 presented group into GL_n(q), and minimal tuples by unpruned box
 enumeration.  The implementations deliberately share no logic with the
 modules they check.  Matrices and box points alike are indices read as
-mixed-radix digits (``_digit_blocks``); the pure-Python matrix reference
-that tests compare against lives with the tests.
+mixed-radix digits (``_digit_blocks``), and matrices are raised to powers,
+inverses g^-1 = g^(2m-1) of g^m = 1 included, only by squaring (``_power``).
+The pure-Python matrix reference that tests compare against lives with the tests.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -41,9 +42,7 @@ def _check_enum_args(n: int, q: int) -> int:
     _require_prime(q)
     total = q ** (n * n)
     if total > MAX_CANDIDATES:
-        raise ResourceLimit(
-            f"q^(n^2) = {total} exceeds the candidate cap {MAX_CANDIDATES}"
-        )
+        raise ResourceLimit(f"q^(n^2) = {total} exceeds the candidate cap {MAX_CANDIDATES}")
     return total
 
 
@@ -76,24 +75,14 @@ def _det_mod(mats: np.ndarray, q: int) -> np.ndarray:
     return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % q
 
 
-def _batch_inverse(mats: np.ndarray, q: int) -> np.ndarray:
-    """Inverses of a batch of invertible matrices via the adjugate (n <= 3)."""
-    n = mats.shape[-1]
-    dets, where = np.unique(_det_mod(mats, q), return_inverse=True)
-    dinv = np.array([pow(int(d), -1, q) for d in dets], dtype=np.int64)[where][:, None, None]
-    if n == 1:
-        return dinv
-    if n == 2:
-        adj = np.empty_like(mats)
-        adj[:, 0, 0] = mats[:, 1, 1]
-        adj[:, 0, 1] = -mats[:, 0, 1]
-        adj[:, 1, 0] = -mats[:, 1, 0]
-        adj[:, 1, 1] = mats[:, 0, 0]
-    else:
-        # column j of the adjugate is the cross product of rows j+1 and j+2
-        r0, r1, r2 = mats[:, 0], mats[:, 1], mats[:, 2]
-        adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
-    return adj * dinv % q
+def _power(mats: np.ndarray, e: int, q: int) -> np.ndarray:
+    """Each matrix of the stack to the power e >= 1, mod q, in O(log e) products."""
+    power = mats
+    for bit in bin(e)[3:]:  # the bits of e after its leading 1
+        power = np.matmul(power, power) % q
+        if bit == "1":
+            power = np.matmul(power, mats) % q
+    return power
 
 
 def _eval_word(
@@ -116,39 +105,23 @@ def _eval_word(
     for letter in word[1:]:
         cur = np.matmul(cur, factors[letter])
         cur %= q
-    n = cur.shape[-1]
-    return (cur == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
+    return (cur == np.eye(cur.shape[-1], dtype=np.int64)).all(axis=(1, 2))
 
 
-def _unit_blocks(
-    n: int,
-    q: int,
-    e: int,
-    with_inverses: bool,
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """The invertible n x n matrices g with g^e = 1, block by block, with inverses.
-
-    ``e = 0`` keeps every invertible matrix.  g^e is computed by repeated
-    squaring, so a power relator costs O(log e) products per block.  The
-    inverses are ``None`` unless ``with_inverses`` is set.
-    """
+def _unit_blocks(n: int, q: int, e: int) -> Iterator[np.ndarray]:
+    """The invertible n x n matrices g with g^e = 1 (every one for e = 0), block by block."""
     total = _check_enum_args(n, q)
     for digits in _digit_blocks(q, n * n, total):
         mats = digits.reshape(-1, n, n)
         mats = mats[_det_mod(mats, q) != 0]
         if e:
-            power = mats
-            for bit in bin(e)[3:]:  # the bits of e after its leading 1
-                power = np.matmul(power, power) % q
-                if bit == "1":
-                    power = np.matmul(power, mats) % q
-            mats = mats[(power == np.eye(n, dtype=np.int64)).all(axis=(1, 2))]
-        yield mats, _batch_inverse(mats, q) if with_inverses else None
+            mats = mats[(_power(mats, e, q) == np.eye(n, dtype=np.int64)).all(axis=(1, 2))]
+        yield mats
 
 
 def gl_count(n: int, q: int) -> int:
     """|GL_n(q)| by direct enumeration (vectorised)."""
-    return sum(len(mats) for mats, _ in _unit_blocks(n, q, 0, False))
+    return sum(map(len, _unit_blocks(n, q, 0)))
 
 
 @dataclass(frozen=True)
@@ -213,9 +186,7 @@ class _WordParser:
                 self.fail("expected integer exponent after '^'")
             self.pos = m.end()
             e = int(m.group())
-            if e >= 0:
-                return base * e
-            return [-g for g in reversed(base)] * (-e)
+            return base * e if e >= 0 else [-g for g in reversed(base)] * -e
         return base
 
     def atom(self) -> list[int]:
@@ -255,6 +226,18 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(generator_count=k, relators=tuple(relators), label=text)
 
 
+def _builtin(spec: GroupSpec) -> Callable[[], Presentation] | None:
+    """A call that builds ``builtin_presentation(spec)``, or None; it writes out no relator."""
+    m = spec.m
+    if spec.family == "cyclic":
+        return lambda: Presentation(1, ((1,) * m,), label=f"cyclic:{m}")
+    if spec.family == "dihedral":
+        return lambda: Presentation(2, ((1,) * m, (2, 2), (1, 2, 1, 2)), label=f"dihedral:{m}")
+    if spec.family == "sym" and m == 4:
+        return lambda: Presentation(2, ((1, 1), (2, 2, 2), (1, 2) * 4), label="sym:4")
+    return None
+
+
 def builtin_presentation(spec: GroupSpec) -> Presentation | None:
     """Presentation paired with a built-in group spec, or None.
 
@@ -262,15 +245,8 @@ def builtin_presentation(spec: GroupSpec) -> Presentation | None:
     end to end by the agreement between polynomial evaluation and brute
     force counting.
     """
-    if spec.family == "cyclic":
-        return Presentation(1, ((1,) * spec.m,), label=f"cyclic:{spec.m}")
-    if spec.family == "dihedral":
-        return Presentation(
-            2, ((1,) * spec.m, (2, 2), (1, 2, 1, 2)), label=f"dihedral:{spec.m}"
-        )
-    if spec.family == "sym" and spec.m == 4:
-        return Presentation(2, ((1, 1), (2, 2, 2), (1, 2) * 4), label="sym:4")
-    return None
+    build = _builtin(spec)
+    return build() if build else None
 
 
 def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
@@ -299,26 +275,28 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
             exponents[g] = math.gcd(exponents[g], sum(1 if letter > 0 else -1 for letter in word))
         else:
             ends_at[max(gens) - 1].append(word)
-    with_inverses = any(letter < 0 for words in ends_at for word in words for letter in word)
 
-    streamed: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-    for e in dict.fromkeys(exponents):  # one stream per distinct exponent
-        blocks = list(_unit_blocks(n, q, e, with_inverses))
-        streamed[e] = (
-            np.concatenate([m for m, _ in blocks]),
-            np.concatenate([i for _, i in blocks]) if with_inverses else None,
-        )
-    mats = [streamed[e][0] for e in exponents]
-    invs = [streamed[e][1] for e in exponents]
-
-    sizes = [len(m) for m in mats]
-    total_tuples = math.prod(sizes)
-    if total_tuples > MAX_CANDIDATES:
-        raise ResourceLimit(
-            f"{total_tuples} candidate tuples exceed the cap {MAX_CANDIDATES}"
-        )
-    if total_tuples == 0:
-        return 0
+    order = math.prod(q**n - q**i for i in range(n))  # |GL_n(q)|
+    # candidates per exponent, a lower bound until its stream ends, so the cap refuses early:
+    # any stream keeps the identity, and exponent 0 keeps all of GL_n(q), so it goes last
+    counts = dict.fromkeys(exponents, 1) | {0: order}
+    streamed: dict[int, np.ndarray] = {}
+    for e in sorted(set(exponents), key=lambda e: e == 0):
+        blocks = []
+        for block in _unit_blocks(n, q, e):
+            blocks.append(block)
+            counts[e] = sum(map(len, blocks)) if e else order
+            if (tuples := math.prod(counts[x] for x in exponents)) > MAX_CANDIDATES:
+                raise ResourceLimit(
+                    f"at least {tuples} candidate tuples exceed the cap {MAX_CANDIDATES}"
+                )
+        streamed[e] = np.concatenate(blocks)
+    mats = [streamed[e] for e in exponents]
+    sizes = [counts[e] for e in exponents]
+    # each kept g has g^m = 1, m its exponent or |GL_n(q)|, so g^-1 = g^(2m-1) even at m = 1
+    inverted = {exponents[-x - 1] for words in ends_at for word in words for x in word if x < 0}
+    inverses = {e: _power(streamed[e], 2 * (e or order) - 1, q) for e in inverted}
+    invs = [inverses.get(e) for e in exponents]
 
     # once the first ``free`` generators are assigned every relator has been
     # checked, so a row extends by any candidates of the generators after them
@@ -361,9 +339,7 @@ def minimal_tuples_naive(profile: DegreeProfile, r: int) -> MinimalReport:
     side = 2 * r + 1
     total = side**s
     if total > MAX_CANDIDATES:
-        raise ResourceLimit(
-            f"box size {total} exceeds the candidate cap {MAX_CANDIDATES}"
-        )
+        raise ResourceLimit(f"box size {total} exceeds the candidate cap {MAX_CANDIDATES}")
     degrees = np.array(profile.degrees, dtype=np.int64)
     best: int | None = None
     rows: list[tuple[int, ...]] = []
@@ -375,9 +351,8 @@ def minimal_tuples_naive(profile: DegreeProfile, r: int) -> MinimalReport:
         sq = (hit * hit).sum(axis=1)
         block_best = int(sq.min())
         if best is None or block_best < best:
-            best = block_best
-            rows = [tuple(map(int, row)) for row in hit[sq == block_best]]
-        elif block_best == best:
+            best, rows = block_best, []
+        if block_best == best:
             rows.extend(tuple(map(int, row)) for row in hit[sq == best])
     if best is None:
         raise InvariantViolation(f"box [-{r}, {r}]^{s} holds no tuple of weight r={r}")

@@ -29,8 +29,8 @@ def custom_profile(degrees) -> DegreeProfile:
     return make_profile(f"custom:order={order},degrees=" + ",".join(map(str, degrees)))
 
 
-def run_cli_guarded(*argv: str) -> tuple[subprocess.CompletedProcess, float]:
-    """``python -m glhom.cli ARGV`` in a child capped at GUARD_BYTES of address space.
+def run_guarded(*args: str) -> tuple[subprocess.CompletedProcess, float]:
+    """``python ARGS`` in a child capped at GUARD_BYTES of address space.
 
     Returns the finished process (text output) and its wall time in seconds.
     An input that asks for more memory fails in the child instead of taking
@@ -44,10 +44,15 @@ def run_cli_guarded(*argv: str) -> tuple[subprocess.CompletedProcess, float]:
 
     start = time.perf_counter()
     result = subprocess.run(
-        [sys.executable, "-m", "glhom.cli", *argv],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, preexec_fn=guard, timeout=60,
     )
     return result, time.perf_counter() - start
+
+
+def run_cli_guarded(*argv: str) -> tuple[subprocess.CompletedProcess, float]:
+    """``python -m glhom.cli ARGV`` under ``run_guarded``."""
+    return run_guarded("-m", "glhom.cli", *argv)
 
 
 def small_profiles(max_order: int = 24, max_coords: int = 10, max_ones: int = 12):

@@ -230,6 +230,23 @@ def test_verify_refuses_before_building_the_polynomial(capsys, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("table", "--group", "abelian:2x0"), "abelian invariant factors must be >= 1"),
+        (("leading", "--group", "sym:4", "-n", "-1"), "dimension must be >= 0"),
+        (("verify", "--group", "cyclic:2", "-n", "-1", "-q", "3"), "dimension must be >= 0"),
+        # n = 0 writes out no relator, but the pairing is still required
+        (
+            ("verify", "--group", "sym:5", "-n", "0", "-q", "7"),
+            "no built-in presentation paired with sym:5",
+        ),
+    ],
+)
+def test_refusals_exit_1(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", f"error: {err}\n")
+
+
 def test_resource_limit_counts_before_building(capsys):
     # the work cap fires on the counted DP steps, before any polynomial is built;
     # ~10^185 eligible tuples, 132597450 steps
@@ -433,6 +450,8 @@ def _table_rows(out):
         (("leading", "--group", "cyclic:1500", "-n", "5"), "62860358437800 * q^20 (stable)\n"),
         # a single coordinate builds no q-Pascal row, so the pre-flight does not count one
         (("poly", "--group", "cyclic:1", "-n", "400"), "1\n"),
+        # f_0 = 1 without a DP step per coordinate
+        (("poly", "--group", "cyclic:1000000000", "-n", "0"), "1\n"),
     ],
 )
 def test_large_order_queries(capsys, argv, out):
@@ -493,6 +512,17 @@ def test_large_orders_refused_at_once_under_a_memory_guard(argv, err):
             ("verify", "--group", "cyclic:20000", "-n", "1", "-q", "160001"),
             0, "f(160001) = 20000\nbrute force = 20000\nPASS\n", "",
             2.0,
+        ),
+        # n = 0 is answered without writing out the 10^9-letter relator
+        (
+            ("verify", "--group", "cyclic:1000000000", "-n", "0", "-q", "6000000001"),
+            0, "f(6000000001) = 1\nbrute force = 1\nPASS\n", "",
+            1.0,
+        ),
+        (
+            ("verify", "--group", "dihedral:1000000000", "-n", "0", "-q", "6000000001"),
+            0, "f(6000000001) = 1\nbrute force = 1\nPASS\n", "",
+            1.0,
         ),
     ],
 )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from glhom import (
 )
 import glhom.oracle as oracle
 from glhom.oracle import _eval_word, _unit_blocks
-from conftest import make_profile
+from conftest import make_profile, run_guarded
 from prime_field import PrimeFieldMatrix, count_units_of_order_dividing, gl_enumerate
 
 
@@ -187,7 +188,7 @@ def test_shuffled_candidate_order_is_invariant():
     q = 7
 
     def candidates(m):
-        return np.concatenate([mats for mats, _ in _unit_blocks(2, q, m, False)])
+        return np.concatenate(list(_unit_blocks(2, q, m)))
 
     xs, ys = candidates(3), candidates(2)
     rows = np.array(list(itertools.product(range(len(xs)), range(len(ys)))))
@@ -245,6 +246,8 @@ _MIXED_SIGN_POWERS = "gens=2; rel=x1^3*x1^-5; rel=x1^4; rel=x2^3; rel=x1*x2*x1^-
         (_MIXED_SIGN_POWERS, 1, 7),
         # x1*x1^-1 has exponent 0 and leaves every x1
         ("gens=2; rel=x1*x1^-1; rel=x2^2; rel=x1*x2*x1^-1*x2^-1", 2, 3),
+        # |GL_1(2)| = 1: the inverse of a free generator is g^(2*1 - 1) = g
+        ("gens=2; rel=x1*x2*x1^-1*x2^-1", 1, 2),
     ],
 )
 def test_bruteforce_matches_nested_loops(text, n, q):
@@ -260,6 +263,33 @@ def test_abelian_commutator_presentation_matches_polynomial(q, expected):
     )
     assert hom_count_bruteforce(pres, 2, q) == expected
     assert hom_count_poly(make_profile("abelian:2x2x2"), 2).evaluate(q) == expected
+
+
+def test_commutator_inverses_at_dimension_three():
+    # inverses are powers at every n: g^3 for the involutions of GL_3(3)
+    pres = parse_presentation("gens=2; rel=x1^2; rel=x2^2; rel=x1*x2*x1^-1*x2^-1")
+    expected = hom_count_poly(make_profile("abelian:2x2"), 3).evaluate(3)
+    assert expected == 7024
+    assert hom_count_bruteforce(pres, 3, 3) == expected
+
+
+_FREE_GENERATOR_PROBE = """
+from glhom import ResourceLimit, hom_count_bruteforce, parse_presentation
+try:
+    hom_count_bruteforce(parse_presentation("gens=2; rel=x1^3; rel=x2^-1*x1*x2*x1"), 3, 7)
+except ResourceLimit as exc:
+    print(exc)
+"""
+
+
+def test_free_generator_is_refused_before_it_is_streamed():
+    # x2 has no power relator, so it would keep all 33784128 units of GL_3(7),
+    # 2.4 GB, and x1's full stream takes seconds: the cap refuses as soon as
+    # |GL_3(7)| times the x1 kept so far passes it.  Run only under the guard.
+    result, wall = run_guarded("-c", _FREE_GENERATOR_PROBE)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert re.fullmatch(r"at least \d+ candidate tuples exceed the cap 100000000\n", result.stdout)
+    assert wall < 1.0
 
 
 def test_shared_one_generator_relators_stream_once(monkeypatch):

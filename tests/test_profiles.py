@@ -83,7 +83,7 @@ def test_unknown_family():
         parse_group_spec("frobenius:3")
 
 
-@pytest.mark.parametrize("text", ["sym:6", "sym:3", "dihedral:2", "cyclic:0"])
+@pytest.mark.parametrize("text", ["sym:6", "sym:3", "dihedral:2", "cyclic:0", "abelian:2x0"])
 def test_parse_rejects_bad_parameters(text):
     with pytest.raises(ValidationError):
         parse_group_spec(text)

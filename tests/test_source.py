@@ -163,6 +163,31 @@ def test_one_enumerator_and_one_digit_walk_in_the_oracle():
         glhom.PrimeFieldMatrix
 
 
+def test_one_powering_routine_in_the_oracle():
+    # an inverse is g^(2m-1) where g^m = 1, from the squaring that also filters
+    # power relators: no adjugate, no table of determinant inverses
+    tree = _trees()["oracle.py"]
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert "_batch_inverse" not in functions
+    called = {
+        ast.unparse(node.func).split(".")[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert not called & {"cross", "unique"}
+    params = functions["_unit_blocks"].args
+    assert (params.vararg, params.kwarg) == (None, None)
+    assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] == ["n", "q", "e"]
+    assert [
+        name
+        for name, fn in functions.items()
+        for loop in ast.walk(fn)
+        if isinstance(loop, ast.For)
+        and ast.unparse(loop.target) == "bit"
+        and ast.unparse(loop.iter).startswith("bin(")
+    ] == ["_power"]
+
+
 def _module_level_imports(node: ast.AST):
     """Import statements that run when the module is imported: none inside a def."""
     for child in ast.iter_child_nodes(node):
