@@ -6,10 +6,11 @@ split evenly, into f = U // c and f + 1, at cost c*f^2 + rho*(2f+1)
 (rho = U % c) in C(c, rho) ways, with lowest entry f.  A min-plus DP over
 the weight of the groups taken so far, whose equal-cost states add their
 counts and keep the larger b, gives S_r, m_r and b; backtracking gives the
-lex-first tuple.  Each total U ranges over (U - c*d*w/a)^2 <= c*slack,
-slack being a rounded feasible point's cost minus w^2/a, and the degree-1
-group takes the weight left.  Minimal and eligible tuples are listed only
-on demand, up to MAX_LISTED_TUPLES.
+lex-first tuple.  From a state of weight W and cost S, group j's total U
+and the groups before it (room = their sum of c*d^2, x = w - W) cost at
+least U^2/c + (x - d*U)^2/room, so a feasible cost F bounds |R*U - c*d*x|
+by sqrt(c*room*(R*(F - S) - x^2)), R = room + c*d^2; room = 0 pins U = x/d.
+Minimal and eligible tuples are listed only on demand, up to MAX_LISTED_TUPLES.
 """
 
 from __future__ import annotations
@@ -116,20 +117,17 @@ def _solve(
         error += d * (order * guess[j] - c * d * w)
     guess[0] = w - sum(d * u for (d, _), u in zip(groups, guess))
     feasible = sum(_cost(u, c) for (_, c), u in zip(groups, guess))
-    slack = order * feasible - w * w
-    ranges = [range(0)]  # the degree-1 total is w minus the others'
-    for d, c in groups[1:]:
-        reach = isqrt(order * c * slack)
-        ranges.append(range(-((reach - c * d * w) // order), (c * d * w + reach) // order + 1))
-    # tables[j][W] = (cost, count, b) of the optima of groups j.. at weight W.  A
-    # state goes once its cost plus the real minimum (w - W)^2 / room of the
-    # groups before j exceeds the feasible cost; room = 0 at j = 0 keeps W = w.
+    # tables[j][W] = (cost, count, b) of the optima of groups j.. at weight W.  A state
+    # goes once its cost S plus the real minimum x^2 / room of the groups before j
+    # exceeds the feasible cost F, so kept ones, like the start, have R*(F - S) >= x^2.
     rooms = list(accumulate((c * d * d for d, c in groups), initial=0))
     tables = {len(groups): {0: (0, 1, 0)}}
     for j in range(len(groups) - 1, -1, -1):
-        (d, c), room, table = groups[j], rooms[j], tables.setdefault(j, {})
+        (d, c), room, grown, table = groups[j], rooms[j], rooms[j + 1], tables.setdefault(j, {})
         for weight_rest, (cost, count, b) in tables[j + 1].items():
-            for u in ranges[j] or (w - weight_rest,):
+            x = w - weight_rest
+            reach = isqrt(c * room * (grown * (feasible - cost) - x * x))
+            for u in range(-((reach - c * d * x) // grown), (c * d * x + reach) // grown + 1):
                 key, cost_k = weight_rest + d * u, cost + _cost(u, c)
                 if cost_k * room + (w - key) ** 2 > feasible * room:
                     continue
@@ -156,11 +154,10 @@ def _solve(
                 yield path
                 continue
             (d, c), after = groups[j], tables[j + 1]
-            stack.extend(
-                (path + (u,), left - d * u)
-                for u in reversed(ranges[j] or sorted(left - key for key in after))
-                if after.get(left - d * u, (None,))[0] == tables[j][left][0] - _cost(u, c)
-            )
+            for key in sorted(after):  # u = (left - key) / d falls, so the least u pops first
+                u, off = divmod(left - key, d)
+                if not off and after[key][0] == tables[j][left][0] - _cost(u, c):
+                    stack.append((path + (u,), key))
 
     def listing() -> Iterator[tuple[int, ...]]:
         for path in totals():

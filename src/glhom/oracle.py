@@ -88,7 +88,7 @@ def _power(mats: np.ndarray, e: int, q: int) -> np.ndarray:
 def _eval_word(
     word: tuple[int, ...],
     rows: np.ndarray,
-    mats: list[np.ndarray],
+    mats: list[np.ndarray | None],
     invs: list[np.ndarray | None],
     q: int,
 ) -> np.ndarray:
@@ -276,31 +276,34 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
         else:
             ends_at[max(gens) - 1].append(word)
 
+    # once the first ``free`` generators are assigned every relator has been
+    # checked, so a row extends by any candidates of the generators after them:
+    # only the exponents of generators before ``free`` keep their matrices
+    free = max((g + 1 for g in range(k) if ends_at[g]), default=0)
+    kept: dict[int, list[np.ndarray]] = {e: [] for e in exponents[:free]}
     order = math.prod(q**n - q**i for i in range(n))  # |GL_n(q)|
     # candidates per exponent, a lower bound until its stream ends, so the cap refuses early:
     # any stream keeps the identity, and exponent 0 keeps all of GL_n(q), so it goes last
+    # and, unless kept, streams nothing: its one empty block only checks the cap
     counts = dict.fromkeys(exponents, 1) | {0: order}
-    streamed: dict[int, np.ndarray] = {}
     for e in sorted(set(exponents), key=lambda e: e == 0):
-        blocks = []
-        for block in _unit_blocks(n, q, e):
-            blocks.append(block)
-            counts[e] = sum(map(len, blocks)) if e else order
+        seen = 0
+        for block in _unit_blocks(n, q, e) if e or 0 in kept else [()]:
+            seen += len(block)
+            kept.get(e, []).append(block)
+            counts[e] = seen if e else order
             if (tuples := math.prod(counts[x] for x in exponents)) > MAX_CANDIDATES:
                 raise ResourceLimit(
                     f"at least {tuples} candidate tuples exceed the cap {MAX_CANDIDATES}"
                 )
-        streamed[e] = np.concatenate(blocks)
-    mats = [streamed[e] for e in exponents]
+    streamed = {e: np.concatenate(blocks) for e, blocks in kept.items()}
+    mats = [streamed.get(e) for e in exponents]
     sizes = [counts[e] for e in exponents]
     # each kept g has g^m = 1, m its exponent or |GL_n(q)|, so g^-1 = g^(2m-1) even at m = 1
     inverted = {exponents[-x - 1] for words in ends_at for word in words for x in word if x < 0}
     inverses = {e: _power(streamed[e], 2 * (e or order) - 1, q) for e in inverted}
     invs = [inverses.get(e) for e in exponents]
 
-    # once the first ``free`` generators are assigned every relator has been
-    # checked, so a row extends by any candidates of the generators after them
-    free = max((g + 1 for g in range(k) if ends_at[g]), default=0)
     count = 0
     stack = [(np.zeros((1, 0), dtype=np.int64), 0)]
     while stack:

@@ -193,6 +193,23 @@ def test_reports_are_deterministic(s5):
     assert minimal_tuples(s5, 59).tuples == minimal_tuples(s5, 59).tuples
 
 
+def test_each_dp_state_bounds_its_own_totals(monkeypatch):
+    # dihedral:1000's degree-2 total is bounded per state, not over one range
+    # fixed per residue whose values are almost all pruned (about 400 per residue)
+    calls = 0
+    cost = minimize._cost
+
+    def counted(total, c):
+        nonlocal calls
+        calls += 1
+        return cost(total, c)
+
+    monkeypatch.setattr(minimize, "_cost", counted)
+    profile = make_profile("dihedral:1000")
+    assert stability_bound(profile).n_threshold == 0
+    assert calls <= 50 * profile.order
+
+
 def _b_of(tuples, degrees):
     """Least b >= 0 with b*d_i + t_i >= 0 for every listed tuple t."""
     return max([0] + [math.ceil(-e / d) for t in tuples for e, d in zip(t, degrees)])

@@ -137,6 +137,18 @@ def test_no_cap_parameters():
     assert found == []
 
 
+def test_minimal_tuple_search_has_no_global_ranges():
+    # every group, degree 1 included, takes its totals from one interval per DP
+    # state; no range of totals is fixed per residue from a global slack
+    bound = {
+        node.arg if isinstance(node, ast.arg) else node.id
+        for node in ast.walk(_trees()["minimize.py"])
+        if isinstance(node, ast.arg)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert not bound & {"ranges", "slack"}
+
+
 def test_one_enumerator_and_one_digit_walk_in_the_oracle():
     # the pure-Python matrix reference lives in tests/prime_field.py; the
     # package keeps the numpy enumerator, whose index-to-digits walk is stated once
