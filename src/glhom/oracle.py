@@ -6,8 +6,11 @@ for prime q and n <= 3, the number of homomorphisms from a finitely
 presented group into GL_n(q), and minimal tuples by unpruned box
 enumeration.  The implementations deliberately share no logic with the
 modules they check.  Matrices and box points alike are indices read as
-mixed-radix digits (``_digit_blocks``), and matrices are raised to powers,
-inverses g^-1 = g^(2m-1) of g^m = 1 included, only by squaring (``_power``).
+mixed-radix digits off one reused low-digit table (``_digit_blocks``).  Matrices
+are raised to powers only by squaring (``_power``), inverses g^-1 = g^(2m-1)
+included, m a power relator's exponent or else that of GL_n(q); g^e = 1 with
+e >= 1 needs no determinant, and its last product, like a relator's, is tested
+entry by entry.
 The pure-Python matrix reference that tests compare against lives with the tests.
 """
 
@@ -36,14 +39,13 @@ def _require_prime(q: int) -> None:
         raise ValidationError(f"q={q} must be prime for brute-force enumeration")
 
 
-def _check_enum_args(n: int, q: int) -> int:
+def _check_enum_args(n: int, q: int) -> None:
     if not 1 <= n <= 3:
         raise RangeError("matrix enumeration supports 1 <= n <= 3")
     _require_prime(q)
     total = q ** (n * n)
     if total > MAX_CANDIDATES:
         raise ResourceLimit(f"q^(n^2) = {total} exceeds the candidate cap {MAX_CANDIDATES}")
-    return total
 
 
 def _check_hom_args(n: int, q: int) -> None:
@@ -55,12 +57,23 @@ def _check_hom_args(n: int, q: int) -> None:
         _check_enum_args(n, q)
 
 
-def _digit_blocks(base: int, width: int, total: int) -> Iterator[np.ndarray]:
-    """Indices 0 .. total-1 as rows of ``width`` digits in ``base``, low digit first, in blocks."""
-    powers = base ** np.arange(width, dtype=np.int64)
-    for start in range(0, total, _BLOCK_ROWS):
-        idx = np.arange(start, min(start + _BLOCK_ROWS, total), dtype=np.int64)
-        yield (idx[:, None] // powers) % base
+def _digit_blocks(base: int, width: int) -> Iterator[np.ndarray]:
+    """Indices 0 .. base**width - 1 as rows of ``width`` >= 1 digits in ``base``, low first.
+
+    Each block, of at most _BLOCK_ROWS rows, is one table of the ``low`` lowest digits under a
+    run of digit ``low`` and fixed higher digits, in a reused buffer that consumers copy from.
+    """
+    low = next((k for k in range(width - 1) if base ** (k + 1) > _BLOCK_ROWS), width - 1)
+    table = (np.arange(base**low)[:, None] // base ** np.arange(low)) % base
+    run = min(base, _BLOCK_ROWS // len(table))
+    buf = np.empty((run, len(table), width), dtype=np.int64)
+    buf[:, :, :low] = table
+    for high in np.ndindex((base,) * (width - low - 1)):
+        buf[:, :, low + 1 :] = high[::-1]
+        for start in range(0, base, run):
+            stop = min(start + run, base)
+            buf[: stop - start, :, low] = np.arange(start, stop)[:, None]
+            yield buf[: stop - start].reshape(-1, width)
 
 
 def _det_mod(mats: np.ndarray, q: int) -> np.ndarray:
@@ -76,13 +89,24 @@ def _det_mod(mats: np.ndarray, q: int) -> np.ndarray:
 
 
 def _power(mats: np.ndarray, e: int, q: int) -> np.ndarray:
-    """Each matrix of the stack to the power e >= 1, mod q, in O(log e) products."""
-    power = mats
+    """Each matrix of the stack to the power e >= 0, mod q, in O(log e) products."""
+    power = mats if e else np.broadcast_to(np.eye(mats.shape[-1], dtype=np.int64), mats.shape)
     for bit in bin(e)[3:]:  # the bits of e after its leading 1
-        power = np.matmul(power, power) % q
+        power = np.matmul(power, power)
+        power %= q
         if bit == "1":
-            power = np.matmul(power, mats) % q
+            power = np.matmul(power, mats)
+            power %= q
     return power
+
+
+def _identity_rows(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
+    """The indices i with left[i] @ right[i] = 1 mod q; i leaves at its first wrong entry."""
+    rows = np.flatnonzero(np.einsum("ij,ij->i", left[:, 0], right[:, :, 0]) % q == 1)
+    for a, b in list(np.ndindex(left.shape[1:]))[1:]:
+        entry = np.einsum("ij,ij->i", left[rows, a], right[rows, :, b]) % q
+        rows = rows[entry == (a == b)]
+    return rows
 
 
 def _eval_word(
@@ -92,7 +116,7 @@ def _eval_word(
     invs: list[np.ndarray | None],
     q: int,
 ) -> np.ndarray:
-    """Whether ``word`` is the identity on each row of generator indices.
+    """Whether ``word``, of two or more letters, is the identity on each row of generator indices.
 
     Row ``i`` assigns candidate ``rows[i, g]`` of ``mats[g]`` (its inverse
     from ``invs[g]``) to generator ``g + 1``; the result is a bool per row.
@@ -102,21 +126,31 @@ def _eval_word(
         for letter in set(word)
     }
     cur = factors[word[0]]
-    for letter in word[1:]:
+    for letter in word[1:-1]:
         cur = np.matmul(cur, factors[letter])
         cur %= q
-    return (cur == np.eye(cur.shape[-1], dtype=np.int64)).all(axis=(1, 2))
+    return np.bincount(_identity_rows(cur, factors[word[-1]], q), minlength=len(rows)) > 0
 
 
 def _unit_blocks(n: int, q: int, e: int) -> Iterator[np.ndarray]:
-    """The invertible n x n matrices g with g^e = 1 (every one for e = 0), block by block."""
-    total = _check_enum_args(n, q)
-    for digits in _digit_blocks(q, n * n, total):
+    """The n x n matrices g with g^e = 1, block by block; for e = 0 every invertible one.
+
+    g^e = 1 with e >= 1 makes g invertible; g^e is tested as g^(e - e//2) g^(e//2).
+    """
+    _check_enum_args(n, q)
+    for digits in _digit_blocks(q, n * n):
         mats = digits.reshape(-1, n, n)
-        mats = mats[_det_mod(mats, q) != 0]
-        if e:
-            mats = mats[(_power(mats, e, q) == np.eye(n, dtype=np.int64)).all(axis=(1, 2))]
-        yield mats
+        right = _power(mats, e // 2, q)
+        left = np.matmul(right, mats) % q if e % 2 else right
+        yield mats[_identity_rows(left, right, q) if e else _det_mod(mats, q) != 0]
+
+
+def _gl_exponent(n: int, q: int) -> int:
+    """The least m with g^m = 1 on GL_n(q), q prime: the order q^ceil(log_q n) of an n x n
+    Jordan block times lcm(q^i - 1 : i <= n), which the orders of semisimple elements divide.
+    """
+    unipotent = next(q**k for k in range(n) if q**k >= n)
+    return unipotent * math.lcm(*(q**i - 1 for i in range(1, n + 1)))
 
 
 def gl_count(n: int, q: int) -> int:
@@ -299,9 +333,9 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
     streamed = {e: np.concatenate(blocks) for e, blocks in kept.items()}
     mats = [streamed.get(e) for e in exponents]
     sizes = [counts[e] for e in exponents]
-    # each kept g has g^m = 1, m its exponent or |GL_n(q)|, so g^-1 = g^(2m-1) even at m = 1
+    # each kept g has g^m = 1, m its exponent or that of GL_n(q), so g^-1 = g^(2m-1) even at m = 1
     inverted = {exponents[-x - 1] for words in ends_at for word in words for x in word if x < 0}
-    inverses = {e: _power(streamed[e], 2 * (e or order) - 1, q) for e in inverted}
+    inverses = {e: _power(streamed[e], 2 * (e or _gl_exponent(n, q)) - 1, q) for e in inverted}
     invs = [inverses.get(e) for e in exponents]
 
     count = 0
@@ -346,8 +380,8 @@ def minimal_tuples_naive(profile: DegreeProfile, r: int) -> MinimalReport:
     degrees = np.array(profile.degrees, dtype=np.int64)
     best: int | None = None
     rows: list[tuple[int, ...]] = []
-    for digits in _digit_blocks(side, s, total):
-        digits -= r
+    for digits in _digit_blocks(side, s):
+        digits = digits - r
         hit = digits[(digits @ degrees) == r]
         if not len(hit):
             continue

@@ -119,14 +119,19 @@ def gl_enumerate(n: int, q: int) -> Iterator[PrimeFieldMatrix]:
     return stream()
 
 
-def count_units_of_order_dividing(n: int, q: int, m: int) -> int:
-    """One-pass order filter over the matrix stream (pure Python, no numpy).
+def count_units_of_order_dividing(n: int, q: int, *exponents: int) -> list[int]:
+    """For each exponent m >= 1, the units g with g^m = 1 (pure Python, no numpy).
 
-    Slow reference path kept separate from the vectorised enumeration so
-    the two can be checked against each other.
+    One pass over the matrix stream, each unit's powers by repeated
+    multiplication: a slow reference path kept separate from the vectorised
+    enumeration so the two can be checked against each other.
     """
-    count = 0
+    counts = dict.fromkeys(exponents, 0)
+    identity = PrimeFieldMatrix.identity(n, q)
     for g in gl_enumerate(n, q):
-        if g.power(m).is_identity:
-            count += 1
-    return count
+        power = identity
+        for m in range(1, max(exponents) + 1):
+            power = power * g
+            if m in counts and power == identity:
+                counts[m] += 1
+    return [counts[m] for m in exponents]

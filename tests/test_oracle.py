@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from glhom import (
     ParseError,
@@ -25,7 +27,15 @@ from glhom import (
     parse_presentation,
 )
 import glhom.oracle as oracle
-from glhom.oracle import _eval_word, _unit_blocks
+from glhom.oracle import (
+    _BLOCK_ROWS,
+    _digit_blocks,
+    _eval_word,
+    _gl_exponent,
+    _identity_rows,
+    _power,
+    _unit_blocks,
+)
 from conftest import make_profile, run_guarded
 from prime_field import PrimeFieldMatrix, count_units_of_order_dividing, gl_enumerate
 
@@ -63,6 +73,26 @@ def test_gl_enumerate_guards(monkeypatch):
         gl_count(3, 5)
 
 
+@pytest.mark.parametrize(
+    "base, width",
+    [(2, 17), (5, 9), (7, 9), (13, 4), (256, 3), (257, 2), (65536, 1), (65537, 1), (160001, 1)],
+)
+def test_digit_walk_lists_every_index_in_order(base, width):
+    # the blocks concatenate to (arange(base**width)[:, None] // base**arange(width)) % base,
+    # checked block by block: digits in [0, base) that spell each index in turn are its digits
+    total = base**width
+    powers = base ** np.arange(width, dtype=np.int64)
+    start = blocks = 0
+    for block in _digit_blocks(base, width):
+        assert block.shape[1] == width and 0 < len(block) <= _BLOCK_ROWS
+        assert 0 <= block.min() and block.max() < base
+        assert (block @ powers == np.arange(start, start + len(block))).all()
+        start, blocks = start + len(block), blocks + 1
+    assert start == total
+    # about _BLOCK_ROWS rows per block, also where one digit is wider than a block
+    assert blocks <= -(-4 * total // _BLOCK_ROWS)
+
+
 def test_prime_field_matrix_ops():
     m = PrimeFieldMatrix.from_rows([[1, 2], [3, 4]], 5)
     assert m.det() == (4 - 6) % 5
@@ -98,11 +128,56 @@ def test_hom_count_dimension_zero():
 
 
 def test_order_filter_agreement():
-    # one-pass Python order filter vs the vectorised candidate enumeration
-    assert count_units_of_order_dividing(2, 3, 2) == 14
-    for n, q, m in ((1, 5, 2), (2, 3, 2), (2, 3, 3), (2, 5, 3)):
-        pres = Presentation(1, ((1,) * m,), label=f"x^{m}")
-        assert hom_count_bruteforce(pres, n, q) == count_units_of_order_dividing(n, q, m)
+    # one-pass Python order filter vs the vectorised candidate enumeration, which
+    # tests no determinant for e >= 1 and splits an odd e as g^((e+1)/2) g^((e-1)/2)
+    assert count_units_of_order_dividing(2, 3, 2) == [14]
+    for n, q, exponents in (
+        (1, 5, (2,)),
+        (2, 3, (2, 3)),
+        (2, 5, (3,)),
+        (2, 7, range(1, 7)),
+        (3, 3, range(1, 7)),
+    ):
+        for e, expected in zip(exponents, count_units_of_order_dividing(n, q, *exponents)):
+            pres = Presentation(1, ((1,) * e,), label=f"x^{e}")
+            assert hom_count_bruteforce(pres, n, q) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    q=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    size=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_identity_rows_match_the_full_product(n, q, size, seed):
+    rng = np.random.default_rng(seed)
+    left, right = rng.integers(0, q, (2, size, n, n))
+    # plant rows whose product is the identity, or the identity but for one entry
+    for i in rng.choice(size, size=rng.integers(size + 1), replace=False):
+        g = PrimeFieldMatrix.from_rows(left[i], q)
+        if g.det():
+            bump = np.eye(n, dtype=np.int64)
+            bump[rng.integers(n), rng.integers(n)] += rng.integers(2) * rng.integers(1, q)
+            right[i] = np.array(g.inverse().entries) @ bump % q
+    identity = np.eye(n, dtype=np.int64)
+    expected = np.flatnonzero(((left @ right) % q == identity).all(axis=(1, 2)))
+    assert np.array_equal(_identity_rows(left, right, q), expected)
+
+
+@pytest.mark.parametrize(
+    "n, q, m", [(1, 2, 1), (1, 7, 6), (2, 2, 6), (2, 3, 24), (2, 5, 120), (3, 2, 84), (3, 3, 312)]
+)
+def test_inverses_by_the_exponent_of_gl(n, q, m):
+    # g^m = 1 on all of GL_n(q), so g^-1 = g^(2m-1); no m / p with p | m prime does
+    assert _gl_exponent(n, q) == m
+    units = np.concatenate(list(_unit_blocks(n, q, 0)))
+    identity = np.eye(n, dtype=np.int64)
+    assert (_power(units, m, q) == identity).all()
+    for p in sympy.primefactors(m):
+        assert not (_power(units, m // p, q) == identity).all()
+    # far below the order: 3720 for GL_3(5), of order 1488000
+    assert _gl_exponent(3, 5) == 3720
 
 
 def test_negative_exponent_relators():

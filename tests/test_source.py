@@ -200,6 +200,33 @@ def test_one_powering_routine_in_the_oracle():
     ] == ["_power"]
 
 
+def test_one_identity_test_in_the_oracle():
+    # g^e = 1 and each relator are tested entry by entry on their last product,
+    # and the digit walk divides only to build its low-digit table, not per block
+    tree = _trees()["oracle.py"]
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    for name in ("_unit_blocks", "_eval_word"):
+        called = {
+            ast.unparse(node.func)
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call)
+        }
+        assert "_identity_rows" in called
+    assert [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any("eye(" in ast.unparse(side) for side in (node.left, *node.comparators))
+    ] == []
+    assert [
+        ast.unparse(node)
+        for loop in ast.walk(functions["_digit_blocks"])
+        if isinstance(loop, (ast.For, ast.While))
+        for node in ast.walk(loop)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+    ] == []
+
+
 def _module_level_imports(node: ast.AST):
     """Import statements that run when the module is imported: none inside a def."""
     for child in ast.iter_child_nodes(node):
