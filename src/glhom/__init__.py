@@ -6,114 +6,38 @@ degrees over a splitting field), this package computes the polynomial
 eps_r), and the stability bound N past which that formula is certified --
 with a built-in brute-force oracle over small finite matrix groups that
 independently verifies the numbers.
+
+Every public name, and each layer module, is imported on first use, so a
+command loads only the layers it runs (and only ``verify`` loads numpy).
 """
 
-from .counting import (
-    LeadingTerm,
-    VarietyReport,
-    hom_count_poly,
-    leading_term,
-    orbit_poly,
-    variety_report,
-)
-from .errors import (
-    DivisionByZero,
-    GlhomError,
-    IneligibleTuple,
-    InvariantViolation,
-    LengthMismatch,
-    NonZeroRemainder,
-    ParseError,
-    RangeError,
-    ResourceLimit,
-    UnstableRegime,
-    UnsupportedFamily,
-    ValidationError,
-)
-from .intpoly import NEG_INFINITY, IntPolynomial, div_exact, gl_order_poly
-from .minimize import (
-    LiftedReport,
-    MinimalReport,
-    StabilityBound,
-    eligible_tuples,
-    epsilon,
-    lift_minimal,
-    minimal_tuples,
-    minimal_tuples_direct,
-    minimal_tuples_for_n,
-    stability_bound,
-    weight,
-)
-from .profiles import (
-    DegreeProfile,
-    GroupSpec,
-    parse_group_spec,
-    profile_of,
-    splitting_field_check,
-    validate_profile,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# the oracle, and numpy with it, is imported on first use: only ``verify`` needs it
-_ORACLE_NAMES = frozenset({
-    "Presentation", "builtin_presentation", "gl_count", "hom_count_bruteforce",
-    "minimal_tuples_naive", "parse_presentation",
-})
+# the public names of each layer
+_LAYERS = {
+    "counting": "hom_count_poly orbit_poly",
+    "errors": "DivisionByZero GlhomError IneligibleTuple InvariantViolation LengthMismatch"
+    " NonZeroRemainder ParseError RangeError ResourceLimit UnstableRegime UnsupportedFamily"
+    " ValidationError",
+    "intpoly": "NEG_INFINITY IntPolynomial div_exact gl_order_poly",
+    "minimize": "LeadingTerm LiftedReport MinimalReport StabilityBound VarietyReport"
+    " eligible_tuples epsilon leading_term lift_minimal minimal_tuples minimal_tuples_direct"
+    " minimal_tuples_for_n stability_bound variety_report",
+    "oracle": "Presentation builtin_presentation gl_count hom_count_bruteforce"
+    " minimal_tuples_naive parse_presentation",
+    "profiles": "DegreeProfile GroupSpec parse_group_spec profile_of splitting_field_check"
+    " validate_profile weight",
+}
+_MODULE_OF = {name: module for module, names in _LAYERS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
+    if name in _LAYERS:
+        return import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "DegreeProfile",
-    "DivisionByZero",
-    "GlhomError",
-    "GroupSpec",
-    "IneligibleTuple",
-    "IntPolynomial",
-    "InvariantViolation",
-    "LeadingTerm",
-    "LengthMismatch",
-    "LiftedReport",
-    "MinimalReport",
-    "NEG_INFINITY",
-    "NonZeroRemainder",
-    "ParseError",
-    "Presentation",
-    "RangeError",
-    "ResourceLimit",
-    "StabilityBound",
-    "UnstableRegime",
-    "UnsupportedFamily",
-    "ValidationError",
-    "VarietyReport",
-    "builtin_presentation",
-    "div_exact",
-    "eligible_tuples",
-    "epsilon",
-    "gl_count",
-    "gl_order_poly",
-    "hom_count_bruteforce",
-    "hom_count_poly",
-    "leading_term",
-    "lift_minimal",
-    "minimal_tuples",
-    "minimal_tuples_direct",
-    "minimal_tuples_for_n",
-    "minimal_tuples_naive",
-    "orbit_poly",
-    "parse_group_spec",
-    "parse_presentation",
-    "profile_of",
-    "splitting_field_check",
-    "stability_bound",
-    "validate_profile",
-    "variety_report",
-    "weight",
-]

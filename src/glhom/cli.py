@@ -10,13 +10,9 @@ limit exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
-from .counting import hom_count_poly, leading_term, variety_report
 from .errors import GlhomError, ResourceLimit, UnstableRegime, ValidationError
-from .minimize import minimal_tuples, stability_bound
 from .profiles import parse_group_spec, profile_of, splitting_field_check
 
 MAX_TABLE_ENTRIES = 2**21  # a rows of s-entry samples: admits cyclic:1448 and dihedral:1400
@@ -60,7 +56,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _fraction_str(f: Fraction) -> str:
+def _fraction_str(f) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
@@ -69,7 +65,12 @@ def _tuple_str(t: tuple[int, ...]) -> str:
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
-    print(json.dumps(payload, indent=2) if as_json else "\n".join(text_lines))
+    if as_json:
+        import json
+
+        print(json.dumps(payload, indent=2))
+    else:
+        print("\n".join(text_lines))
 
 
 def _splits(spec, q: int) -> tuple[bool, str]:
@@ -80,7 +81,10 @@ def _splits(spec, q: int) -> tuple[bool, str]:
         return False, str(exc)
 
 
+# each _cmd_* imports the layers it runs, so a command loads no other layer
 def _cmd_table(profile, spec, args) -> int:
+    from .minimize import minimal_tuples, stability_bound
+
     a, s = profile.order, profile.s
     if a * s > MAX_TABLE_ENTRIES:
         raise ResourceLimit(
@@ -131,6 +135,8 @@ def _parse_eval_points(text: str | None) -> list[int]:
 
 
 def _cmd_poly(profile, spec, args) -> int:
+    from .counting import hom_count_poly
+
     poly = hom_count_poly(profile, args.n)
     evaluations = []
     for x in _parse_eval_points(args.eval_points):
@@ -157,6 +163,8 @@ def _cmd_poly(profile, spec, args) -> int:
 
 
 def _cmd_leading(profile, spec, args) -> int:
+    from .minimize import leading_term
+
     lt = leading_term(profile, args.n)
     payload = {
         "command": "leading",
@@ -183,6 +191,8 @@ def _cmd_leading(profile, spec, args) -> int:
 
 
 def _cmd_bound(profile, spec, args) -> int:
+    from .minimize import stability_bound
+
     a = profile.order
     bound = stability_bound(profile)
     payload = {
@@ -199,6 +209,8 @@ def _cmd_bound(profile, spec, args) -> int:
 
 
 def _cmd_variety(profile, spec, args) -> int:
+    from .minimize import variety_report
+
     report = variety_report(profile, args.n)
     payload = {
         "command": "variety",
@@ -215,6 +227,7 @@ def _cmd_variety(profile, spec, args) -> int:
 
 def _cmd_verify(profile, spec, args) -> int:
     from . import oracle  # numpy: verify only
+    from .counting import hom_count_poly
 
     ok, reason = _splits(spec, args.q)
     if not ok:

@@ -1,4 +1,4 @@
-"""Homomorphism-count polynomials, leading terms, and variety dimensions.
+"""Homomorphism-count polynomials f_n and the orbit polynomials they sum.
 
 Each eligible tuple t = (n_1, ..., n_s) for dimension n indexes one
 conjugation orbit of homomorphisms, of size |GL_n(q)| / prod |GL_{n_i}(q)|
@@ -8,56 +8,22 @@ the group; ``hom_count_poly`` builds it by a knapsack DP without listing
 the tuples, on plain ints: every polynomial is its value at q = 2^B, with
 B fixed by the same DP run at q = 1, after a pre-flight that bounds its
 memory and, from its exact step count, its work.  The top of f_n is
-controlled by the minimal tuples alone:
-degree n^2(1 - 1/a) - eps_r and leading coefficient m_r, with r = n mod a.
+controlled by the minimal tuples alone: degree n^2(1 - 1/a) - eps_r and
+leading coefficient m_r, with r = n mod a.  ``minimize.leading_term`` reads
+it off them, so this module, which only ``poly`` and ``verify`` load, never
+imports ``minimize``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import (
-    IneligibleTuple,
-    InvariantViolation,
-    RangeError,
-    ResourceLimit,
-    UnstableRegime,
-)
+from .errors import IneligibleTuple, InvariantViolation, RangeError, ResourceLimit
 from .intpoly import IntPolynomial, _unpack, div_exact, gl_order_poly
-from .minimize import minimal_tuples, stability_bound, weight
-from .profiles import DegreeProfile
+from .profiles import DegreeProfile, weight
 
 MAX_PACKED_BITS = 1 << 31
 # At 0.1-2.2 ns a bit, this admits cyclic:2 n=332 and sym:4 n=80, not sym:4 n=120
 MAX_WORK_BITS = 1 << 35
 STEP_OVERHEAD_BITS = 4096
-
-
-@dataclass(frozen=True)
-class LeadingTerm:
-    """Leading term m_r * q^(n^2(1-1/a) - eps_r) of the count polynomial.
-
-    ``stable`` is True when n is at or past the stability bound N, where
-    the formula is guaranteed to match the true degree and leading
-    coefficient; below N the formula values are still reported but are
-    not certified against the full polynomial.
-    """
-
-    coefficient: int
-    exponent: int
-    n: int
-    r: int
-    stable: bool
-    n_threshold: int
-
-
-@dataclass(frozen=True)
-class VarietyReport:
-    """Dimension and top-component count of Hom(A, GL_n(K)), K algebraically closed."""
-
-    dimension: int
-    top_components: int
-    n_threshold: int
 
 
 def orbit_poly(profile: DegreeProfile, entries: tuple[int, ...]) -> IntPolynomial:
@@ -189,45 +155,3 @@ def hom_count_poly(profile: DegreeProfile, n: int) -> IntPolynomial:
     for m in range(1, n + 1):
         total = (total << bits * (2 * m - 1)) - (total << bits * (m - 1)) + final.get(m, 0)
     return IntPolynomial(_unpack(total, bits))
-
-
-def leading_term(profile: DegreeProfile, n: int) -> LeadingTerm:
-    """Leading term of f_n from the minimal-tuple data for r = n mod a.
-
-    The exponent n^2 - (n^2 - r^2)/a - S_r is provably integral; this is
-    checked rather than trusted.  For n below the stability bound the
-    formula values are returned with ``stable=False``.  Only residue r is
-    solved with counts; the bound needs each residue's b alone.
-    """
-    if n < 0:
-        raise RangeError("dimension must be >= 0")
-    a = profile.order
-    r = n % a
-    n_threshold = stability_bound(profile).n_threshold
-    rep = minimal_tuples(profile, r)
-    if (n * n - r * r) % a:
-        raise InvariantViolation(f"n^2 - r^2 = {n * n - r * r} is not divisible by a={a}")
-    exponent = n * n - (n * n - r * r) // a - rep.s_r
-    if exponent < 0:
-        raise InvariantViolation(f"leading exponent {exponent} is negative")
-    return LeadingTerm(
-        coefficient=rep.m_r,
-        exponent=exponent,
-        n=n,
-        r=r,
-        stable=n >= n_threshold,
-        n_threshold=n_threshold,
-    )
-
-
-def variety_report(profile: DegreeProfile, n: int) -> VarietyReport:
-    """Dimension and number of top-dimensional components of the representation variety.
-
-    Only valid in the stable regime n >= N; below it the leading-term
-    formula is uncertified and UnstableRegime is raised.
-    """
-    # a negative n lies below every N >= 0, so it is refused as unstable, not as out of range
-    lt = leading_term(profile, max(n, 0))
-    if n < lt.n_threshold:
-        raise UnstableRegime(f"n={n} is below the stability threshold N={lt.n_threshold}")
-    return VarietyReport(lt.exponent, lt.coefficient, lt.n_threshold)

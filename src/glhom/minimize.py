@@ -1,34 +1,35 @@
 """Minimal tuples: the integer s-tuples with sum n_i d_i = w that minimise sum n_i^2.
 
-They give S_r, m_r, eps_r and the stability bound N.  The search runs over
-the distinct degrees: c coordinates of degree d sharing a total U are best
-split evenly, into f = U // c and f + 1, at cost c*f^2 + rho*(2f+1)
-(rho = U % c) in C(c, rho) ways, with lowest entry f.  A min-plus DP over
-the weight of the groups taken so far, whose equal-cost states add their
-counts and keep the larger b, gives S_r, m_r and b; backtracking gives the
-lex-first tuple.  From a state of weight W and cost S, group j's total U
-and the groups before it (room = their sum of c*d^2, x = w - W) cost at
-least U^2/c + (x - d*U)^2/room, so a feasible cost F bounds |R*U - c*d*x|
-by sqrt(c*room*(R*(F - S) - x^2)), R = room + c*d^2; room = 0 pins U = x/d.
+They give S_r, m_r, eps_r, the stability bound N and, from these alone, the
+leading term of f_n and the variety dimension (``leading_term``,
+``variety_report``), so the residue commands never load the polynomial
+layers (``counting``, ``intpoly``).  The search runs over the distinct
+degrees: c coordinates of degree d sharing a total U are best split evenly,
+into f = U // c and f + 1, at cost c*f^2 + rho*(2f+1) (rho = U % c) in
+C(c, rho) ways, with lowest entry f.  A min-plus DP over the weight of the
+groups taken so far, whose equal-cost states add their counts and keep the
+larger b, gives S_r, m_r and b; backtracking gives the lex-first tuple.
+From a state of weight W and cost S, group j's total U and the groups
+before it (room = their sum of c*d^2, x = w - W) cost at least
+U^2/c + (x - d*U)^2/room, so a feasible cost F bounds |R*U - c*d*x| by
+sqrt(c*room*(R*(F - S) - x^2)), R = room + c*d^2; room = 0 pins U = x/d.
 Minimal and eligible tuples are listed only on demand, up to MAX_LISTED_TUPLES.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, product
 from math import comb, isqrt
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import InvariantViolation, LengthMismatch, RangeError, ResourceLimit
-from .profiles import DegreeProfile
+from .errors import InvariantViolation, LengthMismatch, RangeError, ResourceLimit, UnstableRegime
+from .profiles import DegreeProfile, _Record
 
 MAX_LISTED_TUPLES = 10**5
 
 
-@dataclass(frozen=True)
-class MinimalReport:
+class MinimalReport(_Record):
     """The minimal tuples of one weight: invariants, the lex-first one, a lazy listing.
 
     ``eps_r`` = S_r - r^2/a is >= 0 and, below the group order, 0 only at
@@ -36,13 +37,14 @@ class MinimalReport:
     b >= 0 with b*d_i + t_i >= 0 for all of them.  ``==`` ignores ``listing``.
     """
 
-    r: int
-    s_r: int
-    eps_r: Fraction
-    m_r: int
-    sample: tuple[int, ...]
-    b: int
-    listing: Callable[[], Iterable[tuple[int, ...]]] = field(compare=False, repr=False)
+    __slots__ = ("r", "s_r", "eps_r", "m_r", "sample", "b", "listing")
+    _compared = _shown = 6
+
+    def __init__(
+        self, r: int, s_r: int, eps_r: Fraction, m_r: int, sample: tuple[int, ...], b: int,
+        listing: Callable[[], Iterable[tuple[int, ...]]],
+    ):
+        self._set(r=r, s_r=s_r, eps_r=eps_r, m_r=m_r, sample=sample, b=b, listing=listing)
 
     @property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
@@ -60,39 +62,56 @@ class MinimalReport:
         return out
 
 
-@dataclass(frozen=True)
-class LiftedReport:
+class LiftedReport(_Record):
     """Minimal tuples for a dimension n = k*a + r, obtained by lifting."""
 
-    n: int
-    k: int
-    r: int
-    square_sum: int
-    all_eligible: bool
-    count: int
-    residue: MinimalReport = field(repr=False)
-    profile: DegreeProfile = field(repr=False)
+    __slots__ = ("n", "k", "r", "square_sum", "all_eligible", "count", "residue", "profile")
+    _shown = 6
+
+    def __init__(
+        self, n: int, k: int, r: int, square_sum: int, all_eligible: bool, count: int,
+        residue: MinimalReport, profile: DegreeProfile,
+    ):
+        self._set(
+            n=n, k=k, r=r, square_sum=square_sum, all_eligible=all_eligible, count=count,
+            residue=residue, profile=profile,
+        )
 
     @property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(lift_minimal(self.profile, t, self.k) for t in self.residue.tuples)
 
 
-@dataclass(frozen=True)
-class StabilityBound:
+class StabilityBound(NamedTuple):
     """Smallest b with b*d_i + r_i >= 0 over all minimal residue tuples; N = b*a."""
 
     b: int
     n_threshold: int
 
 
-def weight(entries: tuple[int, ...], profile: DegreeProfile) -> int:
-    """Weighted sum sum(n_i * d_i) of a tuple against the profile degrees."""
-    if len(entries) != profile.s:
-        raise LengthMismatch(
-            f"tuple has {len(entries)} entries, profile has {profile.s} coordinates"
-        )
-    return sum(e * d for e, d in zip(entries, profile.degrees))
+class LeadingTerm(NamedTuple):
+    """Leading term m_r * q^(n^2(1-1/a) - eps_r) of the count polynomial.
+
+    ``stable`` is True when n is at or past the stability bound N, where
+    the formula is guaranteed to match the true degree and leading
+    coefficient; below N the formula values are still reported but are
+    not certified against the full polynomial.
+    """
+
+    coefficient: int
+    exponent: int
+    n: int
+    r: int
+    stable: bool
+    n_threshold: int
+
+
+class VarietyReport(NamedTuple):
+    """Dimension and top-component count of Hom(A, GL_n(K)), K algebraically closed."""
+
+    dimension: int
+    top_components: int
+    n_threshold: int
 
 
 def _cost(total: int, c: int) -> int:
@@ -201,9 +220,18 @@ def stability_bound(
     N = b*a; beyond N every minimal tuple is eligible.  N never exceeds
     a*(a-1).  ``reports``, if given, are every residue's ``minimal_tuples``;
     otherwise each residue's DP runs without counts, samples or eps_r.
+
+    With every degree at most 2, b = 0 without a search.  If a minimal t of
+    weight r >= 0 had t_i < 0, it would have some t_j > 0 (j != i).  Adding
+    d_j/g to t_i and taking d_i/g from t_j, g = gcd(d_i, d_j), keeps the
+    weight and changes sum t^2 by 2(t_i d_j - t_j d_i)/g + (d_i^2 + d_j^2)/g^2,
+    at most (d_i^2 + d_j^2)/g^2 - 2(d_i + d_j)/g: -2, -2 and -1 for degrees
+    {1, 1}, {2, 2} and {1, 2}.  So t would not be minimal.
     """
     a = profile.order
-    if reports is None:
+    if profile.groups[-1][0] <= 2:
+        b = 0
+    elif reports is None:
         b = max(_solve(profile.groups, a, r, counts=False) for r in range(a))
     else:
         b = max(rep.b for rep in reports)
@@ -211,6 +239,48 @@ def stability_bound(
     if n_threshold > a * (a - 1):
         raise InvariantViolation(f"stability bound N={n_threshold} exceeds a(a-1)={a * (a - 1)}")
     return StabilityBound(b=b, n_threshold=n_threshold)
+
+
+def leading_term(profile: DegreeProfile, n: int) -> LeadingTerm:
+    """Leading term of f_n from the minimal-tuple data for r = n mod a.
+
+    The exponent n^2 - (n^2 - r^2)/a - S_r is provably integral; this is
+    checked rather than trusted.  For n below the stability bound the
+    formula values are returned with ``stable=False``.  Only residue r is
+    solved with counts; the bound needs each residue's b alone.
+    """
+    if n < 0:
+        raise RangeError("dimension must be >= 0")
+    a = profile.order
+    r = n % a
+    n_threshold = stability_bound(profile).n_threshold
+    rep = minimal_tuples(profile, r)
+    if (n * n - r * r) % a:
+        raise InvariantViolation(f"n^2 - r^2 = {n * n - r * r} is not divisible by a={a}")
+    exponent = n * n - (n * n - r * r) // a - rep.s_r
+    if exponent < 0:
+        raise InvariantViolation(f"leading exponent {exponent} is negative")
+    return LeadingTerm(
+        coefficient=rep.m_r,
+        exponent=exponent,
+        n=n,
+        r=r,
+        stable=n >= n_threshold,
+        n_threshold=n_threshold,
+    )
+
+
+def variety_report(profile: DegreeProfile, n: int) -> VarietyReport:
+    """Dimension and number of top-dimensional components of the representation variety.
+
+    Only valid in the stable regime n >= N; below it the leading-term
+    formula is uncertified and UnstableRegime is raised.
+    """
+    # a negative n lies below every N >= 0, so it is refused as unstable, not as out of range
+    lt = leading_term(profile, max(n, 0))
+    if n < lt.n_threshold:
+        raise UnstableRegime(f"n={n} is below the stability threshold N={lt.n_threshold}")
+    return VarietyReport(lt.exponent, lt.coefficient, lt.n_threshold)
 
 
 def lift_minimal(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import InvariantViolation, ParseError, RangeError, ResourceLimit, ValidationError
 from .minimize import MinimalReport
-from .profiles import DegreeProfile, GroupSpec, prime_base
+from .profiles import DegreeProfile, GroupSpec, _Record, prime_base
 
 MAX_CANDIDATES = 10**8  # caps q^(n^2), the candidate tuples and the naive box alike
 
@@ -158,19 +157,19 @@ def gl_count(n: int, q: int) -> int:
     return sum(map(len, _unit_blocks(n, q, 0)))
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Finitely presented group: generator count plus relator words.
+class Presentation(_Record):
+    """Finitely presented group: generator count plus relator words; checked when built.
 
     A word is a sequence of signed 1-based generator indices; negative
     means the inverse of that generator.
     """
 
-    generator_count: int
-    relators: tuple[tuple[int, ...], ...]
-    label: str = ""
+    __slots__ = ("generator_count", "relators", "label")
 
-    def __post_init__(self):
+    def __init__(
+        self, generator_count: int, relators: tuple[tuple[int, ...], ...], label: str = ""
+    ):
+        self._set(generator_count=generator_count, relators=relators, label=label)
         if self.generator_count < 1:
             raise ValidationError("presentation needs at least one generator")
         if not self.relators:

@@ -5,6 +5,8 @@ A degree profile is the data the whole pipeline runs on: the group order
 ``d_1 <= ... <= d_s`` over a splitting field, satisfying ``d_1 = 1`` and
 ``sum d_i^2 = a``, held as (degree, multiplicity) groups.  Profiles are
 inputs; beyond the built-in families no character theory is performed.
+``_Record`` is the base of the package's records that check themselves
+when built, or hide a field from ``==`` or repr; the others are NamedTuples.
 """
 
 from __future__ import annotations
@@ -12,24 +14,59 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ParseError, UnsupportedFamily, ValidationError
+from .errors import LengthMismatch, ParseError, UnsupportedFamily, ValidationError
 
 FAMILIES = ("cyclic", "abelian", "dihedral", "sym", "custom")
 
 _SYM_PROFILES = {4: ((1, 2), (2, 1), (3, 2)), 5: ((1, 2), (4, 2), (5, 2), (6, 1))}
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class _Record:
+    """An immutable record whose ``__slots__`` are set once, by ``_set`` in ``__init__``.
+
+    ``==`` (within one class) and hash read the first ``_compared`` slots and
+    repr shows the first ``_shown``; None means every slot.  A copy is rebuilt
+    by the constructor, which takes the slots in order.
+    """
+
+    __slots__ = ()
+    _compared = _shown = None
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__[: self._compared])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__[: self._shown])
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class DegreeProfile(_Record):
     """Group order and (d, c) degree groups, d strictly increasing, c >= 1; checked when built."""
 
-    order: int
-    groups: tuple[tuple[int, int], ...]
-    label: str | None = None
+    __slots__ = ("order", "groups", "label")
 
-    def __post_init__(self):
+    def __init__(self, order: int, groups: tuple[tuple[int, int], ...], label: str | None = None):
+        self._set(order=order, groups=groups, label=label)
         validate_profile(self)
 
     @property
@@ -46,8 +83,7 @@ class DegreeProfile:
         return self.label or f"order={self.order},degrees={','.join(map(str, self.degrees))}"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """A parsed group description, one of the supported families."""
 
     family: str
@@ -86,6 +122,15 @@ def validate_profile(profile: DegreeProfile) -> None:
     sq = sum(c * d * d for d, c in profile.groups)
     if sq != profile.order:
         raise ValidationError(f"degree-square sum {sq} != {profile.order} (group order)")
+
+
+def weight(entries: tuple[int, ...], profile: DegreeProfile) -> int:
+    """Weighted sum sum(n_i * d_i) of a tuple against the profile degrees."""
+    if len(entries) != profile.s:
+        raise LengthMismatch(
+            f"tuple has {len(entries)} entries, profile has {profile.s} coordinates"
+        )
+    return sum(e * d for e, d in zip(entries, profile.degrees))
 
 
 _INT_RE = re.compile(r"\d+")

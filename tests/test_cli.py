@@ -224,7 +224,7 @@ def test_resource_limit_exit_3(capsys):
 def test_verify_refuses_before_building_the_polynomial(capsys, monkeypatch):
     # the oracle's n range is checked before f_200 is built
     built = []
-    monkeypatch.setattr(cli, "hom_count_poly", lambda *args: built.append(args))
+    monkeypatch.setattr(counting, "hom_count_poly", lambda *args: built.append(args))
     code, out, err = run(capsys, "verify", "--group", "cyclic:2", "-n", "200", "-q", "3")
     assert (code, out, err) == (1, "", "error: matrix enumeration supports 1 <= n <= 3\n")
     assert built == []
@@ -369,8 +369,7 @@ def test_stability_bound_computed_once_per_command(
         solves.append((w, kwargs.get("counts", True)))
         return solve(groups, order, w, **kwargs)
 
-    monkeypatch.setattr(counting, "stability_bound", counted)
-    monkeypatch.setattr(cli, "stability_bound", counted)
+    monkeypatch.setattr(minimize, "stability_bound", counted)
     monkeypatch.setattr(minimize, "_solve", counted_solve)
     assert run(capsys, *argv) == (code, out, err)
     assert len(calls) == 1
@@ -490,6 +489,19 @@ def test_large_orders_refused_at_once_under_a_memory_guard(argv, err):
 
 
 @pytest.mark.parametrize(
+    "group, order",
+    [("cyclic:1000000000", 10**9), ("dihedral:1000000000", 2 * 10**9),
+     ("abelian:100000x100000", 10**10)],
+)
+def test_bound_at_any_order_when_every_degree_is_at_most_two(group, order):
+    # b = 0 without a search over the a residues
+    result, wall = run_cli_guarded("bound", "--group", group)
+    out = f"b=0, N=0 (<= a(a-1)={order * (order - 1)})\n"
+    assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
+    assert wall < 1.0
+
+
+@pytest.mark.parametrize(
     "argv, code, out, err, seconds",
     [
         # the splitting check comes before the 10^9-letter relator is built
@@ -534,7 +546,7 @@ def test_verify_on_large_orders_under_a_memory_guard(argv, code, out, err, secon
 
 def test_table_cap_counts_sample_entries_before_any_residue(capsys, monkeypatch):
     solved = []
-    monkeypatch.setattr(cli, "minimal_tuples", lambda *args: solved.append(args))
+    monkeypatch.setattr(minimize, "minimal_tuples", lambda *args: solved.append(args))
     code, out, err = run(capsys, "table", "--group", "cyclic:1449")
     assert (code, out, solved) == (3, "", [])
     assert err == (

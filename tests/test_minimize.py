@@ -206,8 +206,19 @@ def test_each_dp_state_bounds_its_own_totals(monkeypatch):
 
     monkeypatch.setattr(minimize, "_cost", counted)
     profile = make_profile("dihedral:1000")
-    assert stability_bound(profile).n_threshold == 0
-    assert calls <= 50 * profile.order
+    a = profile.order
+    assert max(minimize._solve(profile.groups, a, r, counts=False) for r in range(a)) == 0
+    assert calls <= 50 * a
+
+
+@settings(max_examples=60, deadline=None)
+@given(ones=st.integers(min_value=1, max_value=12), twos=st.integers(min_value=0, max_value=12))
+def test_bound_needs_no_search_when_every_degree_is_at_most_two(ones, twos):
+    # the exchange argument in stability_bound's docstring, against the searched b
+    profile = custom_profile((1,) * ones + (2,) * twos)
+    a = profile.order
+    searched = max(minimize._solve(profile.groups, a, r, counts=False) for r in range(a))
+    assert stability_bound(profile) == (searched, searched * a) == (0, 0)
 
 
 def _b_of(tuples, degrees):

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import copy
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -10,9 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from glhom import (
     DegreeProfile,
+    GroupSpec,
+    LeadingTerm,
+    LiftedReport,
+    MinimalReport,
     ParseError,
+    Presentation,
+    StabilityBound,
     UnsupportedFamily,
     ValidationError,
+    VarietyReport,
     builtin_presentation,
     hom_count_bruteforce,
     hom_count_poly,
@@ -166,7 +174,7 @@ def test_profile_groups_are_canonical(extra, data):
     assert distinct == sorted(set(degrees)) and all(c >= 1 for _, c in first.groups)
     assert first.degrees == tuple(degrees) and first.s == len(degrees)
     # the label keeps the written order; the profile itself does not depend on it
-    first, second = replace(first, label=None), replace(second, label=None)
+    first, second = (DegreeProfile(p.order, p.groups) for p in (first, second))
     assert first == second and hash(first) == hash(second)
 
 
@@ -304,3 +312,63 @@ def test_prime_base_refuses_past_its_exact_range():
         prime_base(PSI_13)
     with pytest.raises(ValidationError, match="at least"):
         splitting_field_check(parse_group_spec("cyclic:2"), PSI_13 + 2)
+
+
+_S4_GROUPS = ((1, 2), (2, 1), (3, 2))
+_S4 = DegreeProfile(24, _S4_GROUPS, "sym:4")
+_R4 = dict(r=4, s_r=2, eps_r=Fraction(4, 3), m_r=4, sample=(0, 1, 0, 0, 1), b=0, listing=tuple)
+_LIFTED = dict(
+    n=28, k=1, r=4, square_sum=34, all_eligible=True, count=4,
+    residue=MinimalReport(**_R4), profile=_S4,
+)
+
+
+# each record's fields in constructor order, and its repr at the last dataclass version
+@pytest.mark.parametrize(
+    "cls, fields, text",
+    [
+        (DegreeProfile, dict(order=24, groups=_S4_GROUPS, label="sym:4"),
+         "DegreeProfile(order=24, groups=((1, 2), (2, 1), (3, 2)), label='sym:4')"),
+        (GroupSpec, dict(family="abelian", m=None, invariant_factors=(2, 3), order=None,
+                         degrees=None),
+         "GroupSpec(family='abelian', m=None, invariant_factors=(2, 3), order=None,"
+         " degrees=None)"),
+        (MinimalReport, _R4,
+         "MinimalReport(r=4, s_r=2, eps_r=Fraction(4, 3), m_r=4, sample=(0, 1, 0, 0, 1), b=0)"),
+        (LiftedReport, _LIFTED,
+         "LiftedReport(n=28, k=1, r=4, square_sum=34, all_eligible=True, count=4)"),
+        (StabilityBound, dict(b=1, n_threshold=120), "StabilityBound(b=1, n_threshold=120)"),
+        (LeadingTerm, dict(coefficient=2, exponent=598, n=25, r=1, stable=True, n_threshold=0),
+         "LeadingTerm(coefficient=2, exponent=598, n=25, r=1, stable=True, n_threshold=0)"),
+        (VarietyReport, dict(dimension=598, top_components=2, n_threshold=0),
+         "VarietyReport(dimension=598, top_components=2, n_threshold=0)"),
+        (Presentation, dict(generator_count=2, relators=((1, 1, 1), (2, 2)), label="x"),
+         "Presentation(generator_count=2, relators=((1, 1, 1), (2, 2)), label='x')"),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else "",
+)
+def test_records_keep_their_constructor_equality_and_repr(cls, fields, text):
+    record, positional = cls(**fields), cls(*fields.values())
+    assert record == positional and hash(record) == hash(positional)
+    assert repr(record) == repr(positional) == text
+    assert copy.copy(record) == record
+    for name, value in fields.items():
+        assert getattr(record, name) is value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+
+
+def test_records_compare_the_fields_they_did_before():
+    # MinimalReport ignores its listing; LiftedReport compares the fields its repr hides
+    report = MinimalReport(**_R4)
+    assert report == MinimalReport(**{**_R4, "listing": list})
+    assert hash(report) == hash(MinimalReport(**{**_R4, "listing": list}))
+    assert report != MinimalReport(**{**_R4, "b": 1})
+    lifted = LiftedReport(**_LIFTED)
+    assert lifted != LiftedReport(**{**_LIFTED, "residue": MinimalReport(**{**_R4, "m_r": 5})})
+    assert lifted != LiftedReport(**{**_LIFTED, "profile": DegreeProfile(24, _S4_GROUPS)})
+    assert _S4 != DegreeProfile(24, _S4_GROUPS) and _S4 != (24, _S4_GROUPS, "sym:4")
+    with pytest.raises(ValidationError, match="degree-square sum 15 != 24"):
+        DegreeProfile(24, ((1, 2), (2, 1), (3, 1)))
+    with pytest.raises(ValidationError, match="relator letter 3 out of range"):
+        Presentation(2, ((1, 3),))

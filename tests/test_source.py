@@ -64,13 +64,16 @@ def test_profiles_validate_only_on_construction():
         if isinstance(node, ast.Call)
         and ast.unparse(node.func).split(".")[-1] == "validate_profile"
     ]
-    post_init = next(
-        fn
-        for fn in ast.walk(trees["profiles.py"])
-        if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+    profile_class = next(
+        cls
+        for cls in ast.walk(trees["profiles.py"])
+        if isinstance(cls, ast.ClassDef) and cls.name == "DegreeProfile"
+    )
+    init = next(
+        fn for fn in profile_class.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
     )
     assert [
-        (name, post_init.lineno < line <= post_init.end_lineno) for name, line in calls
+        (name, init.lineno < line <= init.end_lineno) for name, line in calls
     ] == [("profiles.py", True)]
 
 
@@ -114,12 +117,12 @@ def test_degrees_are_grouped_once_and_expanded_only_where_coordinates_are_listed
         ("counting.py", "hom_count_poly"),  # after its pre-flight
         ("minimize.py", "eligible_tuples"),
         ("minimize.py", "lift_minimal"),
-        ("minimize.py", "weight"),
         ("oracle.py", "minimal_tuples_naive"),
         ("profiles.py", "DegreeProfile.__str__"),
         # GroupSpec's own field, the degrees of a custom spec as written
         ("profiles.py", "GroupSpec.__str__"),
         ("profiles.py", "profile_of"),
+        ("profiles.py", "weight"),
     }
 
 
@@ -256,33 +259,69 @@ def test_only_the_oracle_imports_numpy_and_nothing_imports_it_eagerly():
     assert found == {("oracle.py", "numpy")}
 
 
+def test_each_layer_imports_only_what_its_commands_run():
+    # importing dataclasses costs each command about 10 ms; cli.py imports a layer only
+    # inside the command that runs it; poly never loads the minimal-tuple search, and
+    # the residue commands never load the polynomial layers
+    trees = _trees()
+    reached = {
+        name: {
+            imported.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for imported in _imported(node)
+        }
+        for name, tree in trees.items()
+    }
+    assert [name for name, modules in reached.items() if "dataclasses" in modules] == []
+    assert {
+        imported.split(".")[0]
+        for node in _module_level_imports(trees["cli.py"])
+        for imported in _imported(node)
+    } == {"__future__", "argparse", "sys", "errors", "profiles"}
+    assert "minimize" not in reached["counting.py"]
+    assert not reached["minimize.py"] & {"counting", "intpoly"}
+
+
 _IMPORT_PROBE = """
-import contextlib, io, sys
+import sys
+before = set(sys.modules)
+import contextlib, io
 import glhom.cli
-for argv in {argvs!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = glhom.cli.main(argv)
-    print(code, "numpy" in sys.modules, "glhom.oracle" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = glhom.cli.main({argv!r})
+print(code, *sorted(set(sys.modules) - before & {watched!r}))
 """
 
 
 def test_residue_and_poly_commands_leave_numpy_unloaded():
-    # a fresh interpreter: the test process has numpy loaded already
-    argvs = [
-        ["table", "--group", "sym:4"],
-        ["bound", "--group", "sym:5"],
-        ["leading", "--group", "sym:4", "-n", "25"],
-        ["variety", "--group", "sym:4", "-n", "25"],
-        ["poly", "--group", "dihedral:5", "-n", "4", "--eval", "11"],
-        ["verify", "--group", "cyclic:2", "-n", "2", "-q", "3"],
-    ]
+    # one fresh interpreter per command: the test process has every module loaded already
+    watched = {
+        "dataclasses", "json", "numpy",
+        "glhom.counting", "glhom.intpoly", "glhom.minimize", "glhom.oracle",
+    }
+    residue = "0 glhom.minimize"
+    expected = {
+        ("table", "--group", "sym:4"): residue,
+        ("bound", "--group", "sym:5"): residue,
+        ("leading", "--group", "sym:4", "-n", "25"): residue,
+        ("variety", "--group", "sym:4", "-n", "25"): residue,
+        ("table", "--group", "sym:4", "--json"): "0 glhom.minimize json",
+        ("poly", "--group", "dihedral:5", "-n", "4", "--eval", "11"):
+            "0 glhom.counting glhom.intpoly",
+        ("verify", "--group", "cyclic:2", "-n", "2", "-q", "3"):
+            "0 glhom.counting glhom.intpoly glhom.minimize glhom.oracle numpy",
+    }
     path = [str(Path(glhom.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE.format(argvs=argvs)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert result.stdout.splitlines() == ["0 False False"] * 5 + ["0 True True"]
+    loaded = {
+        argv: subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE.format(argv=list(argv), watched=watched)],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout.strip()
+        for argv in expected
+    }
+    assert loaded == expected
 
 
 def test_lazy_oracle_names_resolve_as_before():
