@@ -5,13 +5,12 @@ conjugation orbit of homomorphisms, of size |GL_n(q)| / prod |GL_{n_i}(q)|
 (a polynomial in q).  Summing over all eligible tuples gives the full
 count polynomial f_n with f_n(q) = |Hom(A, GL_n(q))| whenever F_q splits
 the group; ``hom_count_poly`` builds it by a knapsack DP without listing
-the tuples, on plain ints: every polynomial is its value at q = 2^B, with
-B fixed by the same DP run at q = 1, after a pre-flight that bounds its
-memory and, from its exact step count, its work.  The top of f_n is
-controlled by the minimal tuples alone: degree n^2(1 - 1/a) - eps_r and
-leading coefficient m_r, with r = n mod a.  ``minimize.leading_term`` reads
-it off them, so this module, which only ``poly`` and ``verify`` load, never
-imports ``minimize``.
+the tuples, on plain ints: every polynomial is its value at q = 2^B, with B
+worked out by a pre-flight that also bounds the DP's memory and, from its
+exact step count, its work.  The top of f_n is controlled by the minimal
+tuples alone: degree n^2(1 - 1/a) - eps_r and leading coefficient m_r, with
+r = n mod a.  ``minimize.leading_term`` reads it off them, so this module,
+which only ``poly`` and ``verify`` load, never imports ``minimize``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .intpoly import IntPolynomial, _unpack, div_exact, gl_order_poly
 from .profiles import DegreeProfile, weight
 
 MAX_PACKED_BITS = 1 << 31
-# At 0.1-2.2 ns a bit, this admits cyclic:2 n=332 and sym:4 n=80, not sym:4 n=120
+# Admits sym:4 up to n=90 (33 s, 0.97 ns a bit) and dihedral:20 up to n=62 (58 s, 1.7 ns a bit)
 MAX_WORK_BITS = 1 << 35
 STEP_OVERHEAD_BITS = 4096
 
@@ -99,18 +98,19 @@ def _packed_states(degrees: tuple[int, ...], n: int, bits: int) -> dict[int, int
     return {m: value for (w, m), value in states.items() if w == n}
 
 
-def _preflight(groups: tuple[tuple[int, int], ...], n: int) -> None:
-    """ResourceLimit if f_n's DP could pass the memory cap or the work cap.
+def _preflight(groups: tuple[tuple[int, int], ...], n: int) -> int:
+    """Width B = H_n.bit_length() + 2 of f_n's DP; ResourceLimit if it passes either cap.
 
-    Memory is a q-Pascal row, which a single coordinate never builds, plus
-    one packed state.  Work is the exact step count times the widest state,
-    plus STEP_OVERHEAD_BITS per step.
+    H_0 = 1, H_w = sum_(d,c) c 2^(d-1) H_(w-d).  Memory, a q-Pascal row (one coordinate
+    builds none) and one packed state, is checked at B = 3 before this O(n) loop.
+    Work is the exact step count times the widest state, plus STEP_OVERHEAD_BITS per step.
     """
-    # P_{n,M}(1) <= s^M, so sum_M P_{n,M}(1) 2^(n-M) <= (n + 1) max(s, 2)^n
-    s = sum(c for _, c in groups)
-    max_bits = n * (max(s, 2) - 1).bit_length() + (n + 1).bit_length() + 2
-    row = n**3 // 6 if s > 1 else 0
-    working = (row + n * n + 1) * max_bits
+    row = n**3 // 6 if sum(c for _, c in groups) > 1 else 0
+    h = [1]
+    for w in range(1, n + 1 if (row + n * n + 1) * 3 <= MAX_PACKED_BITS else 1):
+        h.append(sum((c * h[w - d]) << (d - 1) for d, c in groups if d <= w))
+    bits = h[-1].bit_length() + 2
+    working = (row + n * n + 1) * bits
     if working > MAX_PACKED_BITS:
         held = "a q-Pascal row and one packed state" if row else "one packed state"
         raise ResourceLimit(
@@ -118,12 +118,13 @@ def _preflight(groups: tuple[tuple[int, int], ...], n: int) -> None:
             f" more than the cap of {MAX_PACKED_BITS} bits"
         )
     steps = _transitions(groups, n)
-    work = steps * ((n * n + 1) * max_bits + STEP_OVERHEAD_BITS)
+    work = steps * ((n * n + 1) * bits + STEP_OVERHEAD_BITS)
     if work > MAX_WORK_BITS:
         raise ResourceLimit(
             f"n={n} needs about {work} bits of packed arithmetic ({steps} DP steps),"
             f" more than the cap of {MAX_WORK_BITS} bits"
         )
+    return bits
 
 
 def hom_count_poly(profile: DegreeProfile, n: int) -> IntPolynomial:
@@ -136,20 +137,17 @@ def hom_count_poly(profile: DegreeProfile, n: int) -> IntPolynomial:
     P_{w,M} = sum_t [M; t]_q q^(sum_{i<j} n_i n_j).  Value k on a coordinate
     of degree d moves it to (w + k d, M + k) times [M + k; k]_q q^(M k), and
     f_n = sum_M |GL_n| / |GL_M| * P_{n,M}.  Each polynomial is one int, its
-    value at q = 2^B, and f_n is unpacked once.  B comes from the same DP at
-    q = 1: |GL_n| / |GL_M| has |coefficients| summing to at most 2^(n-M), so
-    sum_M P_{n,M}(1) 2^(n-M) bounds every coefficient of f_n.  ``_preflight``
-    raises ResourceLimit first, past MAX_PACKED_BITS or MAX_WORK_BITS.
+    value at q = 2^B, and f_n is unpacked once.  |GL_n| / |GL_M| has |coefficients| summing
+    to at most 2^(n-M), so sum_M P_{n,M}(1) 2^(n-M), a sum of multinomials equal to the x^n
+    coefficient H_n of 1 / (1 - sum_i 2^(d_i-1) x^(d_i)), bounds every coefficient of f_n.
+    ``_preflight`` returns B from H_n, or raises past MAX_PACKED_BITS or MAX_WORK_BITS.
     """
     if n < 0:
         raise RangeError("dimension must be >= 0")
     if n == 0:
         return IntPolynomial.one()  # GL_0 is trivial, whatever the number of coordinates
-    _preflight(profile.groups[::-1], n)
-    degrees = profile.degrees[::-1]  # largest first: fewer states; d_1 = 1 last fills to n
-    l1 = sum(value << (n - m) for m, value in _packed_states(degrees, n, 0).items())
-    bits = l1.bit_length() + 2
-    final = _packed_states(degrees, n, bits)
+    bits = _preflight(profile.groups[::-1], n)
+    final = _packed_states(profile.degrees[::-1], n, bits)  # largest first; d_1 = 1 fills to n
     # Horner over M, with |GL_M| / |GL_(M-1)| = Q^(2M-1) - Q^(M-1)
     total = final.get(0, 0)
     for m in range(1, n + 1):

@@ -27,6 +27,7 @@ from .errors import InvariantViolation, LengthMismatch, RangeError, ResourceLimi
 from .profiles import DegreeProfile, _Record
 
 MAX_LISTED_TUPLES = 10**5
+MAX_COUNT_BITS = 1 << 18  # admits C(200000, 100000), 0.7 s to build and print
 
 
 class MinimalReport(_Record):
@@ -150,9 +151,18 @@ def _solve(
                 key, cost_k = weight_rest + d * u, cost + _cost(u, c)
                 if cost_k * room + (w - key) ** 2 > feasible * room:
                     continue
-                count_k = count * comb(c, u % c) if counts else 0
+                old, rho = table.get(key, (cost_k + 1,)), u % c
+                if cost_k > old[0]:
+                    continue
+                # log2 C(c, rho) <= min(c, size): only c > MAX_COUNT_BITS can pass the cap
+                size = min(rho, c - rho) * c.bit_length() if counts and c > MAX_COUNT_BITS else 0
+                if size > MAX_COUNT_BITS:
+                    raise ResourceLimit(
+                        f"m_r for weight {w} needs C({c}, {rho}), up to {min(c, size)} bits,"
+                        f" more than the cap of {MAX_COUNT_BITS} bits"
+                    )
+                count_k = count * comb(c, rho) if counts else 0
                 b_k = max(b, -(u // c // d))
-                old = table.get(key, (cost_k + 1,))
                 if cost_k < old[0]:
                     table[key] = (cost_k, count_k, b_k)
                 elif cost_k == old[0]:

@@ -305,10 +305,10 @@ def test_poly_refuses_packed_working_set_before_building(capsys):
 
 def test_poly_refusal_names_only_the_packed_state_for_one_coordinate(capsys):
     # a single coordinate builds no q-Pascal row, so the message does not name one
-    code, out, err = run(capsys, "poly", "--group", "cyclic:1", "-n", "1290")
+    code, out, err = run(capsys, "poly", "--group", "cyclic:1", "-n", "26755")
     assert (code, out) == (3, "")
     assert err == (
-        "error: n=1290 needs about 2168323603 bits for one packed state,"
+        "error: n=26755 needs about 2147490078 bits for one packed state,"
         " more than the cap of 2147483648 bits\n"
     )
 
@@ -451,6 +451,8 @@ def _table_rows(out):
         (("poly", "--group", "cyclic:1", "-n", "400"), "1\n"),
         # f_0 = 1 without a DP step per coordinate
         (("poly", "--group", "cyclic:1000000000", "-n", "0"), "1\n"),
+        # the packed width is H_n's, 3 bits here, not a guess from the coordinate count
+        (("poly", "--group", "cyclic:1", "-n", "1290"), "1\n"),
     ],
 )
 def test_large_order_queries(capsys, argv, out):
@@ -478,6 +480,23 @@ _WORK_CAP = (
         (
             ("verify", "--group", "cyclic:1000000000", "-n", "1", "-q", "6000000001"),
             r"error: q\^\(n\^2\) = 6000000001 exceeds the candidate cap 100000000\n",
+        ),
+        # the memory cap at the least width, 3 bits, comes before the O(n) width recurrence
+        (
+            ("poly", "--group", "sym:4", "-n", "1000000000"),
+            r"error: n=1000000000 needs about 500000003000000000000000001 bits for a q-Pascal"
+            r" row and one packed state, more than the cap of 2147483648 bits\n",
+        ),
+        (
+            ("poly", "--group", "cyclic:1", "-n", "1000000000"),
+            r"error: n=1000000000 needs about 3000000000000000003 bits for one packed state,"
+            r" more than the cap of 2147483648 bits\n",
+        ),
+        # m_r = C(2000000, 1000000) is bounded before comb builds its 2*10^6 bits
+        (
+            ("leading", "--group", "cyclic:2000000", "-n", "1000000"),
+            r"error: m_r for weight 1000000 needs C\(2000000, 1000000\), up to 2000000 bits,"
+            r" more than the cap of 262144 bits\n",
         ),
     ],
 )
@@ -559,6 +578,15 @@ def test_table_cap_counts_sample_entries_before_any_residue(capsys, monkeypatch)
     assert run(capsys, "table", "--group", "sym:4")[0] == 3
     monkeypatch.setattr(cli, "MAX_TABLE_ENTRIES", 120)
     assert run(capsys, "table", "--group", "sym:4")[0] == 0
+
+
+def test_table_at_the_entry_cap_counts_every_row(capsys):
+    # 1448^2 sample entries, just under the cap; C(1448, r) has at most 1448 bits
+    code, out, err = run(capsys, "table", "--group", "cyclic:1448")
+    assert (code, err) == (0, "")
+    rows = _table_rows(out)
+    assert [int(row[0]) for row in rows] == list(range(1448))
+    assert [int(rows[r][1]) for r in (1, 724, 1447)] == [1448, math.comb(1448, 724), 1448]
 
 
 def test_table_dihedral40_duality(capsys):

@@ -135,6 +135,19 @@ def test_preflight_step_count_matches_a_full_walk(extra, n):
     assert steps == _walked_steps(profile.degrees[::-1], n)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    extra=st.lists(st.integers(min_value=1, max_value=6), max_size=6),
+    n=st.integers(min_value=0, max_value=30),
+)
+def test_preflight_width_is_the_bound_of_the_dp_at_q_1(extra, n):
+    # the H_n recurrence against sum_M P_{n,M}(1) 2^(n-M), read off the DP itself at bits = 0
+    profile = custom_profile((1, *extra))
+    states = counting._packed_states(profile.degrees[::-1], n, 0)
+    bound = sum(value << (n - m) for m, value in states.items())
+    assert counting._preflight(profile.groups[::-1], n) == bound.bit_length() + 2
+
+
 def test_hom_count_poly_partition_identity(s4, d3):
     for profile, n in ((s4, 6), (d3, 5)):
         f = hom_count_poly(profile, n)
@@ -148,8 +161,9 @@ def test_hom_count_poly_partition_identity(s4, d3):
 
 
 def test_hom_count_poly_resource_limit(c2, monkeypatch):
-    # n=50 on cyclic:2: 102 DP steps, each up to (50^2 + 1) * 58 bits wide plus the overhead
-    estimate = 102 * (2501 * 58 + counting.STEP_OVERHEAD_BITS)
+    # n=50 on cyclic:2: 102 DP steps, each up to (50^2 + 1) * 53 bits wide plus the overhead;
+    # H_50 = 2^50 has 51 bits, and B = 51 + 2
+    estimate = 102 * (2501 * 53 + counting.STEP_OVERHEAD_BITS)
     monkeypatch.setattr(counting, "MAX_WORK_BITS", estimate)
     assert hom_count_poly(c2, 50).degree == 50 * 50 // 2
     monkeypatch.setattr(counting, "MAX_WORK_BITS", estimate - 1)

@@ -317,6 +317,21 @@ def test_tuples_listing_is_capped():
     assert len(set(rep.tuples)) == rep.m_r and list(rep.tuples) == sorted(rep.tuples)
 
 
+def test_binomial_of_a_count_is_capped_before_it_is_built(monkeypatch):
+    # log2 C(c, rho) <= min(rho, c - rho) * bit_length(c): 5 * 11 bits for C(1500, 5)
+    profile = make_profile("cyclic:1500")
+    monkeypatch.setattr(minimize, "MAX_COUNT_BITS", 55)
+    for r in (5, 1495):
+        assert minimize.minimal_tuples(profile, r).m_r == math.comb(1500, 5)
+    monkeypatch.setattr(minimize, "MAX_COUNT_BITS", 54)
+    for r in (5, 1495):
+        message = rf"weight {r} needs C\(1500, {r}\), up to 55 bits, .* cap of 54 bits"
+        with pytest.raises(ResourceLimit, match=message):
+            minimize.minimal_tuples(profile, r)
+    # the count-free search, behind the stability bound, builds no binomial
+    assert minimize._solve(profile.groups, 1500, 5, counts=False) == 0
+
+
 def test_all_eligible_is_k_at_least_b_r(s5):
     for n in range(0, 3 * s5.order, 7):
         lifted = minimal_tuples_for_n(s5, n)

@@ -152,6 +152,25 @@ def test_minimal_tuple_search_has_no_global_ranges():
     assert not bound & {"ranges", "slack"}
 
 
+def test_one_dp_pass_for_the_count_polynomial():
+    # the pre-flight works out the packed width from the H_n recurrence, and the one
+    # DP pass reuses it: no pass at q = 1, no second, guessed width
+    tree = _trees()["counting.py"]
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_packed_states"
+    ]
+    assert len(calls) == 1
+    bound = {
+        node.arg if isinstance(node, ast.arg) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.arg)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert not bound & {"max_bits", "l1"}
+
+
 def test_one_enumerator_and_one_digit_walk_in_the_oracle():
     # the pure-Python matrix reference lives in tests/prime_field.py; the
     # package keeps the numpy enumerator, whose index-to-digits walk is stated once
