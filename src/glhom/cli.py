@@ -232,14 +232,14 @@ def _cmd_verify(profile, spec, args) -> int:
     ok, reason = _splits(spec, args.q)
     if not ok:
         raise ValidationError(f"F_{args.q} is not a splitting field for {spec}: {reason}")
-    # the refusals that need only (spec, n, q) come before the m-letter relators
-    # of cyclic:m and dihedral:m, and before f_n, are built; n = 0 builds none
+    # the oracle's refusals on (spec, n, q) alone come first, then f_n and its pre-flight,
+    # and only then the m-letter relators of cyclic:m and dihedral:m; n = 0 builds none
     oracle._check_hom_args(args.n, args.q)
     build = oracle._builtin(spec)
     if build is None:
         raise ValidationError(f"no built-in presentation paired with {spec}")
-    brute = oracle.hom_count_bruteforce(build(), args.n, args.q) if args.n else 1
     value = hom_count_poly(profile, args.n).evaluate(args.q)
+    brute = oracle.hom_count_bruteforce(build(), args.n, args.q) if args.n else 1
     match = value == brute
     payload = {
         "command": "verify",

@@ -1,9 +1,9 @@
 """Minimal tuples: the integer s-tuples with sum n_i d_i = w that minimise sum n_i^2.
 
-They give S_r, m_r, eps_r, the stability bound N and, from these alone, the
-leading term of f_n and the variety dimension (``leading_term``,
-``variety_report``), so the residue commands never load the polynomial
-layers (``counting``, ``intpoly``).  The search runs over the distinct
+They give S_r, m_r, eps_r and the stability bound N.  The leading term of f_n
+and the variety dimension (``leading_term``, ``variety_report``) read S_r and
+m_r from the search with no report, and the residue commands never load the
+polynomial layers (``counting``, ``intpoly``).  The search runs over the distinct
 degrees: c coordinates of degree d sharing a total U are best split evenly,
 into f = U // c and f + 1, at cost c*f^2 + rho*(2f+1) (rho = U % c) in
 C(c, rho) ways, with lowest entry f.  A min-plus DP over the weight of the
@@ -18,13 +18,15 @@ Minimal and eligible tuples are listed only on demand, up to MAX_LISTED_TUPLES.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, chain, combinations, product
 from math import comb, isqrt
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InvariantViolation, LengthMismatch, RangeError, ResourceLimit, UnstableRegime
 from .profiles import DegreeProfile, _Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_LISTED_TUPLES = 10**5
 MAX_COUNT_BITS = 1 << 18  # admits C(200000, 100000), 0.7 s to build and print
@@ -123,10 +125,10 @@ def _cost(total: int, c: int) -> int:
 
 def _solve(
     groups: tuple[tuple[int, int], ...], order: int, w: int, counts: bool = True
-) -> MinimalReport | int:
-    """The minimal tuples of weight w, by the grouped DP of the module docstring.
+) -> tuple[int, int, int, dict[int, dict[int, tuple[int, int, int]]]]:
+    """(S_w, m_w, b, tables) for weight w, by the grouped DP of the module docstring.
 
-    With ``counts=False`` the DP carries no counts and only b is returned.
+    With ``counts=False`` the DP carries no counts and m_w is 0.
     """
     # A feasible point, rounding the totals from the largest degree down, each
     # absorbing the weight error a*sum d*(U - c*d*w/a) of those before it.
@@ -170,19 +172,34 @@ def _solve(
     s_min, count, b = tables[0][w]
     if not w * w <= s_min * order <= feasible * order:
         raise InvariantViolation(f"minimum {s_min} for weight {w} is outside [w^2/a, {feasible}]")
-    if not counts:
-        return b
+    return s_min, count, b, tables
+
+
+def minimal_tuples(profile: DegreeProfile, r: int) -> MinimalReport:
+    """Minimal tuples for a residue 0 <= r < a."""
+    if not 0 <= r < profile.order:
+        raise RangeError(f"residue r={r} outside [0, {profile.order})")
+    return minimal_tuples_direct(profile, r)
+
+
+def minimal_tuples_direct(profile: DegreeProfile, n: int) -> MinimalReport:
+    """Minimal tuples for any weight n >= 0; the one place a report is built from ``_solve``."""
+    from fractions import Fraction
+
+    if n < 0:
+        raise RangeError("weight must be >= 0")
+    s_n, m_n, b, tables = _solve(profile.groups, profile.order, n)
 
     def totals() -> Iterator[tuple[int, ...]]:
         """Every optimal vector of group totals, in lex order (an explicit stack)."""
-        stack = [((), w)]
+        stack = [((), n)]
         while stack:
             path, left = stack.pop()
             j = len(path)
-            if j == len(groups):
+            if j == len(profile.groups):
                 yield path
                 continue
-            (d, c), after = groups[j], tables[j + 1]
+            (d, c), after = profile.groups[j], tables[j + 1]
             for key in sorted(after):  # u = (left - key) / d falls, so the least u pops first
                 u, off = divmod(left - key, d)
                 if not off and after[key][0] == tables[j][left][0] - _cost(u, c):
@@ -192,29 +209,15 @@ def _solve(
         for path in totals():
             splits = [
                 [[u // c + (j in up) for j in range(c)] for up in combinations(range(c), u % c)]
-                for (_, c), u in zip(groups, path)
+                for (_, c), u in zip(profile.groups, path)
             ]
             yield from (tuple(chain.from_iterable(parts)) for parts in product(*splits))
 
     sample: list[int] = []
-    for (_, c), u in zip(groups, next(totals())):
+    for (_, c), u in zip(profile.groups, next(totals())):
         sample += [u // c] * (c - u % c) + [u // c + 1] * (u % c)
-    eps = Fraction(s_min) - Fraction(w * w, order)
-    return MinimalReport(w, s_min, eps, count, tuple(sample), b, listing)
-
-
-def minimal_tuples(profile: DegreeProfile, r: int) -> MinimalReport:
-    """Minimal tuples for a residue 0 <= r < a."""
-    if not 0 <= r < profile.order:
-        raise RangeError(f"residue r={r} outside [0, {profile.order})")
-    return _solve(profile.groups, profile.order, r)
-
-
-def minimal_tuples_direct(profile: DegreeProfile, n: int) -> MinimalReport:
-    """Minimal tuples for any weight n >= 0; cross-checks the lift at moderate n."""
-    if n < 0:
-        raise RangeError("weight must be >= 0")
-    return _solve(profile.groups, profile.order, n)
+    eps = Fraction(s_n) - Fraction(n * n, profile.order)
+    return MinimalReport(n, s_n, eps, m_n, tuple(sample), b, listing)
 
 
 def epsilon(profile: DegreeProfile, r: int) -> Fraction:
@@ -242,7 +245,7 @@ def stability_bound(
     if profile.groups[-1][0] <= 2:
         b = 0
     elif reports is None:
-        b = max(_solve(profile.groups, a, r, counts=False) for r in range(a))
+        b = max(_solve(profile.groups, a, r, counts=False)[2] for r in range(a))
     else:
         b = max(rep.b for rep in reports)
     n_threshold = b * a
@@ -257,21 +260,21 @@ def leading_term(profile: DegreeProfile, n: int) -> LeadingTerm:
     The exponent n^2 - (n^2 - r^2)/a - S_r is provably integral; this is
     checked rather than trusted.  For n below the stability bound the
     formula values are returned with ``stable=False``.  Only residue r is
-    solved with counts; the bound needs each residue's b alone.
+    solved with counts, for S_r and m_r; the bound needs each residue's b alone.
     """
     if n < 0:
         raise RangeError("dimension must be >= 0")
     a = profile.order
     r = n % a
     n_threshold = stability_bound(profile).n_threshold
-    rep = minimal_tuples(profile, r)
+    s_r, m_r, _, _ = _solve(profile.groups, a, r)
     if (n * n - r * r) % a:
         raise InvariantViolation(f"n^2 - r^2 = {n * n - r * r} is not divisible by a={a}")
-    exponent = n * n - (n * n - r * r) // a - rep.s_r
+    exponent = n * n - (n * n - r * r) // a - s_r
     if exponent < 0:
         raise InvariantViolation(f"leading exponent {exponent} is negative")
     return LeadingTerm(
-        coefficient=rep.m_r,
+        coefficient=m_r,
         exponent=exponent,
         n=n,
         r=r,
@@ -317,7 +320,7 @@ def minimal_tuples_for_n(profile: DegreeProfile, n: int) -> LiftedReport:
         raise RangeError("dimension must be >= 0")
     a = profile.order
     k, r = divmod(n, a)
-    rep = _solve(profile.groups, a, r)
+    rep = minimal_tuples_direct(profile, r)
     return LiftedReport(
         n=n, k=k, r=r, square_sum=k * k * a + 2 * k * r + rep.s_r,
         all_eligible=k >= rep.b, count=rep.m_r, residue=rep, profile=profile,

@@ -521,6 +521,27 @@ def test_bound_at_any_order_when_every_degree_is_at_most_two(group, order):
 
 
 @pytest.mark.parametrize(
+    "group, exponent, count",
+    [
+        ("cyclic:1000000000", 20, math.comb(10**9, 5)),
+        ("dihedral:1000000000", 22, 4 * math.comb(499999999, 2)),
+        ("abelian:100000x100000", 20, math.comb(10**10, 5)),
+    ],
+)
+def test_leading_and_variety_at_any_order_when_every_degree_is_at_most_two(
+    group, exponent, count
+):
+    # S_r and m_r are read from the search, which builds no s-long sample tuple
+    for argv, out in [
+        (("leading", "--group", group, "-n", "5"), f"{count} * q^{exponent} (stable)\n"),
+        (("variety", "--group", group, "-n", "5"), f"dimension {exponent}, {count} components\n"),
+    ]:
+        result, wall = run_cli_guarded(*argv)
+        assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
+        assert wall < 1.0
+
+
+@pytest.mark.parametrize(
     "argv, code, out, err, seconds",
     [
         # the splitting check comes before the 10^9-letter relator is built
@@ -553,6 +574,21 @@ def test_bound_at_any_order_when_every_degree_is_at_most_two(group, order):
         (
             ("verify", "--group", "dihedral:1000000000", "-n", "0", "-q", "6000000001"),
             0, "f(6000000001) = 1\nbrute force = 1\nPASS\n", "",
+            1.0,
+        ),
+        # f_n's pre-flight refuses before the relator is written out and enumerated
+        (
+            ("verify", "--group", "cyclic:20000002", "-n", "1", "-q", "20000003"),
+            3, "",
+            "error: n=1 needs about 249000016600 bits of packed arithmetic"
+            " (60000004 DP steps), more than the cap of 34359738368 bits\n",
+            1.0,
+        ),
+        (
+            ("verify", "--group", "cyclic:99999988", "-n", "1", "-q", "99999989"),
+            3, "",
+            "error: n=1 needs about 1246199842148 bits of packed arithmetic"
+            " (299999962 DP steps), more than the cap of 34359738368 bits\n",
             1.0,
         ),
     ],

@@ -207,7 +207,7 @@ def test_each_dp_state_bounds_its_own_totals(monkeypatch):
     monkeypatch.setattr(minimize, "_cost", counted)
     profile = make_profile("dihedral:1000")
     a = profile.order
-    assert max(minimize._solve(profile.groups, a, r, counts=False) for r in range(a)) == 0
+    assert max(minimize._solve(profile.groups, a, r, counts=False)[2] for r in range(a)) == 0
     assert calls <= 50 * a
 
 
@@ -217,7 +217,7 @@ def test_bound_needs_no_search_when_every_degree_is_at_most_two(ones, twos):
     # the exchange argument in stability_bound's docstring, against the searched b
     profile = custom_profile((1,) * ones + (2,) * twos)
     a = profile.order
-    searched = max(minimize._solve(profile.groups, a, r, counts=False) for r in range(a))
+    searched = max(minimize._solve(profile.groups, a, r, counts=False)[2] for r in range(a))
     assert stability_bound(profile) == (searched, searched * a) == (0, 0)
 
 
@@ -329,7 +329,7 @@ def test_binomial_of_a_count_is_capped_before_it_is_built(monkeypatch):
         with pytest.raises(ResourceLimit, match=message):
             minimize.minimal_tuples(profile, r)
     # the count-free search, behind the stability bound, builds no binomial
-    assert minimize._solve(profile.groups, 1500, 5, counts=False) == 0
+    assert minimize._solve(profile.groups, 1500, 5, counts=False)[2] == 0
 
 
 def test_all_eligible_is_k_at_least_b_r(s5):

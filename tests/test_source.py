@@ -171,6 +171,27 @@ def test_one_dp_pass_for_the_count_polynomial():
     assert not bound & {"max_bits", "l1"}
 
 
+def test_one_report_builder_for_the_minimal_tuple_search():
+    # _solve returns (S_w, m_w, b, tables): one function builds a report from them, besides
+    # the oracle's reference, and leading_term reads S_r and m_r without any report
+    builders, leading_calls = set(), set()
+    for name, tree in _trees().items():
+        for top in tree.body:
+            scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    called = ast.unparse(node.func).split(".")[-1]
+                    if called == "MinimalReport":
+                        builders.add((name, scope))
+                    if (name, scope) == ("minimize.py", "leading_term"):
+                        leading_calls.add(called)
+    assert builders == {
+        ("minimize.py", "minimal_tuples_direct"), ("oracle.py", "minimal_tuples_naive"),
+    }
+    assert "_solve" in leading_calls
+    assert not {called for called in leading_calls if called.startswith("minimal_tuples")}
+
+
 def test_one_enumerator_and_one_digit_walk_in_the_oracle():
     # the pure-Python matrix reference lives in tests/prime_field.py; the
     # package keeps the numpy enumerator, whose index-to-digits walk is stated once
@@ -315,21 +336,22 @@ print(code, *sorted(set(sys.modules) - before & {watched!r}))
 
 def test_residue_and_poly_commands_leave_numpy_unloaded():
     # one fresh interpreter per command: the test process has every module loaded already
+    # fractions is loaded only where a MinimalReport, with its eps_r, is built
     watched = {
-        "dataclasses", "json", "numpy",
+        "dataclasses", "fractions", "json", "numpy",
         "glhom.counting", "glhom.intpoly", "glhom.minimize", "glhom.oracle",
     }
     residue = "0 glhom.minimize"
     expected = {
-        ("table", "--group", "sym:4"): residue,
+        ("table", "--group", "sym:4"): "0 fractions glhom.minimize",
         ("bound", "--group", "sym:5"): residue,
         ("leading", "--group", "sym:4", "-n", "25"): residue,
         ("variety", "--group", "sym:4", "-n", "25"): residue,
-        ("table", "--group", "sym:4", "--json"): "0 glhom.minimize json",
+        ("table", "--group", "sym:4", "--json"): "0 fractions glhom.minimize json",
         ("poly", "--group", "dihedral:5", "-n", "4", "--eval", "11"):
             "0 glhom.counting glhom.intpoly",
         ("verify", "--group", "cyclic:2", "-n", "2", "-q", "3"):
-            "0 glhom.counting glhom.intpoly glhom.minimize glhom.oracle numpy",
+            "0 fractions glhom.counting glhom.intpoly glhom.minimize glhom.oracle numpy",
     }
     path = [str(Path(glhom.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
