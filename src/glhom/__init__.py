@@ -25,8 +25,7 @@ _LAYERS = {
     "minimize": "LeadingTerm LiftedReport MinimalReport StabilityBound VarietyReport"
     " eligible_tuples epsilon leading_term lift_minimal minimal_tuples minimal_tuples_direct"
     " minimal_tuples_for_n stability_bound variety_report",
-    "oracle": "Presentation builtin_presentation gl_count hom_count_bruteforce"
-    " minimal_tuples_naive parse_presentation",
+    "oracle": "Presentation builtin_presentation gl_count hom_count_bruteforce parse_presentation",
     "profiles": "DegreeProfile GroupSpec parse_group_spec profile_of splitting_field_check"
     " validate_profile weight",
 }

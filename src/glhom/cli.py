@@ -226,6 +226,11 @@ def _cmd_variety(profile, spec, args) -> int:
 
 
 def _cmd_verify(profile, spec, args) -> int:
+    import os
+
+    # the oracle's integer products never call BLAS, so numpy need not start OpenBLAS's
+    # worker thread, which would spin beside it; a value the user set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import oracle  # numpy: verify only
     from .counting import hom_count_poly
 

@@ -2,32 +2,31 @@
 
 Everything here recomputes, by direct enumeration, quantities the rest of
 the package derives through polynomial identities: the order of GL_n(q)
-for prime q and n <= 3, the number of homomorphisms from a finitely
-presented group into GL_n(q), and minimal tuples by unpruned box
-enumeration.  The implementations deliberately share no logic with the
-modules they check.  Matrices and box points alike are indices read as
-mixed-radix digits off one reused low-digit table (``_digit_blocks``).  Matrices
+for prime q and n <= 3, and the number of homomorphisms from a finitely
+presented group into GL_n(q).  The implementations deliberately share no
+logic with the modules they check.  Matrices are indices read as
+mixed-radix digits off one reused low-digit table (``_digit_blocks``), in
+integer arithmetic only, so numpy never calls BLAS here.  Matrices
 are raised to powers only by squaring (``_power``), inverses g^-1 = g^(2m-1)
 included, m a power relator's exponent or else that of GL_n(q); g^e = 1 with
 e >= 1 needs no determinant, and its last product, like a relator's, is tested
 entry by entry.
-The pure-Python matrix reference that tests compare against lives with the tests.
+The pure-Python matrix reference and the naive minimal-tuple box search, which
+reuses ``_digit_blocks``, live with the tests.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import InvariantViolation, ParseError, RangeError, ResourceLimit, ValidationError
-from .minimize import MinimalReport
-from .profiles import DegreeProfile, GroupSpec, _Record, prime_base
+from .errors import ParseError, RangeError, ResourceLimit, ValidationError
+from .profiles import GroupSpec, _Record, prime_base
 
-MAX_CANDIDATES = 10**8  # caps q^(n^2), the candidate tuples and the naive box alike
+MAX_CANDIDATES = 10**8  # caps q^(n^2), the candidate tuples and the tests' naive box alike
 
 _BLOCK_ROWS = 1 << 16
 _JOIN_ENTRIES = 1 << 20
@@ -56,16 +55,17 @@ def _check_hom_args(n: int, q: int) -> None:
         _check_enum_args(n, q)
 
 
-def _digit_blocks(base: int, width: int) -> Iterator[np.ndarray]:
+def _digit_blocks(base: int, width: int, dtype: type) -> Iterator[np.ndarray]:
     """Indices 0 .. base**width - 1 as rows of ``width`` >= 1 digits in ``base``, low first.
 
     Each block, of at most _BLOCK_ROWS rows, is one table of the ``low`` lowest digits under a
-    run of digit ``low`` and fixed higher digits, in a reused buffer that consumers copy from.
+    run of digit ``low`` and fixed higher digits, in a reused ``dtype`` buffer that consumers
+    copy from.
     """
     low = next((k for k in range(width - 1) if base ** (k + 1) > _BLOCK_ROWS), width - 1)
     table = (np.arange(base**low)[:, None] // base ** np.arange(low)) % base
     run = min(base, _BLOCK_ROWS // len(table))
-    buf = np.empty((run, len(table), width), dtype=np.int64)
+    buf = np.empty((run, len(table), width), dtype=dtype)
     buf[:, :, :low] = table
     for high in np.ndindex((base,) * (width - low - 1)):
         buf[:, :, low + 1 :] = high[::-1]
@@ -75,35 +75,56 @@ def _digit_blocks(base: int, width: int) -> Iterator[np.ndarray]:
             yield buf[: stop - start].reshape(-1, width)
 
 
+def _matrix_type(n: int, q: int) -> type:
+    """The integer type of n x n matrix stacks mod q: int32 wherever every intermediate fits.
+
+    Entries are < q, an entry of a product is < n*q^2, and the 3 x 3 determinant of
+    ``_det_mod`` is < 3*q^3 in absolute value.  Under MAX_CANDIDATES, n = 2 means q <= 97 and
+    n = 3 means q <= 7, so only n = 1 (q up to 10^8) can need int64.
+    """
+    return np.int32 if (3 * q**3 if n == 3 else n * q * q) < 2**31 else np.int64
+
+
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q, in place: numpy divides by a scalar in SIMD, but its ``%`` does not."""
+    quotient = x // q
+    quotient *= q
+    x -= quotient
+    return x
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """The products a[i] @ b[i] mod q of two stacks; 1 x 1 stacks multiply elementwise."""
+    return _reduce((np.multiply if a.shape[-1] == 1 else np.matmul)(a, b), q)
+
+
 def _det_mod(mats: np.ndarray, q: int) -> np.ndarray:
     n = mats.shape[-1]
     if n == 1:
-        return mats[:, 0, 0] % q
+        return mats[:, 0, 0]  # entries are already below q
     if n == 2:
-        return (mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]) % q
+        return _reduce(mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0], q)
     a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 0, 2]
     d, e, f = mats[:, 1, 0], mats[:, 1, 1], mats[:, 1, 2]
     g, h, i = mats[:, 2, 0], mats[:, 2, 1], mats[:, 2, 2]
-    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % q
+    return _reduce(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g), q)
 
 
 def _power(mats: np.ndarray, e: int, q: int) -> np.ndarray:
     """Each matrix of the stack to the power e >= 0, mod q, in O(log e) products."""
-    power = mats if e else np.broadcast_to(np.eye(mats.shape[-1], dtype=np.int64), mats.shape)
+    power = mats if e else np.broadcast_to(np.eye(mats.shape[-1], dtype=mats.dtype), mats.shape)
     for bit in bin(e)[3:]:  # the bits of e after its leading 1
-        power = np.matmul(power, power)
-        power %= q
+        power = _mul_mod(power, power, q)
         if bit == "1":
-            power = np.matmul(power, mats)
-            power %= q
+            power = _mul_mod(power, mats, q)
     return power
 
 
 def _identity_rows(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     """The indices i with left[i] @ right[i] = 1 mod q; i leaves at its first wrong entry."""
-    rows = np.flatnonzero(np.einsum("ij,ij->i", left[:, 0], right[:, :, 0]) % q == 1)
+    rows = np.flatnonzero(_reduce(np.einsum("ij,ij->i", left[:, 0], right[:, :, 0]), q) == 1)
     for a, b in list(np.ndindex(left.shape[1:]))[1:]:
-        entry = np.einsum("ij,ij->i", left[rows, a], right[rows, :, b]) % q
+        entry = _reduce(np.einsum("ij,ij->i", left[rows, a], right[rows, :, b]), q)
         rows = rows[entry == (a == b)]
     return rows
 
@@ -126,8 +147,7 @@ def _eval_word(
     }
     cur = factors[word[0]]
     for letter in word[1:-1]:
-        cur = np.matmul(cur, factors[letter])
-        cur %= q
+        cur = _mul_mod(cur, factors[letter], q)
     return np.bincount(_identity_rows(cur, factors[word[-1]], q), minlength=len(rows)) > 0
 
 
@@ -137,10 +157,10 @@ def _unit_blocks(n: int, q: int, e: int) -> Iterator[np.ndarray]:
     g^e = 1 with e >= 1 makes g invertible; g^e is tested as g^(e - e//2) g^(e//2).
     """
     _check_enum_args(n, q)
-    for digits in _digit_blocks(q, n * n):
+    for digits in _digit_blocks(q, n * n, _matrix_type(n, q)):
         mats = digits.reshape(-1, n, n)
         right = _power(mats, e // 2, q)
-        left = np.matmul(right, mats) % q if e % 2 else right
+        left = _mul_mod(right, mats, q) if e % 2 else right
         yield mats[_identity_rows(left, right, q) if e else _det_mod(mats, q) != 0]
 
 
@@ -302,10 +322,10 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
     ends_at: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     exponents = [0] * k  # generator g keeps the matrices with g^exponents[g] = 1
     for word in presentation.relators:
-        gens = {abs(letter) for letter in word}
+        gens = set(map(abs, word))
         if len(gens) == 1:
-            g = gens.pop() - 1
-            exponents[g] = math.gcd(exponents[g], sum(1 if letter > 0 else -1 for letter in word))
+            g = gens.pop()
+            exponents[g - 1] = math.gcd(exponents[g - 1], word.count(g) - word.count(-g))
         else:
             ends_at[max(gens) - 1].append(word)
 
@@ -359,46 +379,3 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
         stack.append((ext, g + 1))
     return count
 
-
-def minimal_tuples_naive(profile: DegreeProfile, r: int) -> MinimalReport:
-    """Minimal tuples for r by full enumeration of the box [-r, r]^s.
-
-    Same fields as ``minimize.minimal_tuples``, but every one is read off
-    the full sorted list of optima (``tuples`` serves that list), with no
-    pruning and no degree grouping; the box holds them all because
-    (r, 0, ..., 0) already has square-sum r^2.  The cross-check of the DP,
-    capped at MAX_CANDIDATES box points.
-    """
-    if not 0 <= r < profile.order:
-        raise RangeError(f"residue r={r} outside [0, {profile.order})")
-    s = profile.s
-    side = 2 * r + 1
-    total = side**s
-    if total > MAX_CANDIDATES:
-        raise ResourceLimit(f"box size {total} exceeds the candidate cap {MAX_CANDIDATES}")
-    degrees = np.array(profile.degrees, dtype=np.int64)
-    best: int | None = None
-    rows: list[tuple[int, ...]] = []
-    for digits in _digit_blocks(side, s):
-        digits = digits - r
-        hit = digits[(digits @ degrees) == r]
-        if not len(hit):
-            continue
-        sq = (hit * hit).sum(axis=1)
-        block_best = int(sq.min())
-        if best is None or block_best < best:
-            best, rows = block_best, []
-        if block_best == best:
-            rows.extend(tuple(map(int, row)) for row in hit[sq == best])
-    if best is None:
-        raise InvariantViolation(f"box [-{r}, {r}]^{s} holds no tuple of weight r={r}")
-    rows.sort()
-    return MinimalReport(
-        r=r,
-        s_r=best,
-        eps_r=Fraction(best) - Fraction(r * r, profile.order),
-        m_r=len(rows),
-        sample=rows[0],
-        b=max(0, max(-(e // d) for row in rows for e, d in zip(row, profile.degrees))),
-        listing=lambda: rows,
-    )

@@ -30,7 +30,6 @@ from glhom import (
     minimal_tuples,
     minimal_tuples_direct,
     minimal_tuples_for_n,
-    minimal_tuples_naive,
     orbit_poly,
     parse_group_spec,
     stability_bound,
@@ -38,6 +37,7 @@ from glhom import (
 )
 from glhom.intpoly import IntPolynomial
 from conftest import SEED, make_profile
+from naive_box import minimal_tuples_naive
 
 # Reference table for S4 (order 24, degrees 1,1,2,3,3): r -> (m_r, sample
 # tuple as printed, S_r, eps_r).  The printed sample for r=2 is a typo in

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +197,34 @@ def test_verify_json(capsys):
     assert code == 0
     assert payload["match"] is True
     assert payload["poly_value"] == payload["bruteforce"] == "14"
+
+
+_THREAD_PROBE = """
+import contextlib, io, os
+import glhom.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = glhom.cli.main(["verify", "--group", "dihedral:3", "-n", "2", "-q", "7"])
+print(code, os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count")
+def test_verify_runs_numpy_with_one_blas_thread_unless_the_user_chose():
+    # the oracle never calls BLAS, so verify keeps OpenBLAS from starting a worker thread
+    # that would only spin; a fresh interpreter, as numpy reads the setting on import
+    path = [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+
+    def probe(**preset):
+        result = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            capture_output=True, text=True, env={**env, **preset}, check=True,
+        )
+        return result.stdout.split()
+
+    assert probe() == ["0", "1", "1"]
+    assert probe(OPENBLAS_NUM_THREADS="2")[:2] == ["0", "2"]
 
 
 def test_bad_group_exit_1(capsys):

@@ -19,13 +19,13 @@ from glhom import (
     minimal_tuples,
     minimal_tuples_direct,
     minimal_tuples_for_n,
-    minimal_tuples_naive,
     stability_bound,
     weight,
 )
 import glhom.minimize as minimize
 from glhom.minimize import MAX_LISTED_TUPLES
 from conftest import BUILTIN_SPECS, custom_profile, make_profile
+from naive_box import minimal_tuples_naive
 
 
 def test_weight(s4, s5):

@@ -22,21 +22,23 @@ from glhom import (
     hom_count_bruteforce,
     hom_count_poly,
     minimal_tuples,
-    minimal_tuples_naive,
     parse_group_spec,
     parse_presentation,
 )
 import glhom.oracle as oracle
 from glhom.oracle import (
     _BLOCK_ROWS,
+    MAX_CANDIDATES,
     _digit_blocks,
     _eval_word,
     _gl_exponent,
     _identity_rows,
+    _matrix_type,
     _power,
     _unit_blocks,
 )
 from conftest import make_profile, run_guarded
+from naive_box import minimal_tuples_naive
 from prime_field import PrimeFieldMatrix, count_units_of_order_dividing, gl_enumerate
 
 
@@ -83,7 +85,8 @@ def test_digit_walk_lists_every_index_in_order(base, width):
     total = base**width
     powers = base ** np.arange(width, dtype=np.int64)
     start = blocks = 0
-    for block in _digit_blocks(base, width):
+    for block in _digit_blocks(base, width, np.int32):
+        assert block.dtype == np.int32
         assert block.shape[1] == width and 0 < len(block) <= _BLOCK_ROWS
         assert 0 <= block.min() and block.max() < base
         assert (block @ powers == np.arange(start, start + len(block))).all()
@@ -178,6 +181,45 @@ def test_inverses_by_the_exponent_of_gl(n, q, m):
         assert not (_power(units, m // p, q) == identity).all()
     # far below the order: 3720 for GL_3(5), of order 1488000
     assert _gl_exponent(3, 5) == 3720
+
+
+def test_matrices_are_int32_wherever_every_intermediate_fits():
+    # the largest q the cap admits at n = 2 and n = 3, read off without enumerating
+    assert 97**4 <= MAX_CANDIDATES < 101**4 and 7**9 <= MAX_CANDIDATES < 11**9
+    assert _matrix_type(2, 97) == _matrix_type(3, 7) == np.int32
+    # at n = 1 a product of two entries passes 2^31 from the prime 46349 on
+    assert 46337**2 < 2**31 < 46349**2
+    assert _matrix_type(1, 46337) == np.int32
+    assert _matrix_type(1, 46349) == _matrix_type(1, 65537) == np.int64
+    assert next(_unit_blocks(3, 7, 2)).dtype == np.int32
+    assert next(_unit_blocks(1, 65537, 4)).dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "spec, n, q",
+    [
+        ("cyclic:4", 1, 46349),
+        ("dihedral:4", 1, 46349),
+        ("cyclic:65536", 1, 65537),
+        ("dihedral:4", 1, 65537),
+        ("cyclic:4", 2, 5),
+        ("dihedral:3", 2, 7),
+        ("cyclic:2", 3, 3),
+        ("cyclic:4", 3, 5),
+    ],
+)
+def test_bruteforce_matches_polynomial_in_either_matrix_type(spec, n, q):
+    # int64 at n = 1 past q^2 = 2^31, int32 at n = 2, 3; the order-filter and nested-loop
+    # tests check int32 against the pure-Python reference too
+    count = hom_count_bruteforce(builtin_presentation(parse_group_spec(spec)), n, q)
+    assert count == hom_count_poly(make_profile(spec), n).evaluate(q)
+
+
+def test_inverse_letters_at_n1_in_int64():
+    # x2 has no power relator, so its inverse is x2^(2(q-1)-1), squared in int64
+    pres = parse_presentation("gens=2; rel=x1^4; rel=x1*x2*x1^-1*x2^-1")
+    q = 46349
+    assert hom_count_bruteforce(pres, 1, q) == 4 * (q - 1)
 
 
 def test_negative_exponent_relators():

@@ -16,6 +16,8 @@ import glhom
 from glhom import gl_order_poly
 
 SOURCES = sorted(Path(glhom.__file__).parent.glob("*.py"))
+# the tests' naive minimal-tuple box search, held to the same rules where it builds a report
+NAIVE_BOX = Path(__file__).with_name("naive_box.py")
 
 
 def test_no_assert_statements():
@@ -50,8 +52,10 @@ def test_no_unbounded_caches():
     assert gl_order_poly.cache_info().maxsize is not None
 
 
-def _trees() -> dict[str, ast.Module]:
-    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+def _trees(*extra: Path) -> dict[str, ast.Module]:
+    return {
+        path.name: ast.parse(path.read_text(), filename=str(path)) for path in (*SOURCES, *extra)
+    }
 
 
 def test_profiles_validate_only_on_construction():
@@ -98,7 +102,7 @@ def _attribute_readers(trees: dict[str, ast.Module], attr: str) -> set[tuple[str
 def test_degrees_are_grouped_once_and_expanded_only_where_coordinates_are_listed():
     # a profile holds (degree, multiplicity) groups; nothing regroups a flat
     # degree tuple, and a new reader of the a-long expansion is added here on purpose
-    trees = _trees()
+    trees = _trees(NAIVE_BOX)
     assert not [
         (name, node.lineno)
         for name, tree in trees.items()
@@ -117,7 +121,7 @@ def test_degrees_are_grouped_once_and_expanded_only_where_coordinates_are_listed
         ("counting.py", "hom_count_poly"),  # after its pre-flight
         ("minimize.py", "eligible_tuples"),
         ("minimize.py", "lift_minimal"),
-        ("oracle.py", "minimal_tuples_naive"),
+        ("naive_box.py", "minimal_tuples_naive"),
         ("profiles.py", "DegreeProfile.__str__"),
         # GroupSpec's own field, the degrees of a custom spec as written
         ("profiles.py", "GroupSpec.__str__"),
@@ -173,9 +177,9 @@ def test_one_dp_pass_for_the_count_polynomial():
 
 def test_one_report_builder_for_the_minimal_tuple_search():
     # _solve returns (S_w, m_w, b, tables): one function builds a report from them, besides
-    # the oracle's reference, and leading_term reads S_r and m_r without any report
+    # the tests' naive reference, and leading_term reads S_r and m_r without any report
     builders, leading_calls = set(), set()
-    for name, tree in _trees().items():
+    for name, tree in _trees(NAIVE_BOX).items():
         for top in tree.body:
             scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
             for node in ast.walk(top):
@@ -186,7 +190,7 @@ def test_one_report_builder_for_the_minimal_tuple_search():
                     if (name, scope) == ("minimize.py", "leading_term"):
                         leading_calls.add(called)
     assert builders == {
-        ("minimize.py", "minimal_tuples_direct"), ("oracle.py", "minimal_tuples_naive"),
+        ("minimize.py", "minimal_tuples_direct"), ("naive_box.py", "minimal_tuples_naive"),
     }
     assert "_solve" in leading_calls
     assert not {called for called in leading_calls if called.startswith("minimal_tuples")}
@@ -351,7 +355,7 @@ def test_residue_and_poly_commands_leave_numpy_unloaded():
         ("poly", "--group", "dihedral:5", "-n", "4", "--eval", "11"):
             "0 glhom.counting glhom.intpoly",
         ("verify", "--group", "cyclic:2", "-n", "2", "-q", "3"):
-            "0 fractions glhom.counting glhom.intpoly glhom.minimize glhom.oracle numpy",
+            "0 glhom.counting glhom.intpoly glhom.oracle numpy",
     }
     path = [str(Path(glhom.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
