@@ -17,17 +17,15 @@ __version__ = "0.1.0"
 
 # the public names of each layer
 _LAYERS = {
-    "counting": "hom_count_poly orbit_poly",
-    "errors": "DivisionByZero GlhomError IneligibleTuple InvariantViolation LengthMismatch"
-    " NonZeroRemainder ParseError RangeError ResourceLimit UnstableRegime UnsupportedFamily"
-    " ValidationError",
-    "intpoly": "NEG_INFINITY IntPolynomial div_exact gl_order_poly",
-    "minimize": "LeadingTerm LiftedReport MinimalReport StabilityBound VarietyReport"
-    " eligible_tuples epsilon leading_term lift_minimal minimal_tuples minimal_tuples_direct"
-    " minimal_tuples_for_n stability_bound variety_report",
+    "counting": "hom_count_poly",
+    "errors": "GlhomError InvariantViolation ParseError RangeError ResourceLimit UnstableRegime"
+    " UnsupportedFamily ValidationError",
+    "intpoly": "NEG_INFINITY IntPolynomial",
+    "minimize": "LeadingTerm MinimalReport StabilityBound VarietyReport epsilon leading_term"
+    " minimal_tuples minimal_tuples_direct stability_bound variety_report",
     "oracle": "Presentation builtin_presentation gl_count hom_count_bruteforce parse_presentation",
     "profiles": "DegreeProfile GroupSpec parse_group_spec profile_of splitting_field_check"
-    " validate_profile weight",
+    " validate_profile",
 }
 _MODULE_OF = {name: module for module, names in _LAYERS.items() for name in names.split()}
 

@@ -1,4 +1,4 @@
-"""Homomorphism-count polynomials f_n and the orbit polynomials they sum.
+"""Homomorphism-count polynomials f_n, built without listing the orbits they sum.
 
 Each eligible tuple t = (n_1, ..., n_s) for dimension n indexes one
 conjugation orbit of homomorphisms, of size |GL_n(q)| / prod |GL_{n_i}(q)|
@@ -15,36 +15,14 @@ which only ``poly`` and ``verify`` load, never imports ``minimize``.
 
 from __future__ import annotations
 
-from .errors import IneligibleTuple, InvariantViolation, RangeError, ResourceLimit
-from .intpoly import IntPolynomial, _unpack, div_exact, gl_order_poly
-from .profiles import DegreeProfile, weight
+from .errors import RangeError, ResourceLimit
+from .intpoly import IntPolynomial, _unpack
+from .profiles import DegreeProfile
 
 MAX_PACKED_BITS = 1 << 31
 # Admits sym:4 up to n=90 (33 s, 0.97 ns a bit) and dihedral:20 up to n=62 (58 s, 1.7 ns a bit)
 MAX_WORK_BITS = 1 << 35
 STEP_OVERHEAD_BITS = 4096
-
-
-def orbit_poly(profile: DegreeProfile, entries: tuple[int, ...]) -> IntPolynomial:
-    """Orbit size |GL_n| / prod |GL_{n_i}| as a polynomial in q.
-
-    The quotient is always exact (the denominator is the order polynomial
-    of the orbit stabilizer); a nonzero remainder would indicate a logic
-    bug and raises NonZeroRemainder.  Degree is n^2 - sum n_i^2, leading
-    coefficient 1; a quotient of any other shape raises InvariantViolation.
-    """
-    n = weight(entries, profile)
-    if any(e < 0 for e in entries):
-        raise IneligibleTuple(f"tuple {entries} has negative entries")
-    den = IntPolynomial.one()
-    for e in entries:
-        if e:
-            den = den * gl_order_poly(e)
-    quot = div_exact(gl_order_poly(n), den)
-    degree = n * n - sum(e * e for e in entries)
-    if quot.degree != degree or quot.leading_coefficient != 1:
-        raise InvariantViolation(f"orbit polynomial of {entries} is not monic of degree {degree}")
-    return quot
 
 
 def _transitions(groups: tuple[tuple[int, int], ...], n: int) -> int:
@@ -128,7 +106,7 @@ def _preflight(groups: tuple[tuple[int, int], ...], n: int) -> int:
 
 
 def hom_count_poly(profile: DegreeProfile, n: int) -> IntPolynomial:
-    """Full count polynomial f_n, equal to the sum of ``orbit_poly`` over ``eligible_tuples``.
+    """Full count polynomial f_n: the sum over eligible tuples of their orbit sizes.
 
     Evaluating at any prime power q for which F_q splits the group gives
     |Hom(A, GL_n(q))| exactly.  No tuple is listed: f_n comes from a knapsack

@@ -23,24 +23,8 @@ class UnsupportedFamily(ParseError):
     """A group-spec names a family this tool does not know."""
 
 
-class LengthMismatch(GlhomError, ValueError):
-    """Tuple length does not match the number of profile coordinates."""
-
-
 class RangeError(GlhomError, ValueError):
     """An integer argument is outside its required range."""
-
-
-class IneligibleTuple(GlhomError, ValueError):
-    """A tuple with negative entries was passed where an eligible one is required."""
-
-
-class DivisionByZero(GlhomError, ZeroDivisionError):
-    """Polynomial division by the zero polynomial."""
-
-
-class NonZeroRemainder(GlhomError, ArithmeticError):
-    """Exact polynomial division left a remainder; signals a logic bug upstream."""
 
 
 class InvariantViolation(GlhomError, RuntimeError):

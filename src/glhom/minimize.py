@@ -13,7 +13,7 @@ From a state of weight W and cost S, group j's total U and the groups
 before it (room = their sum of c*d^2, x = w - W) cost at least
 U^2/c + (x - d*U)^2/room, so a feasible cost F bounds |R*U - c*d*x| by
 sqrt(c*room*(R*(F - S) - x^2)), R = room + c*d^2; room = 0 pins U = x/d.
-Minimal and eligible tuples are listed only on demand, up to MAX_LISTED_TUPLES.
+Minimal tuples are listed only on demand, up to MAX_LISTED_TUPLES.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import accumulate, chain, combinations, product
 from math import comb, isqrt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import InvariantViolation, LengthMismatch, RangeError, ResourceLimit, UnstableRegime
+from .errors import InvariantViolation, RangeError, ResourceLimit, UnstableRegime
 from .profiles import DegreeProfile, _Record
 
 if TYPE_CHECKING:
@@ -63,26 +63,6 @@ class MinimalReport(_Record):
                 f"listed {len(out)} tuples from {out[:1]}, counted {self.m_r} from {self.sample}"
             )
         return out
-
-
-class LiftedReport(_Record):
-    """Minimal tuples for a dimension n = k*a + r, obtained by lifting."""
-
-    __slots__ = ("n", "k", "r", "square_sum", "all_eligible", "count", "residue", "profile")
-    _shown = 6
-
-    def __init__(
-        self, n: int, k: int, r: int, square_sum: int, all_eligible: bool, count: int,
-        residue: MinimalReport, profile: DegreeProfile,
-    ):
-        self._set(
-            n=n, k=k, r=r, square_sum=square_sum, all_eligible=all_eligible, count=count,
-            residue=residue, profile=profile,
-        )
-
-    @property
-    def tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(lift_minimal(self.profile, t, self.k) for t in self.residue.tuples)
 
 
 class StabilityBound(NamedTuple):
@@ -294,68 +274,3 @@ def variety_report(profile: DegreeProfile, n: int) -> VarietyReport:
     if n < lt.n_threshold:
         raise UnstableRegime(f"n={n} is below the stability threshold N={lt.n_threshold}")
     return VarietyReport(lt.exponent, lt.coefficient, lt.n_threshold)
-
-
-def lift_minimal(
-    profile: DegreeProfile, residue_tuple: tuple[int, ...], k: int
-) -> tuple[int, ...]:
-    """Lift a minimal tuple for r to the minimal tuple (k*d_i + r_i) for k*a + r."""
-    if len(residue_tuple) != profile.s:
-        raise LengthMismatch(
-            f"tuple has {len(residue_tuple)} entries, profile has {profile.s} coordinates"
-        )
-    if k < 0:
-        raise RangeError("lift multiple k must be >= 0")
-    return tuple(k * d + e for e, d in zip(residue_tuple, profile.degrees))
-
-
-def minimal_tuples_for_n(profile: DegreeProfile, n: int) -> LiftedReport:
-    """Minimal tuples for dimension n, via the residue lift n = k*a + r.
-
-    The lifted square-sum is k^2*a + 2*k*r + S_r.  ``all_eligible`` flags
-    whether every lifted tuple is entrywise non-negative, that is k >= b_r;
-    past the stability bound it always is.  ``tuples`` lists them on demand.
-    """
-    if n < 0:
-        raise RangeError("dimension must be >= 0")
-    a = profile.order
-    k, r = divmod(n, a)
-    rep = minimal_tuples_direct(profile, r)
-    return LiftedReport(
-        n=n, k=k, r=r, square_sum=k * k * a + 2 * k * r + rep.s_r,
-        all_eligible=k >= rep.b, count=rep.m_r, residue=rep, profile=profile,
-    )
-
-
-def eligible_tuples(profile: DegreeProfile, n: int) -> tuple[tuple[int, ...], ...]:
-    """All non-negative integer tuples with sum n_i d_i = n, in lex order.
-
-    These index the conjugation orbits of the homomorphism set in
-    dimension n.  Raises ResourceLimit past MAX_LISTED_TUPLES of them.
-    """
-    if n < 0:
-        raise RangeError("dimension must be >= 0")
-    degrees, s = profile.degrees, profile.s
-    out: list[tuple[int, ...]] = []
-    # lex-order walk over every coordinate but the last, which takes the
-    # weight that remains; rem[j] is the weight left for coordinates j..
-    t = [0] * s
-    rem = [n] * s
-    while True:
-        if rem[-1] % degrees[-1] == 0:
-            t[-1] = rem[-1] // degrees[-1]
-            out.append(tuple(t))
-            if len(out) > MAX_LISTED_TUPLES:
-                raise ResourceLimit(
-                    f"more than {MAX_LISTED_TUPLES} eligible tuples for n={n},"
-                    " past the listing cap"
-                )
-        j = s - 2
-        while j >= 0 and (t[j] + 1) * degrees[j] > rem[j]:
-            j -= 1
-        if j < 0:
-            return tuple(out)
-        t[j] += 1
-        for i in range(j + 1, s):
-            t[i] = 0
-            rem[i] = rem[j] - t[j] * degrees[j]

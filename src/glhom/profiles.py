@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import LengthMismatch, ParseError, UnsupportedFamily, ValidationError
+from .errors import ParseError, UnsupportedFamily, ValidationError
 
 FAMILIES = ("cyclic", "abelian", "dihedral", "sym", "custom")
 
@@ -122,15 +122,6 @@ def validate_profile(profile: DegreeProfile) -> None:
     sq = sum(c * d * d for d, c in profile.groups)
     if sq != profile.order:
         raise ValidationError(f"degree-square sum {sq} != {profile.order} (group order)")
-
-
-def weight(entries: tuple[int, ...], profile: DegreeProfile) -> int:
-    """Weighted sum sum(n_i * d_i) of a tuple against the profile degrees."""
-    if len(entries) != profile.s:
-        raise LengthMismatch(
-            f"tuple has {len(entries)} entries, profile has {profile.s} coordinates"
-        )
-    return sum(e * d for e, d in zip(entries, profile.degrees))
 
 
 _INT_RE = re.compile(r"\d+")

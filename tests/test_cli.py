@@ -17,7 +17,7 @@ import glhom.cli as cli
 import glhom.counting as counting
 import glhom.minimize as minimize
 import glhom.oracle
-from glhom import IntPolynomial, hom_count_poly, parse_group_spec, profile_of, stability_bound
+from glhom import hom_count_poly, parse_group_spec, profile_of, stability_bound
 from conftest import run_cli_guarded
 
 
@@ -110,7 +110,8 @@ def test_poly_json_round_trip(capsys):
         capsys, "poly", "--group", "sym:4", "-n", "3", "--eval", "5"
     )
     assert code == 0
-    poly = IntPolynomial.from_json_obj(payload["polynomial"])
+    poly = hom_count_poly(profile_of(parse_group_spec("sym:4")), 3)
+    assert payload["polynomial"] == poly.to_json_obj()
     code2, out, _ = run(capsys, "poly", "--group", "sym:4", "-n", "3", "--eval", "5")
     assert poly.to_text() == out.splitlines()[0]
     assert payload["degree"] == poly.degree

@@ -5,28 +5,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import glhom.counting as counting
 from glhom import (
-    IneligibleTuple,
-    InvariantViolation,
-    minimal_tuples_for_n,
     IntPolynomial,
-    LengthMismatch,
     RangeError,
     ResourceLimit,
     UnstableRegime,
-    div_exact,
-    eligible_tuples,
-    gl_order_poly,
     hom_count_poly,
     leading_term,
     minimal_tuples,
-    orbit_poly,
     variety_report,
 )
 from conftest import custom_profile, make_profile
+from orbit_sum import eligible_tuples, gl_order, mul, orbit_poly, orbit_sum
 
 
 def test_orbit_poly_examples(c2, s4):
@@ -39,19 +32,6 @@ def test_orbit_poly_single_irreducible_block(d3):
     # V = the 2-dimensional irreducible: stabilizer GL_1, orbit q^3 - q.
     # Such orbits are where negative coefficients genuinely appear.
     assert orbit_poly(d3, (0, 0, 1)) == IntPolynomial([0, -1, 0, 1])
-
-
-def test_orbit_poly_errors(s4):
-    with pytest.raises(IneligibleTuple):
-        orbit_poly(s4, (2, -1, 0, 0, 1))
-    with pytest.raises(LengthMismatch):
-        orbit_poly(s4, (1, 0))
-
-
-def test_orbit_poly_rejects_non_monic_quotient(c2, monkeypatch):
-    monkeypatch.setattr(counting, "div_exact", lambda num, den: IntPolynomial([0, 0, 2]))
-    with pytest.raises(InvariantViolation):
-        orbit_poly(c2, (1, 1))
 
 
 def test_orbit_poly_degree_and_monic(s4, d3):
@@ -77,13 +57,6 @@ def test_hom_count_poly_s4_n2(s4):
     assert f2.evaluate(5) == 152
 
 
-def _orbit_sum(profile, n):
-    total = IntPolynomial.zero()
-    for t in eligible_tuples(profile, n):
-        total = total + orbit_poly(profile, t)
-    return total
-
-
 def test_hom_count_poly_matches_orbit_sum():
     cases = [
         ("cyclic:2", range(0, 13)),
@@ -100,17 +73,27 @@ def test_hom_count_poly_matches_orbit_sum():
     for text, ns in cases:
         profile = make_profile(text)
         for n in ns:
-            assert hom_count_poly(profile, n) == _orbit_sum(profile, n), (text, n)
+            assert hom_count_poly(profile, n) == orbit_sum(profile, n), (text, n)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    extra=st.lists(st.integers(min_value=1, max_value=5), max_size=4),
+    groups=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=12)),
+        max_size=4,
+    ),
     n=st.integers(min_value=0, max_value=8),
 )
-def test_hom_count_poly_matches_orbit_sum_random_profiles(extra, n):
-    profile = custom_profile((1, *extra))
-    assert hom_count_poly(profile, n) == _orbit_sum(profile, n)
+def test_hom_count_poly_matches_orbit_sum_random_profiles(groups, n):
+    # (d, c) groups of up to 12 equal degrees; a draw with over 2,000 eligible tuples is
+    # skipped, and ways[w] counts the tuples of weight w over the coordinates so far
+    profile = custom_profile((1, *(d for d, c in groups for _ in range(c))))
+    ways = [1] + [0] * n
+    for d in profile.degrees:
+        for w in range(d, n + 1):
+            ways[w] += ways[w - d]
+    assume(ways[n] <= 2000)
+    assert hom_count_poly(profile, n) == orbit_sum(profile, n)
 
 
 def _walked_steps(degrees: tuple[int, ...], n: int) -> int:
@@ -151,7 +134,7 @@ def test_preflight_width_is_the_bound_of_the_dp_at_q_1(extra, n):
 def test_hom_count_poly_partition_identity(s4, d3):
     for profile, n in ((s4, 6), (d3, 5)):
         f = hom_count_poly(profile, n)
-        gl_n = gl_order_poly(n)
+        gl_n = IntPolynomial(gl_order(n))
         for q in (2, 3, 5, 7):
             parts = [orbit_poly(profile, t).evaluate(q) for t in eligible_tuples(profile, n)]
             assert sum(parts) == f.evaluate(q)
@@ -233,12 +216,11 @@ def test_division_route_equals_assembly_on_random_tuples(rng):
     for n in range(1, 11):
         tuples = eligible_tuples(profile, n)
         for t in rng.sample(tuples, min(4, len(tuples))):
-            num = gl_order_poly(n)
-            den = IntPolynomial.one()
+            num = list(gl_order(n))
+            den = [1]
             for e in t:
-                den = den * gl_order_poly(e)
-            assert div_exact(num, den) == orbit_poly(profile, t)
-            assert den * orbit_poly(profile, t) == num
+                den = mul(den, gl_order(e))
+            assert mul(den, orbit_poly(profile, t).coefficients) == num
 
 
 def test_leading_term_law_small_profiles():
@@ -256,13 +238,14 @@ def test_s5_leading_term_via_eligibility(s5):
     # the full polynomial is out of reach at order 120, so the law is
     # checked through the lifting data: past the threshold every minimal
     # tuple is eligible, and the formula exponent equals n^2 minus their
-    # square-sum
+    # square-sum, k^2 a + 2 k r + S_r at n = k a + r
     for n in (120, 123, 127, 240, 360):
-        lifted = minimal_tuples_for_n(s5, n)
-        assert lifted.all_eligible
+        k, r = divmod(n, s5.order)
+        rep = minimal_tuples(s5, r)
+        assert k >= rep.b
         lt = leading_term(s5, n)
         assert lt.stable
-        assert lt.exponent == n * n - lifted.square_sum
-        assert lt.coefficient == lifted.count
+        assert lt.exponent == n * n - (k * k * s5.order + 2 * k * r + rep.s_r)
+        assert lt.coefficient == rep.m_r
     # below the threshold some residues still carry negative entries
-    assert not minimal_tuples_for_n(s5, 3).all_eligible
+    assert minimal_tuples(s5, 3).b > 0

@@ -10,30 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glhom import (
-    LengthMismatch,
     RangeError,
     ResourceLimit,
-    eligible_tuples,
     epsilon,
-    lift_minimal,
     minimal_tuples,
     minimal_tuples_direct,
-    minimal_tuples_for_n,
     stability_bound,
-    weight,
 )
 import glhom.minimize as minimize
 from glhom.minimize import MAX_LISTED_TUPLES
 from conftest import BUILTIN_SPECS, custom_profile, make_profile
 from naive_box import minimal_tuples_naive
-
-
-def test_weight(s4, s5):
-    assert weight((1, 0, 0, 1, 0), s4) == 4
-    assert weight((0, 0, 0, 0, 0), s4) == 0
-    assert weight((0, -1, 1, 0, 0, 0, 0), s5) == 3
-    with pytest.raises(LengthMismatch):
-        weight((1, 0), s4)
+from orbit_sum import eligible_tuples
 
 
 def test_minimal_tuples_s4_r4(s4):
@@ -105,16 +93,14 @@ def test_stability_bound_s6_profile():
 
 
 def test_lift_minimal(s4, c2):
-    lifted = lift_minimal(s4, (1, 0, 0, 0, 0), 1)
-    assert lifted == (2, 1, 2, 3, 3)
-    assert weight(lifted, s4) == 25
-    assert lift_minimal(s4, (1, 0, 0, 1, 0), 0) == (1, 0, 0, 1, 0)
-    assert lift_minimal(c2, (1, 0), 3) == (4, 3)
-    assert weight((4, 3), c2) == 7
-    with pytest.raises(LengthMismatch):
-        lift_minimal(s4, (1, 0), 1)
-    with pytest.raises(RangeError):
-        lift_minimal(s4, (1, 0, 0, 0, 0), -1)
+    # (k*d_i + t_i) lifts the minimal tuples t of weight r onto those of weight k*a + r
+    for profile, k, r in ((s4, 1, 1), (s4, 0, 4), (c2, 3, 1)):
+        lifted = {
+            tuple(k * d + e for e, d in zip(t, profile.degrees))
+            for t in minimal_tuples(profile, r).tuples
+        }
+        assert lifted == set(minimal_tuples_direct(profile, k * profile.order + r).tuples)
+    assert (2, 1, 2, 3, 3) in minimal_tuples_direct(s4, 25).tuples
 
 
 def test_lift_agrees_with_direct_search(c2):
@@ -123,25 +109,27 @@ def test_lift_agrees_with_direct_search(c2):
 
 
 def test_minimal_tuples_for_n_s4_25(s4):
-    rep = minimal_tuples_for_n(s4, 25)
-    assert rep.count == 2
-    assert rep.all_eligible
-    assert rep.square_sum == 27
-    assert rep.tuples == ((1, 2, 2, 3, 3), (2, 1, 2, 3, 3))
+    # n = k*a + r lifts residue r's minimal tuples, all eligible once k >= b_r,
+    # to square-sum k^2*a + 2*k*r + S_r
+    k, r = divmod(25, s4.order)
+    rep = minimal_tuples(s4, r)
+    assert rep.m_r == 2
+    assert k >= rep.b
+    assert k * k * s4.order + 2 * k * r + rep.s_r == 27
     direct = minimal_tuples_direct(s4, 25)
-    assert direct.tuples == rep.tuples and direct.s_r == 27
+    assert direct.tuples == ((1, 2, 2, 3, 3), (2, 1, 2, 3, 3)) and direct.s_r == 27
 
 
 def test_minimal_tuples_for_n_zero(s4):
-    rep = minimal_tuples_for_n(s4, 0)
+    rep = minimal_tuples_direct(s4, 0)
     assert rep.tuples == ((0, 0, 0, 0, 0),)
-    assert rep.all_eligible
+    assert rep.b == 0
 
 
 def test_minimal_tuples_for_n_s5_3(s5):
-    rep = minimal_tuples_for_n(s5, 3)
-    assert rep.count == 4
-    assert not rep.all_eligible
+    rep = minimal_tuples_direct(s5, 3)
+    assert rep.m_r == 4
+    assert rep.b > 0
     assert any(min(t) < 0 for t in rep.tuples)
 
 
@@ -156,7 +144,7 @@ def test_eligible_tuples_sorted_and_complete(s4):
     assert list(tuples) == sorted(tuples)
     assert len(set(tuples)) == len(tuples)
     for t in tuples:
-        assert weight(t, s4) == 9 and min(t) >= 0
+        assert sum(e * d for e, d in zip(t, s4.degrees)) == 9 and min(t) >= 0
 
 
 def test_eligible_tuples_many_coordinates():
@@ -165,13 +153,6 @@ def test_eligible_tuples_many_coordinates():
     tuples = eligible_tuples(make_profile("cyclic:2000"), 1)
     assert len(tuples) == 2000
     assert tuples[0] == (0,) * 1999 + (1,) and tuples[-1] == (1,) + (0,) * 1999
-
-
-def test_eligible_tuples_resource_limit(c2, monkeypatch):
-    monkeypatch.setattr(minimize, "MAX_LISTED_TUPLES", 3)
-    assert len(eligible_tuples(c2, 2)) == 3
-    with pytest.raises(ResourceLimit, match="more than 3 eligible tuples for n=10"):
-        eligible_tuples(c2, 10)
 
 
 def test_cauchy_schwarz_floor_and_box_ceiling():
@@ -185,7 +166,7 @@ def test_cauchy_schwarz_floor_and_box_ceiling():
             assert rep.s_r <= r * r
             assert rep.eps_r >= 0
             for t in rep.tuples:
-                assert weight(t, profile) == r
+                assert sum(e * d for e, d in zip(t, profile.degrees)) == r
 
 
 def test_reports_are_deterministic(s5):
@@ -309,8 +290,8 @@ def test_tuples_listing_is_capped():
     with pytest.raises(ResourceLimit, match=f"137846528820 .* cap {MAX_LISTED_TUPLES}"):
         rep.tuples
     with pytest.raises(ResourceLimit, match="137846528820"):
-        minimal_tuples_for_n(profile, 60).tuples
-    assert minimal_tuples_for_n(profile, 60).count == 137846528820
+        minimal_tuples_direct(profile, 60).tuples
+    assert minimal_tuples_direct(profile, 60).m_r == 137846528820
     # just under the cap the listing is built, sorted and complete
     rep = minimal_tuples(make_profile("cyclic:17"), 8)
     assert rep.m_r == math.comb(17, 8) <= MAX_LISTED_TUPLES
@@ -334,5 +315,7 @@ def test_binomial_of_a_count_is_capped_before_it_is_built(monkeypatch):
 
 def test_all_eligible_is_k_at_least_b_r(s5):
     for n in range(0, 3 * s5.order, 7):
-        lifted = minimal_tuples_for_n(s5, n)
-        assert lifted.all_eligible == all(min(t) >= 0 for t in lifted.tuples), n
+        k, r = divmod(n, s5.order)
+        rep = minimal_tuples(s5, r)
+        lifted = [tuple(k * d + e for e, d in zip(t, s5.degrees)) for t in rep.tuples]
+        assert (k >= rep.b) == all(min(t) >= 0 for t in lifted), n

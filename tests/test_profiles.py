@@ -13,7 +13,6 @@ from glhom import (
     DegreeProfile,
     GroupSpec,
     LeadingTerm,
-    LiftedReport,
     MinimalReport,
     ParseError,
     Presentation,
@@ -317,10 +316,6 @@ def test_prime_base_refuses_past_its_exact_range():
 _S4_GROUPS = ((1, 2), (2, 1), (3, 2))
 _S4 = DegreeProfile(24, _S4_GROUPS, "sym:4")
 _R4 = dict(r=4, s_r=2, eps_r=Fraction(4, 3), m_r=4, sample=(0, 1, 0, 0, 1), b=0, listing=tuple)
-_LIFTED = dict(
-    n=28, k=1, r=4, square_sum=34, all_eligible=True, count=4,
-    residue=MinimalReport(**_R4), profile=_S4,
-)
 
 
 # each record's fields in constructor order, and its repr at the last dataclass version
@@ -335,8 +330,6 @@ _LIFTED = dict(
          " degrees=None)"),
         (MinimalReport, _R4,
          "MinimalReport(r=4, s_r=2, eps_r=Fraction(4, 3), m_r=4, sample=(0, 1, 0, 0, 1), b=0)"),
-        (LiftedReport, _LIFTED,
-         "LiftedReport(n=28, k=1, r=4, square_sum=34, all_eligible=True, count=4)"),
         (StabilityBound, dict(b=1, n_threshold=120), "StabilityBound(b=1, n_threshold=120)"),
         (LeadingTerm, dict(coefficient=2, exponent=598, n=25, r=1, stable=True, n_threshold=0),
          "LeadingTerm(coefficient=2, exponent=598, n=25, r=1, stable=True, n_threshold=0)"),
@@ -359,14 +352,11 @@ def test_records_keep_their_constructor_equality_and_repr(cls, fields, text):
 
 
 def test_records_compare_the_fields_they_did_before():
-    # MinimalReport ignores its listing; LiftedReport compares the fields its repr hides
+    # MinimalReport ignores its listing
     report = MinimalReport(**_R4)
     assert report == MinimalReport(**{**_R4, "listing": list})
     assert hash(report) == hash(MinimalReport(**{**_R4, "listing": list}))
     assert report != MinimalReport(**{**_R4, "b": 1})
-    lifted = LiftedReport(**_LIFTED)
-    assert lifted != LiftedReport(**{**_LIFTED, "residue": MinimalReport(**{**_R4, "m_r": 5})})
-    assert lifted != LiftedReport(**{**_LIFTED, "profile": DegreeProfile(24, _S4_GROUPS)})
     assert _S4 != DegreeProfile(24, _S4_GROUPS) and _S4 != (24, _S4_GROUPS, "sym:4")
     with pytest.raises(ValidationError, match="degree-square sum 15 != 24"):
         DegreeProfile(24, ((1, 2), (2, 1), (3, 1)))

@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 import glhom
-from glhom import gl_order_poly
 
 SOURCES = sorted(Path(glhom.__file__).parent.glob("*.py"))
 # the tests' naive minimal-tuple box search, held to the same rules where it builds a report
 NAIVE_BOX = Path(__file__).with_name("naive_box.py")
+# the tests' orbit-sum route to f_n, which lists the eligible tuples the package never lists
+ORBIT_SUM = Path(__file__).with_name("orbit_sum.py")
 
 
 def test_no_assert_statements():
@@ -49,7 +50,6 @@ def test_no_unbounded_caches():
         and any(map(_unbounded, node.decorator_list))
     ]
     assert found == []
-    assert gl_order_poly.cache_info().maxsize is not None
 
 
 def _trees(*extra: Path) -> dict[str, ast.Module]:
@@ -102,7 +102,7 @@ def _attribute_readers(trees: dict[str, ast.Module], attr: str) -> set[tuple[str
 def test_degrees_are_grouped_once_and_expanded_only_where_coordinates_are_listed():
     # a profile holds (degree, multiplicity) groups; nothing regroups a flat
     # degree tuple, and a new reader of the a-long expansion is added here on purpose
-    trees = _trees(NAIVE_BOX)
+    trees = _trees(NAIVE_BOX, ORBIT_SUM)
     assert not [
         (name, node.lineno)
         for name, tree in trees.items()
@@ -119,14 +119,13 @@ def test_degrees_are_grouped_once_and_expanded_only_where_coordinates_are_listed
     assert _attribute_readers(trees, "degrees") == {
         ("cli.py", "_cmd_table"),  # the ``degrees`` field of ``table --json``
         ("counting.py", "hom_count_poly"),  # after its pre-flight
-        ("minimize.py", "eligible_tuples"),
-        ("minimize.py", "lift_minimal"),
         ("naive_box.py", "minimal_tuples_naive"),
+        ("orbit_sum.py", "eligible_tuples"),
+        ("orbit_sum.py", "orbit_poly"),
         ("profiles.py", "DegreeProfile.__str__"),
         # GroupSpec's own field, the degrees of a custom spec as written
         ("profiles.py", "GroupSpec.__str__"),
         ("profiles.py", "profile_of"),
-        ("profiles.py", "weight"),
     }
 
 
@@ -367,6 +366,43 @@ def test_residue_and_poly_commands_leave_numpy_unloaded():
         for argv in expected
     }
     assert loaded == expected
+
+
+# names with no caller in the package, gone from it: the orbit-sum route to f_n is the tests'
+# reference in tests/orbit_sum.py, and the lifting lemma's tests compute k*d_i + t_i inline
+REMOVED_NAMES = (
+    "DivisionByZero IneligibleTuple LengthMismatch LiftedReport NonZeroRemainder div_exact"
+    " eligible_tuples gl_order_poly lift_minimal minimal_tuples_for_n orbit_poly weight"
+).split()
+
+
+def test_the_package_exports_the_calculator_and_nothing_else():
+    assert set(glhom.__all__) == {
+        "hom_count_poly",
+        "GlhomError", "InvariantViolation", "ParseError", "RangeError", "ResourceLimit",
+        "UnstableRegime", "UnsupportedFamily", "ValidationError",
+        "NEG_INFINITY", "IntPolynomial",
+        "LeadingTerm", "MinimalReport", "StabilityBound", "VarietyReport", "epsilon",
+        "leading_term", "minimal_tuples", "minimal_tuples_direct", "stability_bound",
+        "variety_report",
+        "Presentation", "builtin_presentation", "gl_count", "hom_count_bruteforce",
+        "parse_presentation",
+        "DegreeProfile", "GroupSpec", "parse_group_spec", "profile_of", "splitting_field_check",
+        "validate_profile",
+    }
+    for name in REMOVED_NAMES:
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(glhom, name)
+    defined = {
+        node.name
+        for tree in _trees().values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & set(REMOVED_NAMES)
+    # f_n is returned, printed and evaluated, never multiplied, added or divided
+    arithmetic = {"__mul__", "__rmul__", "__add__", "__sub__", "__neg__", "__floordiv__"}
+    assert not arithmetic & set(vars(glhom.IntPolynomial))
 
 
 def test_lazy_oracle_names_resolve_as_before():
