@@ -1,25 +1,24 @@
 """Independent brute-force ground truth over small finite matrix groups.
 
-Everything here recomputes, by direct enumeration, quantities the rest of
-the package derives through polynomial identities: the order of GL_n(q)
-for prime q and n <= 3, and the number of homomorphisms from a finitely
-presented group into GL_n(q).  The implementations deliberately share no
-logic with the modules they check.  Matrices are indices read as
-mixed-radix digits off one reused low-digit table (``_digit_blocks``), in
-integer arithmetic only, so numpy never calls BLAS here.  Matrices
-are raised to powers only by squaring (``_power``), inverses g^-1 = g^(2m-1)
-included, m a power relator's exponent or else that of GL_n(q); g^e = 1 with
-e >= 1 needs no determinant, and its last product, like a relator's, is tested
-entry by entry.
-The pure-Python matrix reference and the naive minimal-tuple box search, which
-reuses ``_digit_blocks``, live with the tests.
+Everything here recomputes, by direct enumeration, quantities the rest of the package derives
+through polynomial identities: the order of GL_n(q) for prime q and n <= 3, and the number of
+homomorphisms from a finitely presented group into GL_n(q), sharing no logic with the modules
+it checks.  A stack of N matrices is an (n, n, N) array of entry planes, read as mixed-radix
+digits off one reused low-digit table (``_digit_blocks``), in the narrowest integer type that
+holds every intermediate; a product is n^3 elementwise multiply-adds on planes, so numpy never
+calls BLAS here.  Matrices are raised to powers only by squaring (``_power``), inverses
+g^-1 = g^(2m-1) included, m a power relator's exponent or else that of GL_n(q).  g^e = 1 with
+e >= 1 needs no determinant, a relator u^k is tested through its root u, and the last product
+of each is tested entry by entry.  The join tests a block of rows against every candidate of
+the next generator by broadcasting.  The pure-Python matrix reference and the naive
+minimal-tuple box search, which reuses ``_digit_blocks``, live with the tests.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,33 +55,34 @@ def _check_hom_args(n: int, q: int) -> None:
 
 
 def _digit_blocks(base: int, width: int, dtype: type) -> Iterator[np.ndarray]:
-    """Indices 0 .. base**width - 1 as rows of ``width`` >= 1 digits in ``base``, low first.
+    """Indices 0 .. base**width - 1 as ``width`` >= 1 planes of digits in ``base``, low first.
 
-    Each block, of at most _BLOCK_ROWS rows, is one table of the ``low`` lowest digits under a
+    Each block, of at most _BLOCK_ROWS indices, is one table of the ``low`` lowest digits under a
     run of digit ``low`` and fixed higher digits, in a reused ``dtype`` buffer that consumers
     copy from.
     """
     low = next((k for k in range(width - 1) if base ** (k + 1) > _BLOCK_ROWS), width - 1)
-    table = (np.arange(base**low)[:, None] // base ** np.arange(low)) % base
-    run = min(base, _BLOCK_ROWS // len(table))
-    buf = np.empty((run, len(table), width), dtype=dtype)
-    buf[:, :, :low] = table
+    table = (np.arange(base**low) // base ** np.arange(low)[:, None]) % base
+    run = min(base, _BLOCK_ROWS // table.shape[1])
+    buf = np.empty((width, run, table.shape[1]), dtype=dtype)
+    buf[:low] = table[:, None]
     for high in np.ndindex((base,) * (width - low - 1)):
-        buf[:, :, low + 1 :] = high[::-1]
+        buf[low + 1 :] = np.reshape(high[::-1], (-1, 1, 1))
         for start in range(0, base, run):
             stop = min(start + run, base)
-            buf[: stop - start, :, low] = np.arange(start, stop)[:, None]
-            yield buf[: stop - start].reshape(-1, width)
+            buf[low, : stop - start] = np.arange(start, stop)[:, None]
+            yield buf[:, : stop - start].reshape(width, -1)
 
 
 def _matrix_type(n: int, q: int) -> type:
-    """The integer type of n x n matrix stacks mod q: int32 wherever every intermediate fits.
+    """The narrowest integer type of n x n matrix stacks mod q that holds every intermediate.
 
     Entries are < q, an entry of a product is < n*q^2, and the 3 x 3 determinant of
-    ``_det_mod`` is < 3*q^3 in absolute value.  Under MAX_CANDIDATES, n = 2 means q <= 97 and
-    n = 3 means q <= 7, so only n = 1 (q up to 10^8) can need int64.
+    ``_det_mod`` is < 3*q^3 in absolute value: int16 for every n = 2, 3 that MAX_CANDIDATES
+    admits (q <= 97 and q <= 7), and for n = 1 up to q = 181.
     """
-    return np.int32 if (3 * q**3 if n == 3 else n * q * q) < 2**31 else np.int64
+    bound = 3 * q**3 if n == 3 else n * q * q
+    return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:
@@ -93,26 +93,41 @@ def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
+def _dot(row: np.ndarray, col: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum of row[k] * col[k] over k, elementwise on entry planes, unreduced, into ``out``."""
+    total = np.multiply(row[0], col[0], out=out)
+    for x, y in zip(row[1:], col[1:]):
+        total += x * y
+    return total
+
+
 def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """The products a[i] @ b[i] mod q of two stacks; 1 x 1 stacks multiply elementwise."""
-    return _reduce((np.multiply if a.shape[-1] == 1 else np.matmul)(a, b), q)
+    """The products a @ b mod q of two (n, n, ...) stacks whose batch axes broadcast together:
+    n elementwise multiply-adds per entry, then one reduction.
+    """
+    n = len(a)
+    out = np.empty((n, n, *np.broadcast(a[0, 0], b[0, 0]).shape), a.dtype)
+    for i in range(n):
+        for j in range(n):
+            _dot(a[i], b[:, j], out[i, j])
+    return _reduce(out, q)
 
 
 def _det_mod(mats: np.ndarray, q: int) -> np.ndarray:
-    n = mats.shape[-1]
-    if n == 1:
-        return mats[:, 0, 0]  # entries are already below q
-    if n == 2:
-        return _reduce(mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0], q)
-    a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 0, 2]
-    d, e, f = mats[:, 1, 0], mats[:, 1, 1], mats[:, 1, 2]
-    g, h, i = mats[:, 2, 0], mats[:, 2, 1], mats[:, 2, 2]
+    if len(mats) == 1:
+        return mats[0, 0]  # entries are already below q
+    if len(mats) == 2:
+        (a, b), (c, d) = mats
+        return _reduce(a * d - b * c, q)
+    (a, b, c), (d, e, f), (g, h, i) = mats
     return _reduce(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g), q)
 
 
 def _power(mats: np.ndarray, e: int, q: int) -> np.ndarray:
     """Each matrix of the stack to the power e >= 0, mod q, in O(log e) products."""
-    power = mats if e else np.broadcast_to(np.eye(mats.shape[-1], dtype=mats.dtype), mats.shape)
+    n = len(mats)
+    identity = np.eye(n, dtype=mats.dtype).reshape(n, n, *[1] * (mats.ndim - 2))
+    power = mats if e else np.broadcast_to(identity, mats.shape)
     for bit in bin(e)[3:]:  # the bits of e after its leading 1
         power = _mul_mod(power, power, q)
         if bit == "1":
@@ -121,47 +136,56 @@ def _power(mats: np.ndarray, e: int, q: int) -> np.ndarray:
 
 
 def _identity_rows(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
-    """The indices i with left[i] @ right[i] = 1 mod q; i leaves at its first wrong entry."""
-    rows = np.flatnonzero(_reduce(np.einsum("ij,ij->i", left[:, 0], right[:, :, 0]), q) == 1)
-    for a, b in list(np.ndindex(left.shape[1:]))[1:]:
-        entry = _reduce(np.einsum("ij,ij->i", left[rows, a], right[rows, :, b]), q)
-        rows = rows[entry == (a == b)]
+    """The flat batch indices i with left[..., i] @ right[..., i] = 1 mod q, the two stacks'
+    equally many batch axes broadcast together; i leaves at its first wrong entry, and only the
+    first entry is computed on the whole batch.
+    """
+    n, shape = len(left), np.broadcast_shapes(left.shape[2:], right.shape[2:])
+    rows = np.flatnonzero(_reduce(_dot(left[0], right[:, 0]), q) == 1)
+    # each side's own flat batch index of the remaining rows: its length-1 axes read at 0
+    li, ri = (
+        rows if x.shape[2:] == shape
+        else np.ravel_multi_index(np.unravel_index(rows, shape), x.shape[2:], mode="clip")
+        for x in (left, right)
+    )
+    left, right = left.reshape(n, n, -1), right.reshape(n, n, -1)
+    for a, b in list(np.ndindex(n, n))[1:]:
+        keep = _reduce(_dot(left[a].take(li, 1), right[:, b].take(ri, 1)), q) == (a == b)
+        rows, li, ri = rows[keep], li[keep], ri[keep]
     return rows
 
 
-def _eval_word(
-    word: tuple[int, ...],
-    rows: np.ndarray,
-    mats: list[np.ndarray | None],
-    invs: list[np.ndarray | None],
-    q: int,
-) -> np.ndarray:
-    """Whether ``word``, of two or more letters, is the identity on each row of generator indices.
+def _eval_word(word: tuple[int, ...], at: Sequence, mats: list, invs: list, q: int) -> np.ndarray:
+    """The flat batch indices at which ``word``, of two or more generators, is the identity.
 
-    Row ``i`` assigns candidate ``rows[i, g]`` of ``mats[g]`` (its inverse
-    from ``invs[g]``) to generator ``g + 1``; the result is a bool per row.
+    Generator ``g + 1`` takes the candidates ``at[g]`` of the (n, n, N) stack ``mats[g]`` (its
+    inverses from ``invs[g]``), the index arrays ``at`` broadcasting together into the batch.
+    A word u^k with k >= 2 is tested through its root u as u^(k - k//2) u^(k//2), like g^e in
+    ``_unit_blocks``; any other word as its letters but the last times its last.
     """
-    factors = {
-        letter: (mats if letter > 0 else invs)[abs(letter) - 1][rows[:, abs(letter) - 1]]
-        for letter in set(word)
-    }
-    cur = factors[word[0]]
-    for letter in word[1:-1]:
-        cur = _mul_mod(cur, factors[letter], q)
-    return np.bincount(_identity_rows(cur, factors[word[-1]], q), minlength=len(rows)) > 0
+    stacks = {x: (mats if x > 0 else invs)[abs(x) - 1][..., at[abs(x) - 1]] for x in set(word)}
+    k = max(j for j in range(1, len(word) + 1) if word == word[: len(word) // j] * j)
+    *head, last = word[: len(word) // k]
+    cur = stacks[head[0]]
+    for letter in head[1:]:
+        cur = _mul_mod(cur, stacks[letter], q)
+    if k == 1:
+        return _identity_rows(cur, stacks[last], q)
+    root = _mul_mod(cur, stacks[last], q)
+    right = _power(root, k // 2, q)
+    return _identity_rows(_mul_mod(right, root, q) if k % 2 else right, right, q)
 
 
 def _unit_blocks(n: int, q: int, e: int) -> Iterator[np.ndarray]:
-    """The n x n matrices g with g^e = 1, block by block; for e = 0 every invertible one.
-
-    g^e = 1 with e >= 1 makes g invertible; g^e is tested as g^(e - e//2) g^(e//2).
+    """The n x n matrices g with g^e = 1 as (n, n, N) stacks, block by block; for e = 0 every
+    invertible one.  g^e = 1 with e >= 1 makes g invertible; it is tested as g^(e - e//2) g^(e//2).
     """
     _check_enum_args(n, q)
     for digits in _digit_blocks(q, n * n, _matrix_type(n, q)):
-        mats = digits.reshape(-1, n, n)
+        mats = digits.reshape(n, n, -1)
         right = _power(mats, e // 2, q)
         left = _mul_mod(right, mats, q) if e % 2 else right
-        yield mats[_identity_rows(left, right, q) if e else _det_mod(mats, q) != 0]
+        yield mats[..., _identity_rows(left, right, q) if e else _det_mod(mats, q) != 0]
 
 
 def _gl_exponent(n: int, q: int) -> int:
@@ -174,7 +198,7 @@ def _gl_exponent(n: int, q: int) -> int:
 
 def gl_count(n: int, q: int) -> int:
     """|GL_n(q)| by direct enumeration (vectorised)."""
-    return sum(map(len, _unit_blocks(n, q, 0)))
+    return sum(block.shape[-1] for block in _unit_blocks(n, q, 0))
 
 
 class Presentation(_Record):
@@ -341,15 +365,15 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
     counts = dict.fromkeys(exponents, 1) | {0: order}
     for e in sorted(set(exponents), key=lambda e: e == 0):
         seen = 0
-        for block in _unit_blocks(n, q, e) if e or 0 in kept else [()]:
-            seen += len(block)
+        for block in _unit_blocks(n, q, e) if e or 0 in kept else [np.empty((n, n, 0))]:
+            seen += block.shape[-1]
             kept.get(e, []).append(block)
             counts[e] = seen if e else order
             if (tuples := math.prod(counts[x] for x in exponents)) > MAX_CANDIDATES:
                 raise ResourceLimit(
                     f"at least {tuples} candidate tuples exceed the cap {MAX_CANDIDATES}"
                 )
-    streamed = {e: np.concatenate(blocks) for e, blocks in kept.items()}
+    streamed = {e: np.concatenate(blocks, axis=-1) for e, blocks in kept.items()}
     mats = [streamed.get(e) for e in exponents]
     sizes = [counts[e] for e in exponents]
     # each kept g has g^m = 1, m its exponent or that of GL_n(q), so g^-1 = g^(2m-1) even at m = 1
@@ -364,18 +388,20 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
         if g == free:
             count += len(rows) * math.prod(sizes[g:])
             continue
-        # extend ``step`` rows at a time: an extended block holds at most
-        # _JOIN_ENTRIES index entries plus matrix entries per gathered factor
-        step = max(1, _JOIN_ENTRIES // (sizes[g] * (g + 1 + n * n)))
+        # extend ``step`` rows at a time: their grid of (row, candidate) pairs holds at
+        # most _JOIN_ENTRIES index entries plus matrix entries per product
+        words, size = ends_at[g], sizes[g]
+        step = max(1, _JOIN_ENTRIES // (size * (g + 1 + n * n)))
         if len(rows) > step:
             stack.append((rows[step:], g))
             rows = rows[:step]
-        ext = np.concatenate(
-            [np.repeat(rows, sizes[g], axis=0), np.tile(np.arange(sizes[g]), len(rows))[:, None]],
-            axis=1,
-        )
-        for word in ends_at[g]:
-            ext = ext[_eval_word(word, ext, mats, invs, q)]
+        # the first word reads the whole grid by broadcasting, its factors (n, n, rows, 1)
+        # against (n, n, 1, candidates); only the pairs it keeps become rows
+        grid = [*rows.T[:, :, None], np.arange(size)[None]]
+        hits = _eval_word(words[0], grid, mats, invs, q) if words else np.arange(len(rows) * size)
+        ext = np.column_stack([rows[hits // size], hits % size])
+        for word in words[1:]:
+            ext = ext[_eval_word(word, ext.T, mats, invs, q)]
         stack.append((ext, g + 1))
     return count
 

@@ -38,7 +38,7 @@ def minimal_tuples_naive(profile: DegreeProfile, r: int) -> MinimalReport:
     best: int | None = None
     rows: list[tuple[int, ...]] = []
     for digits in oracle._digit_blocks(side, s, np.int64):
-        digits = digits - r
+        digits = digits.T - r
         hit = digits[(digits @ degrees) == r]
         if not len(hit):
             continue

@@ -623,6 +623,13 @@ def test_leading_and_variety_at_any_order_when_every_degree_is_at_most_two(
             " (299999962 DP steps), more than the cap of 34359738368 bits\n",
             1.0,
         ),
+        # the join tests each block of x1 rows against all x2 candidates of GL_2(37) by
+        # broadcasting, bounded by _JOIN_ENTRIES, not as one row per pair
+        (
+            ("verify", "--group", "dihedral:6", "-n", "2", "-q", "37"),
+            0, "f(37) = 109672\nbrute force = 109672\nPASS\n", "",
+            3.0,
+        ),
     ],
 )
 def test_verify_on_large_orders_under_a_memory_guard(argv, code, out, err, seconds):

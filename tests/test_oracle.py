@@ -80,17 +80,19 @@ def test_gl_enumerate_guards(monkeypatch):
     [(2, 17), (5, 9), (7, 9), (13, 4), (256, 3), (257, 2), (65536, 1), (65537, 1), (160001, 1)],
 )
 def test_digit_walk_lists_every_index_in_order(base, width):
-    # the blocks concatenate to (arange(base**width)[:, None] // base**arange(width)) % base,
-    # checked block by block: digits in [0, base) that spell each index in turn are its digits
+    # the blocks' columns concatenate to
+    # (arange(base**width) // base**arange(width)[:, None]) % base, checked block by block:
+    # digits in [0, base) that spell each index in turn are its digits
     total = base**width
     powers = base ** np.arange(width, dtype=np.int64)
     start = blocks = 0
     for block in _digit_blocks(base, width, np.int32):
         assert block.dtype == np.int32
-        assert block.shape[1] == width and 0 < len(block) <= _BLOCK_ROWS
+        size = block.shape[1]
+        assert block.shape[0] == width and 0 < size <= _BLOCK_ROWS
         assert 0 <= block.min() and block.max() < base
-        assert (block @ powers == np.arange(start, start + len(block))).all()
-        start, blocks = start + len(block), blocks + 1
+        assert (powers @ block == np.arange(start, start + size)).all()
+        start, blocks = start + size, blocks + 1
     assert start == total
     # about _BLOCK_ROWS rows per block, also where one digit is wider than a block
     assert blocks <= -(-4 * total // _BLOCK_ROWS)
@@ -165,7 +167,12 @@ def test_identity_rows_match_the_full_product(n, q, size, seed):
             right[i] = np.array(g.inverse().entries) @ bump % q
     identity = np.eye(n, dtype=np.int64)
     expected = np.flatnonzero(((left @ right) % q == identity).all(axis=(1, 2)))
-    assert np.array_equal(_identity_rows(left, right, q), expected)
+    planes = left.transpose(1, 2, 0), right.transpose(1, 2, 0)  # (n, n, size) entry planes
+    assert np.array_equal(_identity_rows(*planes, q), expected)
+    # every (i, j) pair, as the join's broadcast grid reads it: left[i] against right[j]
+    expected = np.flatnonzero(((left[:, None] @ right[None]) % q == identity).all(axis=(2, 3)))
+    grid = _identity_rows(planes[0][:, :, :, None], planes[1][:, :, None], q)
+    assert np.array_equal(grid, expected)
 
 
 @pytest.mark.parametrize(
@@ -174,8 +181,8 @@ def test_identity_rows_match_the_full_product(n, q, size, seed):
 def test_inverses_by_the_exponent_of_gl(n, q, m):
     # g^m = 1 on all of GL_n(q), so g^-1 = g^(2m-1); no m / p with p | m prime does
     assert _gl_exponent(n, q) == m
-    units = np.concatenate(list(_unit_blocks(n, q, 0)))
-    identity = np.eye(n, dtype=np.int64)
+    units = np.concatenate(list(_unit_blocks(n, q, 0)), axis=-1)
+    identity = np.eye(n, dtype=np.int64)[:, :, None]
     assert (_power(units, m, q) == identity).all()
     for p in sympy.primefactors(m):
         assert not (_power(units, m // p, q) == identity).all()
@@ -183,15 +190,19 @@ def test_inverses_by_the_exponent_of_gl(n, q, m):
     assert _gl_exponent(3, 5) == 3720
 
 
-def test_matrices_are_int32_wherever_every_intermediate_fits():
-    # the largest q the cap admits at n = 2 and n = 3, read off without enumerating
+def test_matrices_take_the_narrowest_type_that_holds_every_intermediate():
+    # the largest q the cap admits at n = 2 and n = 3, read off without enumerating: a product
+    # entry below 2*97^2 and a 3 x 3 determinant below 3*7^3 in absolute value fit int16
     assert 97**4 <= MAX_CANDIDATES < 101**4 and 7**9 <= MAX_CANDIDATES < 11**9
-    assert _matrix_type(2, 97) == _matrix_type(3, 7) == np.int32
-    # at n = 1 a product of two entries passes 2^31 from the prime 46349 on
-    assert 46337**2 < 2**31 < 46349**2
-    assert _matrix_type(1, 46337) == np.int32
+    assert 2 * 97**2 < 2**15 and 3 * 7**3 < 2**15
+    assert _matrix_type(2, 97) == _matrix_type(3, 7) == _matrix_type(2, 2) == np.int16
+    # at n = 1 a product of two entries passes 2^15 - 1 from the prime 191 on, 2^31 - 1 from 46349
+    assert 181**2 < 2**15 - 1 < 191**2 and 46337**2 < 2**31 - 1 < 46349**2
+    assert _matrix_type(1, 181) == np.int16
+    assert _matrix_type(1, 191) == _matrix_type(1, 46337) == np.int32
     assert _matrix_type(1, 46349) == _matrix_type(1, 65537) == np.int64
-    assert next(_unit_blocks(3, 7, 2)).dtype == np.int32
+    assert next(_unit_blocks(3, 7, 2)).dtype == np.int16
+    assert next(_unit_blocks(1, 191, 2)).dtype == np.int32
     assert next(_unit_blocks(1, 65537, 4)).dtype == np.int64
 
 
@@ -305,17 +316,18 @@ def test_shuffled_candidate_order_is_invariant():
     q = 7
 
     def candidates(m):
-        return np.concatenate(list(_unit_blocks(2, q, m)))
+        return np.concatenate(list(_unit_blocks(2, q, m)), axis=-1)
 
     xs, ys = candidates(3), candidates(2)
-    rows = np.array(list(itertools.product(range(len(xs)), range(len(ys)))))
 
     def count(xs_order, ys_order):
-        return int(_eval_word((1, 2, 1, 2), rows, [xs_order, ys_order], [None, None], q).sum())
+        # every (x, y) pair: x along one batch axis, y along the other
+        at = [np.arange(xs.shape[-1])[:, None], np.arange(ys.shape[-1])[None]]
+        return len(_eval_word((1, 2, 1, 2), at, [xs_order, ys_order], [None, None], q))
 
     base = count(xs, ys)
     rng = np.random.default_rng(7)
-    shuffled = count(xs[rng.permutation(len(xs))], ys[rng.permutation(len(ys))])
+    shuffled = count(xs[..., rng.permutation(xs.shape[-1])], ys[..., rng.permutation(ys.shape[-1])])
     assert base == shuffled
     pres = builtin_presentation(parse_group_spec("dihedral:3"))
     assert base == hom_count_bruteforce(pres, 2, q)
@@ -370,6 +382,43 @@ _MIXED_SIGN_POWERS = "gens=2; rel=x1^3*x1^-5; rel=x1^4; rel=x2^3; rel=x1*x2*x1^-
 def test_bruteforce_matches_nested_loops(text, n, q):
     pres = parse_presentation(text)
     assert hom_count_bruteforce(pres, n, q) == _count_by_nested_loops(pres, n, q)
+
+
+# fields whose |GL_n(q)|^k generator tuples, at most 10^4, the nested loops walk quickly
+_SMALL_FIELDS = ((1, 5), (1, 7), (1, 13), (2, 2), (2, 3))
+
+
+@st.composite
+def _random_presentations(draw):
+    """2-3 generators; words of up to 6 letters and powers u^2..u^4, inverse letters included;
+    two or more relators that read the last generator and an earlier one, so all end at it."""
+    k = draw(st.integers(min_value=2, max_value=3))
+    letter = st.integers(min_value=1, max_value=k).flatmap(lambda g: st.sampled_from((g, -g)))
+    word = st.lists(letter, min_size=1, max_size=6).map(tuple)
+    power = st.builds(
+        lambda root, e: tuple(root) * e,
+        st.lists(letter, min_size=1, max_size=3), st.integers(min_value=2, max_value=4),
+    )
+    relators = draw(st.lists(st.one_of(word, power), max_size=3))
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        earlier = draw(st.integers(min_value=1, max_value=k - 1)) * draw(st.sampled_from((1, -1)))
+        extra = draw(st.lists(letter, max_size=1))
+        root = draw(st.permutations([earlier, draw(st.sampled_from((k, -k))), *extra]))
+        relators.append(tuple(root) * draw(st.integers(min_value=1, max_value=3)))
+    fields = [(n, q) for n, q in _SMALL_FIELDS if gl_count(n, q) ** k <= 10**4]
+    return Presentation(k, tuple(relators)), *draw(st.sampled_from(fields))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_random_presentations())
+def test_bruteforce_matches_nested_loops_on_random_presentations(drawn):
+    pres, n, q = drawn
+    expected = _count_by_nested_loops(pres, n, q)
+    assert hom_count_bruteforce(pres, n, q) == expected
+    # one row per join chunk: every row is extended and tested on its own
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_JOIN_ENTRIES", 1)
+        assert hom_count_bruteforce(pres, n, q) == expected
 
 
 @pytest.mark.parametrize("q, expected", [(3, 344), (5, 848)])

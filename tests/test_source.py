@@ -273,6 +273,23 @@ def test_one_identity_test_in_the_oracle():
     ] == []
 
 
+def test_the_oracle_multiplies_entry_planes_elementwise():
+    # a product is n^3 multiply-adds on (n, n, N) entry planes, and the join broadcasts rows
+    # against candidates: no matmul, einsum or ``@``, and no repeated or tiled index rows
+    tree = _trees()["oracle.py"]
+    named = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert not named & {"matmul", "einsum", "dot", "tensordot", "repeat", "tile"}
+    assert not [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+
+
 def _module_level_imports(node: ast.AST):
     """Import statements that run when the module is imported: none inside a def."""
     for child in ast.iter_child_nodes(node):
