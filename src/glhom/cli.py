@@ -31,46 +31,22 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="glhom", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--group", required=True, help="group spec, e.g. sym:4 or cyclic:6")
-    common.add_argument("--json", action="store_true", help="emit one JSON document")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table", parents=[common], help="per-residue minimal-tuple table")
-
-    p = sub.add_parser("poly", parents=[common], help="full count polynomial f_n")
-    p.add_argument("-n", type=int, required=True, dest="n")
-    p.add_argument("--eval", dest="eval_points", default=None, help="comma-separated integers")
-
-    p = sub.add_parser("leading", parents=[common], help="leading term of f_n")
-    p.add_argument("-n", type=int, required=True, dest="n")
-
-    sub.add_parser("bound", parents=[common], help="stability bound N = b*a")
-
-    p = sub.add_parser("verify", parents=[common], help="polynomial vs brute force")
-    p.add_argument("-n", type=int, required=True, dest="n")
-    p.add_argument("-q", type=int, required=True, dest="q")
-
-    p = sub.add_parser("variety", parents=[common], help="representation variety dimension")
-    p.add_argument("-n", type=int, required=True, dest="n")
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--group", required=True, help="group spec, e.g. sym:4 or cyclic:6")
+        p.add_argument("--json", action="store_true", help="emit one JSON document")
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-def _fraction_str(f) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def _tuple_str(t: tuple[int, ...]) -> str:
-    return "(" + ",".join(map(str, t)) + ")"
-
-
-def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
-    if as_json:
-        import json
-
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(text_lines))
+def _eval_points(text: str) -> list[int]:
+    """The ``--eval`` list, read with the other options, so a bad one is refused before f_n."""
+    try:
+        return [int(part) for part in text.split(",")] if text else []
+    except ValueError:
+        raise _UsageError(f"--eval expects comma-separated integers, got {text!r}")
 
 
 def _splits(spec, q: int) -> tuple[bool, str]:
@@ -81,8 +57,9 @@ def _splits(spec, q: int) -> tuple[bool, str]:
         return False, str(exc)
 
 
-# each _cmd_* imports the layers it runs, so a command loads no other layer
-def _cmd_table(profile, spec, args) -> int:
+# each _cmd_* imports the layers it runs, so a command loads no other layer, and returns
+# its JSON fields after "command" and "group", its text lines and its exit code
+def _cmd_table(profile, spec, args):
     from .minimize import minimal_tuples, stability_bound
 
     a, s = profile.order, profile.s
@@ -93,82 +70,57 @@ def _cmd_table(profile, spec, args) -> int:
         )
     reports = [minimal_tuples(profile, r) for r in range(a)]
     bound = stability_bound(profile, reports)
-    rows = [
-        {
-            "r": rep.r,
-            "m": rep.m_r,
-            "sample": list(rep.sample),
-            "s": rep.s_r,
-            "eps": _fraction_str(rep.eps_r),
-        }
-        for rep in reports
-    ]
-    payload = {
-        "command": "table",
-        "group": str(profile),
+    fields = {
         "order": a,
         "degrees": list(profile.degrees),
-        "rows": rows,
+        "rows": [
+            {
+                "r": rep.r,
+                "m": rep.m_r,
+                "sample": list(rep.sample),
+                "s": rep.s_r,
+                "eps": str(rep.eps_r),
+            }
+            for rep in reports
+        ],
         "b": bound.b,
         "n_threshold": bound.n_threshold,
         "threshold_ceiling": a * (a - 1),
     }
-    sample_w = max(len("sample tuple"), *(len(_tuple_str(rep.sample)) for rep in reports))
-    lines = [f"{'r':>4}  {'m_r':>6}  {'sample tuple':<{sample_w}}  {'S_r':>6}  eps_r"]
-    for rep in reports:
-        lines.append(
-            f"{rep.r:>4}  {rep.m_r:>6}  {_tuple_str(rep.sample):<{sample_w}}"
-            f"  {rep.s_r:>6}  {_fraction_str(rep.eps_r)}"
-        )
+    samples = ["(" + ",".join(map(str, rep.sample)) + ")" for rep in reports]
+    width = max(len("sample tuple"), *map(len, samples))
+    lines = [f"{'r':>4}  {'m_r':>6}  {'sample tuple':<{width}}  {'S_r':>6}  eps_r"]
+    for rep, sample in zip(reports, samples):
+        lines.append(f"{rep.r:>4}  {rep.m_r:>6}  {sample:<{width}}  {rep.s_r:>6}  {rep.eps_r}")
     lines += [f"b = {bound.b}", f"N = {bound.n_threshold} (<= a(a-1) = {a * (a - 1)})"]
-    _emit(payload, args.json, lines)
-    return 0
+    return fields, lines, 0
 
 
-def _parse_eval_points(text: str | None) -> list[int]:
-    if not text:
-        return []
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise _UsageError(f"--eval expects comma-separated integers, got {text!r}")
-
-
-def _cmd_poly(profile, spec, args) -> int:
+def _cmd_poly(profile, spec, args):
     from .counting import hom_count_poly
 
     poly = hom_count_poly(profile, args.n)
     evaluations = []
-    for x in _parse_eval_points(args.eval_points):
+    lines = [poly.to_text()]
+    for x in args.eval_points:
         ok, reason = _splits(spec, x)
-        evaluations.append(
-            {"q": x, "value": str(poly.evaluate(x)), "splitting_field": ok, "reason": reason}
-        )
-    payload = {
-        "command": "poly",
-        "group": str(profile),
+        value = str(poly.evaluate(x))
+        evaluations.append({"q": x, "value": value, "splitting_field": ok, "reason": reason})
+        lines.append(f"f({x}) = {value}" + (f" = |Hom(A, GL_{args.n}({x}))|" if ok else ""))
+    fields = {
         "n": args.n,
         "degree": int(poly.degree) if not poly.is_zero else None,
         "polynomial": poly.to_json_obj(),
         "evaluations": evaluations,
     }
-    lines = [poly.to_text()]
-    for ev in evaluations:
-        line = f"f({ev['q']}) = {ev['value']}"
-        if ev["splitting_field"]:
-            line += f" = |Hom(A, GL_{args.n}({ev['q']}))|"
-        lines.append(line)
-    _emit(payload, args.json, lines)
-    return 0
+    return fields, lines, 0
 
 
-def _cmd_leading(profile, spec, args) -> int:
+def _cmd_leading(profile, spec, args):
     from .minimize import leading_term
 
     lt = leading_term(profile, args.n)
-    payload = {
-        "command": "leading",
-        "group": str(profile),
+    fields = {
         "n": lt.n,
         "r": lt.r,
         "coefficient": lt.coefficient,
@@ -176,56 +128,45 @@ def _cmd_leading(profile, spec, args) -> int:
         "stable": lt.stable,
         "n_threshold": lt.n_threshold,
     }
-    if lt.stable:
-        text = f"{lt.coefficient} * q^{lt.exponent} (stable)"
-    else:
-        text = f"{lt.coefficient} * q^{lt.exponent} (unstable: n={lt.n} < N={lt.n_threshold})"
+    state = "stable" if lt.stable else f"unstable: n={lt.n} < N={lt.n_threshold}"
+    if not lt.stable:
         print(
             f"warning: n={lt.n} is below the stability threshold N={lt.n_threshold};"
             " the reported term is the formula value and is not certified to match"
             " the true degree",
             file=sys.stderr,
         )
-    _emit(payload, args.json, [text])
-    return 0
+    return fields, [f"{lt.coefficient} * q^{lt.exponent} ({state})"], 0
 
 
-def _cmd_bound(profile, spec, args) -> int:
+def _cmd_bound(profile, spec, args):
     from .minimize import stability_bound
 
     a = profile.order
     bound = stability_bound(profile)
-    payload = {
-        "command": "bound",
-        "group": str(profile),
+    fields = {
         "order": a,
         "b": bound.b,
         "n_threshold": bound.n_threshold,
         "threshold_ceiling": a * (a - 1),
     }
-    text = f"b={bound.b}, N={bound.n_threshold} (<= a(a-1)={a * (a - 1)})"
-    _emit(payload, args.json, [text])
-    return 0
+    return fields, [f"b={bound.b}, N={bound.n_threshold} (<= a(a-1)={a * (a - 1)})"], 0
 
 
-def _cmd_variety(profile, spec, args) -> int:
+def _cmd_variety(profile, spec, args):
     from .minimize import variety_report
 
     report = variety_report(profile, args.n)
-    payload = {
-        "command": "variety",
-        "group": str(profile),
+    fields = {
         "n": args.n,
         "dimension": report.dimension,
         "components": report.top_components,
         "n_threshold": report.n_threshold,
     }
-    text = f"dimension {report.dimension}, {report.top_components} components"
-    _emit(payload, args.json, [text])
-    return 0
+    return fields, [f"dimension {report.dimension}, {report.top_components} components"], 0
 
 
-def _cmd_verify(profile, spec, args) -> int:
+def _cmd_verify(profile, spec, args):
     import os
 
     # the oracle's integer products never call BLAS, so numpy need not start OpenBLAS's
@@ -246,27 +187,34 @@ def _cmd_verify(profile, spec, args) -> int:
     value = hom_count_poly(profile, args.n).evaluate(args.q)
     brute = oracle.hom_count_bruteforce(build(), args.n, args.q) if args.n else 1
     match = value == brute
-    payload = {
-        "command": "verify",
-        "group": str(profile),
+    fields = {
         "n": args.n,
         "q": args.q,
         "poly_value": str(value),
         "bruteforce": str(brute),
         "match": match,
     }
-    lines = [
-        f"f({args.q}) = {value}",
-        f"brute force = {brute}",
-        "PASS" if match else "FAIL",
-    ]
-    _emit(payload, args.json, lines)
-    return 0 if match else 2
+    lines = [f"f({args.q}) = {value}", f"brute force = {brute}", "PASS" if match else "FAIL"]
+    return fields, lines, 0 if match else 2
 
 
+_N = {"type": int, "required": True}
+# name: (command, help, its own options after --group and --json)
 _COMMANDS = {
-    "table": _cmd_table, "poly": _cmd_poly, "leading": _cmd_leading,
-    "bound": _cmd_bound, "verify": _cmd_verify, "variety": _cmd_variety,
+    "table": (_cmd_table, "per-residue minimal-tuple table", {}),
+    "poly": (_cmd_poly, "full count polynomial f_n", {
+        "-n": _N,
+        "--eval": {
+            "type": _eval_points,
+            "default": [],
+            "dest": "eval_points",
+            "help": "comma-separated integers",
+        },
+    }),
+    "leading": (_cmd_leading, "leading term of f_n", {"-n": _N}),
+    "bound": (_cmd_bound, "stability bound N = b*a", {}),
+    "verify": (_cmd_verify, "polynomial vs brute force", {"-n": _N, "-q": _N}),
+    "variety": (_cmd_variety, "representation variety dimension", {"-n": _N}),
 }
 
 
@@ -280,7 +228,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         spec = parse_group_spec(args.group)
         profile = profile_of(spec)
-        return _COMMANDS[args.command](profile, spec, args)
+        fields, lines, code = _COMMANDS[args.command][0](profile, spec, args)
+        if args.json:
+            import json
+
+            print(json.dumps({"command": args.command, "group": str(profile), **fields}, indent=2))
+        else:
+            print("\n".join(lines))
+        return code
     except GlhomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ResourceLimit) else 2 if isinstance(exc, UnstableRegime) else 1

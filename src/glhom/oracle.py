@@ -342,10 +342,17 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
     if n == 0:
         return 1  # GL_0 is trivial: exactly the empty representation
     k = presentation.generator_count
-
+    # the generators that multi-generator relators read are renumbered 1 .. free, in order:
+    # once they are assigned every relator has been checked, so a row extends by any
+    # candidates of the generators after them, and only the first ``free`` keep their matrices
+    multi = [word for word in presentation.relators if len(set(map(abs, word))) > 1]
+    read = {abs(x) for word in multi for x in word}
+    new = {g: i for i, g in enumerate(sorted(range(1, k + 1), key=lambda g: g not in read), 1)}
+    free = len(read)
     ends_at: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     exponents = [0] * k  # generator g keeps the matrices with g^exponents[g] = 1
     for word in presentation.relators:
+        word = tuple(new[x] if x > 0 else -new[-x] for x in word)
         gens = set(map(abs, word))
         if len(gens) == 1:
             g = gens.pop()
@@ -353,10 +360,6 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
         else:
             ends_at[max(gens) - 1].append(word)
 
-    # once the first ``free`` generators are assigned every relator has been
-    # checked, so a row extends by any candidates of the generators after them:
-    # only the exponents of generators before ``free`` keep their matrices
-    free = max((g + 1 for g in range(k) if ends_at[g]), default=0)
     kept: dict[int, list[np.ndarray]] = {e: [] for e in exponents[:free]}
     order = math.prod(q**n - q**i for i in range(n))  # |GL_n(q)|
     # candidates per exponent, a lower bound until its stream ends, so the cap refuses early:

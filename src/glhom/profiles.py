@@ -93,14 +93,10 @@ class GroupSpec(NamedTuple):
     degrees: tuple[int, ...] | None = None  # custom
 
     def __str__(self) -> str:
-        if self.family == "cyclic":
-            return f"cyclic:{self.m}"
+        if self.m is not None:
+            return f"{self.family}:{self.m}"
         if self.family == "abelian":
             return "abelian:" + "x".join(map(str, self.invariant_factors))
-        if self.family == "dihedral":
-            return f"dihedral:{self.m}"
-        if self.family == "sym":
-            return f"sym:{self.m}"
         return f"custom:order={self.order},degrees=" + ",".join(map(str, self.degrees))
 
 

@@ -300,21 +300,45 @@ def test_poly_many_coordinates(capsys):
 
 
 def test_options_of_each_subcommand():
-    # every option a subcommand accepts; a new knob has to be added here
+    # every option a subcommand accepts, as (flag, dest, type, required), and each
+    # subcommand's help; a new knob has to be added here
     sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
     options = {
-        name: {s for a in p._actions for s in a.option_strings}
+        name: {(s, a.dest, a.type, a.required) for a in p._actions for s in a.option_strings}
         for name, p in sub.choices.items()
     }
-    common = {"-h", "--help", "--group", "--json"}
+    common = {
+        ("-h", "help", None, False),
+        ("--help", "help", None, False),
+        ("--group", "group", None, True),
+        ("--json", "json", None, False),
+    }
+    n, q = ("-n", "n", int, True), ("-q", "q", int, True)
     assert options == {
         "table": common,
-        "poly": common | {"-n", "--eval"},
-        "leading": common | {"-n"},
+        "poly": common | {n, ("--eval", "eval_points", cli._eval_points, False)},
+        "leading": common | {n},
         "bound": common,
-        "verify": common | {"-n", "-q"},
-        "variety": common | {"-n"},
+        "verify": common | {n, q},
+        "variety": common | {n},
     }
+    assert {a.dest: a.help for a in sub._choices_actions} == {
+        "table": "per-residue minimal-tuple table",
+        "poly": "full count polynomial f_n",
+        "leading": "leading term of f_n",
+        "bound": "stability bound N = b*a",
+        "verify": "polynomial vs brute force",
+        "variety": "representation variety dimension",
+    }
+
+
+def test_eval_is_refused_before_the_polynomial_is_built():
+    # --eval is read with the options, so f_80 of sym:4, seconds of work, is never built
+    result, wall = run_cli_guarded("poly", "--group", "sym:4", "-n", "80", "--eval", "7,x")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "error: --eval expects comma-separated integers, got '7,x'\n"
+    )
+    assert wall < 1.0
 
 
 def test_prime_eval_point_past_trial_division(capsys):
@@ -424,18 +448,33 @@ def test_output_byte_identical_across_runs(capsys):
 
 
 def test_json_valid_for_all_commands(capsys):
-    for argv in (
-        ("table", "--group", "cyclic:3"),
-        ("poly", "--group", "cyclic:3", "-n", "2"),
-        ("leading", "--group", "cyclic:3", "-n", "7"),
-        ("bound", "--group", "cyclic:3"),
-        ("verify", "--group", "cyclic:3", "-n", "1", "-q", "7"),
-        ("variety", "--group", "cyclic:3", "-n", "6"),
-    ):
+    # each command's keys, in order, after "command" and "group"
+    keys = {
+        ("table", "--group", "cyclic:3"):
+            ["order", "degrees", "rows", "b", "n_threshold", "threshold_ceiling"],
+        ("poly", "--group", "cyclic:3", "-n", "2", "--eval", "7"):
+            ["n", "degree", "polynomial", "evaluations"],
+        ("leading", "--group", "cyclic:3", "-n", "7"):
+            ["n", "r", "coefficient", "exponent", "stable", "n_threshold"],
+        ("bound", "--group", "cyclic:3"): ["order", "b", "n_threshold", "threshold_ceiling"],
+        ("verify", "--group", "cyclic:3", "-n", "1", "-q", "7"):
+            ["n", "q", "poly_value", "bruteforce", "match"],
+        ("variety", "--group", "cyclic:3", "-n", "6"):
+            ["n", "dimension", "components", "n_threshold"],
+    }
+    payloads = {}
+    for argv, tail in keys.items():
         code, payload, _ = run_json(capsys, *argv)
         assert code == 0
+        assert list(payload) == ["command", "group", *tail]
         assert payload["command"] == argv[0]
         assert payload["group"] == "cyclic:3"
+        payloads[argv[0]] = payload
+    rows = payloads["table"]["rows"]
+    assert [list(row) for row in rows] == [["r", "m", "sample", "s", "eps"]] * 3
+    assert [list(ev) for ev in payloads["poly"]["evaluations"]] == [
+        ["q", "value", "splitting_field", "reason"]
+    ]
 
 
 def test_table_sym5_scales(capsys):

@@ -354,7 +354,7 @@ def _count_by_nested_loops(pres, n, q):
 _S4_COXETER = (
     "gens=3; rel=x1^2; rel=x2^2; rel=x3^2; rel=(x1*x2)^3; rel=(x2*x3)^3; rel=(x1*x3)^2"
 )
-# x2 shares no relator with x3, so the join carries it between x1 and x3
+# x2 shares no relator with x1 or x3, so the join renumbers it past them and counts it
 _X1_X3_COMMUTE = "gens=3; rel=x1*x3*x1^-1*x3^-1; rel=x2^3"
 _MIXED_SIGN_POWERS = "gens=2; rel=x1^3*x1^-5; rel=x1^4; rel=x2^3; rel=x1*x2*x1^-1*x2^-1"
 
@@ -470,6 +470,20 @@ def test_generator_no_relator_reads_is_counted_not_kept():
     result, wall = run_guarded("-c", _UNREAD_GENERATOR_PROBE)
     assert (result.returncode, result.stdout, result.stderr) == (0, "33784128\n", "")
     assert wall < 1.0
+
+
+def test_generator_between_read_ones_is_only_a_factor(monkeypatch):
+    # x2 comes before x3, but only x2^3 reads it: every grid holds x1's rows and x3's
+    # candidates, two index arrays, and x2's 21 candidates in GL_2(5) are a factor
+    seen = []
+
+    def spied(word, at, *args):
+        seen.append(len(at))
+        return _eval_word(word, at, *args)
+
+    monkeypatch.setattr(oracle, "_eval_word", spied)
+    assert hom_count_bruteforce(parse_presentation(_X1_X3_COMMUTE), 2, 5) == 11520 * 21
+    assert seen and set(seen) == {2}
 
 
 def test_shared_one_generator_relators_stream_once(monkeypatch):

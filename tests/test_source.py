@@ -343,6 +343,23 @@ def test_each_layer_imports_only_what_its_commands_run():
     assert not reached["minimize.py"] & {"counting", "intpoly"}
 
 
+def test_one_command_table_drives_the_cli_and_only_main_prints_results():
+    import glhom.cli as cli
+
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    assert list(cli._COMMANDS) == list(sub.choices)
+    # every other print in cli.py is a diagnostic on standard error
+    tree = _trees()["cli.py"]
+    to_stdout = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "print"
+        and "file=sys.stderr" not in map(ast.unparse, node.keywords)
+    ]
+    main = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "main")
+    assert to_stdout and all(main.lineno < line <= main.end_lineno for line in to_stdout)
+
+
 _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
