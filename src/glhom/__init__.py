@@ -23,7 +23,7 @@ _LAYERS = {
     "intpoly": "NEG_INFINITY IntPolynomial",
     "minimize": "LeadingTerm MinimalReport StabilityBound VarietyReport epsilon leading_term"
     " minimal_tuples minimal_tuples_direct stability_bound variety_report",
-    "oracle": "Presentation builtin_presentation gl_count hom_count_bruteforce parse_presentation",
+    "oracle": "Presentation builtin_presentation gl_count hom_count_bruteforce",
     "profiles": "DegreeProfile GroupSpec parse_group_spec profile_of splitting_field_check"
     " validate_profile",
 }

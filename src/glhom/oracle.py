@@ -2,27 +2,27 @@
 
 Everything here recomputes, by direct enumeration, quantities the rest of the package derives
 through polynomial identities: the order of GL_n(q) for prime q and n <= 3, and the number of
-homomorphisms from a finitely presented group into GL_n(q), sharing no logic with the modules
-it checks.  A stack of N matrices is an (n, n, N) array of entry planes, read as mixed-radix
-digits off one reused low-digit table (``_digit_blocks``), in the narrowest integer type that
-holds every intermediate; a product is n^3 elementwise multiply-adds on planes, so numpy never
-calls BLAS here.  Matrices are raised to powers only by squaring (``_power``), inverses
-g^-1 = g^(2m-1) included, m a power relator's exponent or else that of GL_n(q).  g^e = 1 with
-e >= 1 needs no determinant, a relator u^k is tested through its root u, and the last product
-of each is tested entry by entry.  The join tests a block of rows against every candidate of
-the next generator by broadcasting.  The pure-Python matrix reference and the naive
-minimal-tuple box search, which reuses ``_digit_blocks``, live with the tests.
+homomorphisms from a finitely presented group (a ``Presentation`` of relator tuples) into GL_n(q),
+sharing no logic with the modules it checks.  A stack of N matrices is an (n, n, N) array of entry
+planes, read as mixed-radix digits off one reused low-digit table (``_digit_blocks``), in the
+narrowest integer type that holds every intermediate; a product is n^3 elementwise multiply-adds
+on planes, so numpy never calls BLAS here.  Matrices are raised to powers only by squaring
+(``_power``), inverses g^-1 = g^(2m-1) included, m a power relator's exponent or else that of
+GL_n(q).  g^e = 1 with e >= 1 needs no determinant, a relator u^k is tested through its root u,
+and the last product of each is tested entry by entry.  The join tests a block of rows against
+every candidate of the next generator by broadcasting.  The pure-Python matrix reference and the
+naive minimal-tuple box search, which reuses ``_digit_blocks``, live with the tests.
 """
 
 from __future__ import annotations
 
 import math
-import re
+import operator
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParseError, RangeError, ResourceLimit, ValidationError
+from .errors import RangeError, ResourceLimit, ValidationError
 from .profiles import GroupSpec, _Record, prime_base
 
 MAX_CANDIDATES = 10**8  # caps q^(n^2), the candidate tuples and the tests' naive box alike
@@ -201,106 +201,35 @@ def gl_count(n: int, q: int) -> int:
     return sum(block.shape[-1] for block in _unit_blocks(n, q, 0))
 
 
+def _integers(values: Sequence, what: str) -> tuple[int, ...]:
+    if bad := [x for x in values if not hasattr(x, "__index__")]:
+        raise ValidationError(f"{what} {bad[0]!r} is not an integer")
+    return tuple(map(operator.index, values))
+
+
 class Presentation(_Record):
     """Finitely presented group: generator count plus relator words; checked when built.
 
-    A word is a sequence of signed 1-based generator indices; negative
-    means the inverse of that generator.
+    A word is a tuple of signed 1-based generator indices, -g the inverse of
+    generator g: (x1·x2)^4 is ``(1, 2) * 4`` and x1·x2·x1^-1·x2^-1 is ``(1, 2, -1, -2)``.
     """
 
     __slots__ = ("generator_count", "relators", "label")
 
-    def __init__(
-        self, generator_count: int, relators: tuple[tuple[int, ...], ...], label: str = ""
-    ):
-        self._set(generator_count=generator_count, relators=relators, label=label)
-        if self.generator_count < 1:
+    def __init__(self, generator_count: int, relators: Sequence[Sequence[int]], label: str = ""):
+        (k,) = _integers((generator_count,), "generator count")
+        words = tuple(_integers(word, "relator letter") for word in relators)
+        words = relators if words == relators else words  # a tuple of int tuples is kept as given
+        self._set(generator_count=k, relators=words, label=label)
+        if k < 1:
             raise ValidationError("presentation needs at least one generator")
-        if not self.relators:
+        if not words:
             raise ValidationError("presentation needs at least one relator")
-        for word in self.relators:
+        for word in words:
             if not word:
                 raise ValidationError("empty relator word")
-            for letter in word:
-                if letter == 0 or abs(letter) > self.generator_count:
-                    raise ValidationError(f"relator letter {letter} out of range")
-
-
-_GEN_RE = re.compile(r"x(\d+)")
-_INT_RE = re.compile(r"-?\d+")
-
-
-class _WordParser:
-    """Recursive-descent parser for relator words: x1, *, ^int, parentheses."""
-
-    def __init__(self, text: str, offset: int):
-        self.text = text
-        self.pos = 0
-        self.offset = offset  # for error positions in the enclosing string
-
-    def fail(self, message: str):
-        raise ParseError(message, self.offset + self.pos)
-
-    def parse(self) -> tuple[int, ...]:
-        word = self.word()
-        if self.pos != len(self.text):
-            self.fail("trailing characters in relator word")
-        return tuple(word)
-
-    def word(self) -> list[int]:
-        letters = self.factor()
-        while self.text.startswith("*", self.pos):
-            self.pos += 1
-            letters += self.factor()
-        return letters
-
-    def factor(self) -> list[int]:
-        base = self.atom()
-        if self.text.startswith("^", self.pos):
-            self.pos += 1
-            m = _INT_RE.match(self.text, self.pos)
-            if not m:
-                self.fail("expected integer exponent after '^'")
-            self.pos = m.end()
-            e = int(m.group())
-            return base * e if e >= 0 else [-g for g in reversed(base)] * -e
-        return base
-
-    def atom(self) -> list[int]:
-        if self.text.startswith("(", self.pos):
-            self.pos += 1
-            inner = self.word()
-            if not self.text.startswith(")", self.pos):
-                self.fail("expected ')'")
-            self.pos += 1
-            return inner
-        m = _GEN_RE.match(self.text, self.pos)
-        if not m:
-            self.fail("expected generator 'x<k>' or '('")
-        self.pos = m.end()
-        return [int(m.group(1))]
-
-
-def parse_presentation(text: str) -> Presentation:
-    """Parse presentation text: ``gens=2; rel=x1^3; rel=(x1*x2)^2``."""
-    segments = [seg.strip() for seg in text.split(";")]
-    segments = [seg for seg in segments if seg]
-    if not segments or not segments[0].startswith("gens="):
-        raise ParseError("presentation must start with 'gens=<k>'", 0)
-    try:
-        k = int(segments[0][len("gens=") :])
-    except ValueError:
-        raise ParseError("expected integer after 'gens='", len("gens="))
-    relators = []
-    for seg in segments[1:]:
-        if not seg.startswith("rel="):
-            raise ParseError(f"expected 'rel=' segment, got {seg!r}", text.find(seg))
-        body = seg[len("rel=") :]
-        word = _WordParser(body, text.find(body)).parse()
-        if not word:
-            raise ValidationError("relator word reduces to the empty word")
-        relators.append(word)
-    return Presentation(generator_count=k, relators=tuple(relators), label=text)
+            if bad := [x for x in word if not 0 < abs(x) <= k]:
+                raise ValidationError(f"relator letter {bad[0]} out of range")
 
 
 def _builtin(spec: GroupSpec) -> Callable[[], Presentation] | None:

@@ -12,7 +12,6 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from glhom import (
-    ParseError,
     Presentation,
     RangeError,
     ResourceLimit,
@@ -23,7 +22,6 @@ from glhom import (
     hom_count_poly,
     minimal_tuples,
     parse_group_spec,
-    parse_presentation,
 )
 import glhom.oracle as oracle
 from glhom.oracle import (
@@ -123,7 +121,7 @@ def test_hom_count_trivial_group():
 
 
 def test_hom_count_s3_dimension_one():
-    pres = parse_presentation("gens=2; rel=x1^3; rel=x2^2; rel=(x1*x2)^2")
+    pres = Presentation(2, ((1,) * 3, (2,) * 2, (1, 2) * 2))
     assert hom_count_bruteforce(pres, 1, 5) == 2
 
 
@@ -228,18 +226,18 @@ def test_bruteforce_matches_polynomial_in_either_matrix_type(spec, n, q):
 
 def test_inverse_letters_at_n1_in_int64():
     # x2 has no power relator, so its inverse is x2^(2(q-1)-1), squared in int64
-    pres = parse_presentation("gens=2; rel=x1^4; rel=x1*x2*x1^-1*x2^-1")
+    pres = Presentation(2, ((1,) * 4, (1, 2, -1, -2)))
     q = 46349
     assert hom_count_bruteforce(pres, 1, q) == 4 * (q - 1)
 
 
 def test_negative_exponent_relators():
-    for_pos = parse_presentation("gens=1; rel=x1^4")
-    for_neg = parse_presentation("gens=1; rel=x1^-4")
+    for_pos = Presentation(1, ((1,) * 4,))
+    for_neg = Presentation(1, ((-1,) * 4,))
     assert hom_count_bruteforce(for_pos, 2, 5) == hom_count_bruteforce(for_neg, 2, 5)
-    conj = parse_presentation("gens=2; rel=x1^3; rel=x2^2; rel=x2*x1*x2^-1*x1")
+    conj = Presentation(2, ((1,) * 3, (2,) * 2, (2, 1, -2, 1)))
     # x y x^-1 = y^-1 with x^2... this presents S3 with swapped roles
-    plain = parse_presentation("gens=2; rel=x1^3; rel=x2^2; rel=(x1*x2)^2")
+    plain = Presentation(2, ((1,) * 3, (2,) * 2, (1, 2) * 2))
     assert hom_count_bruteforce(conj, 2, 7) == hom_count_bruteforce(plain, 2, 7)
 
 
@@ -261,33 +259,6 @@ def test_hom_count_rejects_composite_field():
         hom_count_bruteforce(pres, 2, 9)
 
 
-def test_presentation_parsing():
-    pres = parse_presentation("gens=2; rel=x1^2; rel=(x1*x2)^3")
-    assert pres.generator_count == 2
-    assert pres.relators == ((1, 1), (1, 2, 1, 2, 1, 2))
-    pres = parse_presentation("gens=1;rel=x1^3")
-    assert pres.relators == ((1, 1, 1),)
-    pres = parse_presentation("gens=2; rel=(x1*x2^-1)^2")
-    assert pres.relators == ((1, -2, 1, -2),)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "rel=x1^2",  # missing gens
-        "gens=a; rel=x1",
-        "gens=1; relator=x1",
-        "gens=1; rel=x1^",
-        "gens=1; rel=(x1",
-        "gens=1; rel=y1",
-        "gens=1; rel=x1*",
-    ],
-)
-def test_presentation_parse_errors(text):
-    with pytest.raises(ParseError):
-        parse_presentation(text)
-
-
 def test_presentation_validation():
     with pytest.raises(ValidationError):
         Presentation(1, ((2,),))  # index out of range
@@ -295,8 +266,19 @@ def test_presentation_validation():
         Presentation(0, ((1,),))
     with pytest.raises(ValidationError):
         Presentation(1, ())
-    with pytest.raises(ValidationError):
-        parse_presentation("gens=1; rel=x1^0")
+    with pytest.raises(ValidationError, match="empty relator word"):
+        Presentation(1, ((),))
+
+
+def test_presentation_reads_integers_and_stores_tuples():
+    # a count or letter that is no integer is refused when built, not deep in the count
+    with pytest.raises(ValidationError, match="generator count 1.0 is not an integer"):
+        Presentation(1.0, ((1,),))
+    with pytest.raises(ValidationError, match="relator letter '1' is not an integer"):
+        Presentation(1, ("11",))
+    pres = Presentation(2, [[1, 1]])
+    assert pres.relators == ((1, 1),)
+    assert hash(pres) == hash(Presentation(2, ((1, 1),)))
 
 
 def test_builtin_presentations():
@@ -351,21 +333,40 @@ def _count_by_nested_loops(pres, n, q):
     )
 
 
-_S4_COXETER = (
-    "gens=3; rel=x1^2; rel=x2^2; rel=x3^2; rel=(x1*x2)^3; rel=(x2*x3)^3; rel=(x1*x3)^2"
+# labelled in the usual relator notation; the labels name the nested-loop test cases
+_S4_COXETER = Presentation(
+    3, ((1,) * 2, (2,) * 2, (3,) * 2, (1, 2) * 3, (2, 3) * 3, (1, 3) * 2),
+    label="gens=3; rel=x1^2; rel=x2^2; rel=x3^2; rel=(x1*x2)^3; rel=(x2*x3)^3; rel=(x1*x3)^2",
 )
 # x2 shares no relator with x1 or x3, so the join renumbers it past them and counts it
-_X1_X3_COMMUTE = "gens=3; rel=x1*x3*x1^-1*x3^-1; rel=x2^3"
-_MIXED_SIGN_POWERS = "gens=2; rel=x1^3*x1^-5; rel=x1^4; rel=x2^3; rel=x1*x2*x1^-1*x2^-1"
+_X1_X3_COMMUTE = Presentation(
+    3, ((1, 3, -1, -3), (2,) * 3), label="gens=3; rel=x1*x3*x1^-1*x3^-1; rel=x2^3"
+)
+_MIXED_SIGN_POWERS = Presentation(
+    2, ((1,) * 3 + (-1,) * 5, (1,) * 4, (2,) * 3, (1, 2, -1, -2)),
+    label="gens=2; rel=x1^3*x1^-5; rel=x1^4; rel=x2^3; rel=x1*x2*x1^-1*x2^-1",
+)
+_COMMUTE = Presentation(2, ((1, 2, -1, -2),), label="gens=2; rel=x1*x2*x1^-1*x2^-1")
 
 
 @pytest.mark.parametrize(
-    "text, n, q",
+    "pres, n, q",
     [
-        ("gens=2; rel=x1^3; rel=x2^2; rel=x2*x1*x2^-1*x1", 2, 3),
-        ("gens=2; rel=x1*x2*x1^-1*x2^-1", 2, 3),
-        ("gens=2; rel=x1^-4; rel=x2^-1*x1*x2*x1", 2, 3),
-        ("gens=2; rel=x1^2*x2^-3", 1, 7),
+        (
+            Presentation(
+                2, ((1,) * 3, (2,) * 2, (2, 1, -2, 1)),
+                label="gens=2; rel=x1^3; rel=x2^2; rel=x2*x1*x2^-1*x1",
+            ),
+            2, 3,
+        ),
+        (_COMMUTE, 2, 3),
+        (
+            Presentation(
+                2, ((-1,) * 4, (-2, 1, 2, 1)), label="gens=2; rel=x1^-4; rel=x2^-1*x1*x2*x1"
+            ),
+            2, 3,
+        ),
+        (Presentation(2, ((1,) * 2 + (-2,) * 3,), label="gens=2; rel=x1^2*x2^-3"), 1, 7),
         (_S4_COXETER, 2, 2),
         (_S4_COXETER, 1, 7),
         (_X1_X3_COMMUTE, 2, 2),
@@ -374,13 +375,19 @@ _MIXED_SIGN_POWERS = "gens=2; rel=x1^3*x1^-5; rel=x1^4; rel=x2^3; rel=x1*x2*x1^-
         (_MIXED_SIGN_POWERS, 2, 3),
         (_MIXED_SIGN_POWERS, 1, 7),
         # x1*x1^-1 has exponent 0 and leaves every x1
-        ("gens=2; rel=x1*x1^-1; rel=x2^2; rel=x1*x2*x1^-1*x2^-1", 2, 3),
+        (
+            Presentation(
+                2, ((1, -1), (2,) * 2, (1, 2, -1, -2)),
+                label="gens=2; rel=x1*x1^-1; rel=x2^2; rel=x1*x2*x1^-1*x2^-1",
+            ),
+            2, 3,
+        ),
         # |GL_1(2)| = 1: the inverse of a free generator is g^(2*1 - 1) = g
-        ("gens=2; rel=x1*x2*x1^-1*x2^-1", 1, 2),
+        (_COMMUTE, 1, 2),
     ],
+    ids=lambda value: value.label if isinstance(value, Presentation) else None,
 )
-def test_bruteforce_matches_nested_loops(text, n, q):
-    pres = parse_presentation(text)
+def test_bruteforce_matches_nested_loops(pres, n, q):
     assert hom_count_bruteforce(pres, n, q) == _count_by_nested_loops(pres, n, q)
 
 
@@ -421,28 +428,30 @@ def test_bruteforce_matches_nested_loops_on_random_presentations(drawn):
         assert hom_count_bruteforce(pres, n, q) == expected
 
 
+# abelian:2x2x2: three involutions that commute pairwise
+_ELEMENTARY_ABELIAN_8 = Presentation(
+    3, ((1,) * 2, (2,) * 2, (3,) * 2, (1, 2, -1, -2), (1, 3, -1, -3), (2, 3, -2, -3))
+)
+
+
 @pytest.mark.parametrize("q, expected", [(3, 344), (5, 848)])
 def test_abelian_commutator_presentation_matches_polynomial(q, expected):
-    pres = parse_presentation(
-        "gens=3; rel=x1^2; rel=x2^2; rel=x3^2; "
-        "rel=x1*x2*x1^-1*x2^-1; rel=x1*x3*x1^-1*x3^-1; rel=x2*x3*x2^-1*x3^-1"
-    )
-    assert hom_count_bruteforce(pres, 2, q) == expected
+    assert hom_count_bruteforce(_ELEMENTARY_ABELIAN_8, 2, q) == expected
     assert hom_count_poly(make_profile("abelian:2x2x2"), 2).evaluate(q) == expected
 
 
 def test_commutator_inverses_at_dimension_three():
     # inverses are powers at every n: g^3 for the involutions of GL_3(3)
-    pres = parse_presentation("gens=2; rel=x1^2; rel=x2^2; rel=x1*x2*x1^-1*x2^-1")
+    pres = Presentation(2, ((1,) * 2, (2,) * 2, (1, 2, -1, -2)))
     expected = hom_count_poly(make_profile("abelian:2x2"), 3).evaluate(3)
     assert expected == 7024
     assert hom_count_bruteforce(pres, 3, 3) == expected
 
 
 _FREE_GENERATOR_PROBE = """
-from glhom import ResourceLimit, hom_count_bruteforce, parse_presentation
+from glhom import Presentation, ResourceLimit, hom_count_bruteforce
 try:
-    hom_count_bruteforce(parse_presentation("gens=2; rel=x1^3; rel=x2^-1*x1*x2*x1"), 3, 7)
+    hom_count_bruteforce(Presentation(2, ((1,) * 3, (-2, 1, 2, 1))), 3, 7)
 except ResourceLimit as exc:
     print(exc)
 """
@@ -459,8 +468,8 @@ def test_free_generator_is_refused_before_it_is_streamed():
 
 
 _UNREAD_GENERATOR_PROBE = """
-from glhom import hom_count_bruteforce, parse_presentation
-print(hom_count_bruteforce(parse_presentation("gens=1; rel=x1*x1^-1"), 3, 7))
+from glhom import Presentation, hom_count_bruteforce
+print(hom_count_bruteforce(Presentation(1, ((1, -1),)), 3, 7))
 """
 
 
@@ -482,7 +491,7 @@ def test_generator_between_read_ones_is_only_a_factor(monkeypatch):
         return _eval_word(word, at, *args)
 
     monkeypatch.setattr(oracle, "_eval_word", spied)
-    assert hom_count_bruteforce(parse_presentation(_X1_X3_COMMUTE), 2, 5) == 11520 * 21
+    assert hom_count_bruteforce(_X1_X3_COMMUTE, 2, 5) == 11520 * 21
     assert seen and set(seen) == {2}
 
 
@@ -495,11 +504,7 @@ def test_shared_one_generator_relators_stream_once(monkeypatch):
         return _unit_blocks(*args)
 
     monkeypatch.setattr(oracle, "_unit_blocks", counted)
-    pres = parse_presentation(
-        "gens=3; rel=x1^2; rel=x2^2; rel=x3^2; "
-        "rel=x1*x2*x1^-1*x2^-1; rel=x1*x3*x1^-1*x3^-1; rel=x2*x3*x2^-1*x3^-1"
-    )
-    assert hom_count_bruteforce(pres, 2, 5) == 848
+    assert hom_count_bruteforce(_ELEMENTARY_ABELIAN_8, 2, 5) == 848
     assert len(calls) == 1
 
 

@@ -202,7 +202,7 @@ def test_one_enumerator_and_one_digit_walk_in_the_oracle():
     oracle_tree = trees["oracle.py"]
     assert {
         node.name for node in oracle_tree.body if isinstance(node, ast.ClassDef)
-    } == {"Presentation", "_WordParser"}
+    } == {"Presentation"}
     assert "itertools" not in {
         name.split(".")[0]
         for node in ast.walk(oracle_tree)
@@ -308,6 +308,17 @@ def _imported(node: ast.Import | ast.ImportFrom) -> list[str]:
     return [name.lstrip(".").removeprefix("glhom.") for name in names]
 
 
+def test_the_oracle_parses_no_text():
+    # a Presentation is built from relator tuples alone, so the oracle has no grammar to raise on
+    imported = {
+        name
+        for node in ast.walk(_trees()["oracle.py"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _imported(node)
+    }
+    assert not imported & {"re", "errors.ParseError"}
+
+
 def test_only_the_oracle_imports_numpy_and_nothing_imports_it_eagerly():
     found = {
         (path.name, name.split(".")[0])
@@ -403,10 +414,12 @@ def test_residue_and_poly_commands_leave_numpy_unloaded():
 
 
 # names with no caller in the package, gone from it: the orbit-sum route to f_n is the tests'
-# reference in tests/orbit_sum.py, and the lifting lemma's tests compute k*d_i + t_i inline
+# reference in tests/orbit_sum.py, the lifting lemma's tests compute k*d_i + t_i inline, and
+# the tests build each Presentation from relator tuples
 REMOVED_NAMES = (
     "DivisionByZero IneligibleTuple LengthMismatch LiftedReport NonZeroRemainder div_exact"
-    " eligible_tuples gl_order_poly lift_minimal minimal_tuples_for_n orbit_poly weight"
+    " eligible_tuples gl_order_poly lift_minimal minimal_tuples_for_n orbit_poly"
+    " parse_presentation weight"
 ).split()
 
 
@@ -420,7 +433,6 @@ def test_the_package_exports_the_calculator_and_nothing_else():
         "leading_term", "minimal_tuples", "minimal_tuples_direct", "stability_bound",
         "variety_report",
         "Presentation", "builtin_presentation", "gl_count", "hom_count_bruteforce",
-        "parse_presentation",
         "DegreeProfile", "GroupSpec", "parse_group_spec", "profile_of", "splitting_field_check",
         "validate_profile",
     }
