@@ -1,44 +1,24 @@
 """Command-line front end.
 
-Subcommands: table, poly, leading, bound, verify, variety.  Results go to
-standard output (text, or one JSON document with --json); diagnostics go
-to standard error.  Exit codes: 0 success/PASS, 1 input or validation
-error, 2 verification failure or unstable-regime refusal, 3 resource
-limit exceeded.
+Subcommands: table, poly, leading, bound, verify, variety, each followed by its options as FLAG
+VALUE pairs; -h prints the usage.  Results go to standard output (text, or one JSON document
+with --json); diagnostics go to standard error.  Exit codes: 0 success/PASS, 1 input or
+validation error, 2 verification failure or unstable-regime refusal, 3 resource limit exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .errors import GlhomError, ResourceLimit, UnstableRegime, ValidationError
 from .profiles import parse_group_spec, profile_of, splitting_field_check
 
 MAX_TABLE_ENTRIES = 2**21  # a rows of s-entry samples: admits cyclic:1448 and dihedral:1400
+_HELP = ("-h", "--help")
 
 
 class _UsageError(GlhomError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through our exit-code contract."""
-
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="glhom", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--group", required=True, help="group spec, e.g. sym:4 or cyclic:6")
-        p.add_argument("--json", action="store_true", help="emit one JSON document")
-        for flag, kwargs in options.items():
-            p.add_argument(flag, **kwargs)
-    return parser
 
 
 def _eval_points(text: str) -> list[int]:
@@ -57,9 +37,9 @@ def _splits(spec, q: int) -> tuple[bool, str]:
         return False, str(exc)
 
 
-# each _cmd_* imports the layers it runs, so a command loads no other layer, and returns
+# each _cmd_* takes its own options by dest, imports only the layers it runs, and returns
 # its JSON fields after "command" and "group", its text lines and its exit code
-def _cmd_table(profile, spec, args):
+def _cmd_table(profile, spec):
     from .minimize import minimal_tuples, stability_bound
 
     a, s = profile.order, profile.s
@@ -96,19 +76,19 @@ def _cmd_table(profile, spec, args):
     return fields, lines, 0
 
 
-def _cmd_poly(profile, spec, args):
+def _cmd_poly(profile, spec, n, eval_points=()):
     from .counting import hom_count_poly
 
-    poly = hom_count_poly(profile, args.n)
+    poly = hom_count_poly(profile, n)
     evaluations = []
     lines = [poly.to_text()]
-    for x in args.eval_points:
+    for x in eval_points:
         ok, reason = _splits(spec, x)
         value = str(poly.evaluate(x))
         evaluations.append({"q": x, "value": value, "splitting_field": ok, "reason": reason})
-        lines.append(f"f({x}) = {value}" + (f" = |Hom(A, GL_{args.n}({x}))|" if ok else ""))
+        lines.append(f"f({x}) = {value}" + (f" = |Hom(A, GL_{n}({x}))|" if ok else ""))
     fields = {
-        "n": args.n,
+        "n": n,
         "degree": int(poly.degree) if not poly.is_zero else None,
         "polynomial": poly.to_json_obj(),
         "evaluations": evaluations,
@@ -116,10 +96,10 @@ def _cmd_poly(profile, spec, args):
     return fields, lines, 0
 
 
-def _cmd_leading(profile, spec, args):
+def _cmd_leading(profile, spec, n):
     from .minimize import leading_term
 
-    lt = leading_term(profile, args.n)
+    lt = leading_term(profile, n)
     fields = {
         "n": lt.n,
         "r": lt.r,
@@ -139,7 +119,7 @@ def _cmd_leading(profile, spec, args):
     return fields, [f"{lt.coefficient} * q^{lt.exponent} ({state})"], 0
 
 
-def _cmd_bound(profile, spec, args):
+def _cmd_bound(profile, spec):
     from .minimize import stability_bound
 
     a = profile.order
@@ -153,12 +133,12 @@ def _cmd_bound(profile, spec, args):
     return fields, [f"b={bound.b}, N={bound.n_threshold} (<= a(a-1)={a * (a - 1)})"], 0
 
 
-def _cmd_variety(profile, spec, args):
+def _cmd_variety(profile, spec, n):
     from .minimize import variety_report
 
-    report = variety_report(profile, args.n)
+    report = variety_report(profile, n)
     fields = {
-        "n": args.n,
+        "n": n,
         "dimension": report.dimension,
         "components": report.top_components,
         "n_threshold": report.n_threshold,
@@ -166,7 +146,7 @@ def _cmd_variety(profile, spec, args):
     return fields, [f"dimension {report.dimension}, {report.top_components} components"], 0
 
 
-def _cmd_verify(profile, spec, args):
+def _cmd_verify(profile, spec, n, q):
     import os
 
     # the oracle's integer products never call BLAS, so numpy need not start OpenBLAS's
@@ -175,64 +155,114 @@ def _cmd_verify(profile, spec, args):
     from . import oracle  # numpy: verify only
     from .counting import hom_count_poly
 
-    ok, reason = _splits(spec, args.q)
+    ok, reason = _splits(spec, q)
     if not ok:
-        raise ValidationError(f"F_{args.q} is not a splitting field for {spec}: {reason}")
+        raise ValidationError(f"F_{q} is not a splitting field for {spec}: {reason}")
     # the oracle's refusals on (spec, n, q) alone come first, then f_n and its pre-flight,
     # and only then the m-letter relators of cyclic:m and dihedral:m; n = 0 builds none
-    oracle._check_hom_args(args.n, args.q)
+    oracle._check_hom_args(n, q)
     build = oracle._builtin(spec)
     if build is None:
         raise ValidationError(f"no built-in presentation paired with {spec}")
-    value = hom_count_poly(profile, args.n).evaluate(args.q)
-    brute = oracle.hom_count_bruteforce(build(), args.n, args.q) if args.n else 1
+    value = hom_count_poly(profile, n).evaluate(q)
+    brute = oracle.hom_count_bruteforce(build(), n, q) if n else 1
     match = value == brute
     fields = {
-        "n": args.n,
-        "q": args.q,
+        "n": n,
+        "q": q,
         "poly_value": str(value),
         "bruteforce": str(brute),
         "match": match,
     }
-    lines = [f"f({args.q}) = {value}", f"brute force = {brute}", "PASS" if match else "FAIL"]
+    lines = [f"f({q}) = {value}", f"brute force = {brute}", "PASS" if match else "FAIL"]
     return fields, lines, 0 if match else 2
 
 
-_N = {"type": int, "required": True}
-# name: (command, help, its own options after --group and --json)
+_COMMON = {
+    "--group": ("group", str, True, "group spec, e.g. sym:4 or cyclic:6"),
+    "--json": ("json", bool, False, "emit one JSON document"),
+}
+_N, _Q = ("n", int, True, "matrix size n"), ("q", int, True, "prime field size q")
+_EVAL = ("eval_points", _eval_points, False, "comma-separated integers")
+# name: (command, help, options as flag: (dest, type, required, help)); a bool flag takes no value
 _COMMANDS = {
-    "table": (_cmd_table, "per-residue minimal-tuple table", {}),
-    "poly": (_cmd_poly, "full count polynomial f_n", {
-        "-n": _N,
-        "--eval": {
-            "type": _eval_points,
-            "default": [],
-            "dest": "eval_points",
-            "help": "comma-separated integers",
-        },
-    }),
-    "leading": (_cmd_leading, "leading term of f_n", {"-n": _N}),
-    "bound": (_cmd_bound, "stability bound N = b*a", {}),
-    "verify": (_cmd_verify, "polynomial vs brute force", {"-n": _N, "-q": _N}),
-    "variety": (_cmd_variety, "representation variety dimension", {"-n": _N}),
+    "table": (_cmd_table, "per-residue minimal-tuple table", _COMMON),
+    "poly": (_cmd_poly, "full count polynomial f_n", {**_COMMON, "-n": _N, "--eval": _EVAL}),
+    "leading": (_cmd_leading, "leading term of f_n", {**_COMMON, "-n": _N}),
+    "bound": (_cmd_bound, "stability bound N = b*a", _COMMON),
+    "verify": (_cmd_verify, "polynomial vs brute force", {**_COMMON, "-n": _N, "-q": _Q}),
+    "variety": (_cmd_variety, "representation variety dimension", {**_COMMON, "-n": _N}),
 }
 
 
+def _usage(name: str | None) -> str:
+    """The help of subcommand ``name``, or for None of the whole CLI, from _COMMANDS."""
+    if name is None:
+        head = f"usage: glhom {{{','.join(_COMMANDS)}}} --group GROUP [--json] ...\n\n{__doc__}"
+        rows = {command: about for command, (_, about, _) in _COMMANDS.items()}
+    else:
+        _, about, options = _COMMANDS[name]
+        head = f"usage: glhom {name} FLAG VALUE ...\n\n{about}\n"
+        rows = {
+            flag if kind is bool else f"{flag} {dest.upper()}": text + " (required)" * required
+            for flag, (dest, kind, required, text) in options.items()
+        }
+    width = max(map(len, rows))
+    return "\n".join([head, *(f"  {word:<{width}}  {text}" for word, text in rows.items())])
+
+
+def _parse(argv: list[str]) -> tuple[str | None, dict | None]:
+    """The subcommand ``argv`` starts with and its options by dest, read as FLAG VALUE pairs
+    in any order, the last of a repeated one kept; no options where -h asks for the usage.
+    """
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    name, words = argv[0], iter(argv[1:])
+    if name in _HELP:
+        return None, None
+    if name not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _UsageError(f"argument command: invalid choice: {name!r} (choose from {choices})")
+    options, args, extra = _COMMANDS[name][2], {}, []
+    for word in words:
+        if word in _HELP:
+            return name, None
+        if word not in options:
+            extra.append(word)
+            continue
+        dest, kind, _, _ = options[word]
+        value = True if kind is bool else next(words, None)
+        if value is None or value in options or value in _HELP:
+            raise _UsageError(f"argument {word}: expected one argument")
+        try:
+            args[dest] = kind(value)
+        except ValueError:
+            raise _UsageError(f"argument {word}: invalid {kind.__name__} value: {value!r}")
+    missing = [flag for flag, (dest, _, need, _) in options.items() if need and dest not in args]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    if extra:
+        raise _UsageError("unrecognized arguments: " + " ".join(extra))
+    return name, args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     # values such as f_60(1000) have more digits than str() allows by default
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-        spec = parse_group_spec(args.group)
+        name, args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_usage(name))
+            return 0
+        as_json, spec = args.pop("json", False), parse_group_spec(args.pop("group"))
         profile = profile_of(spec)
-        fields, lines, code = _COMMANDS[args.command][0](profile, spec, args)
-        if args.json:
+        fields, lines, code = _COMMANDS[name][0](profile, spec, **args)
+        if as_json:
             import json
 
-            print(json.dumps({"command": args.command, "group": str(profile), **fields}, indent=2))
+            print(json.dumps({"command": name, "group": str(profile), **fields}, indent=2))
         else:
             print("\n".join(lines))
         return code

@@ -9,9 +9,9 @@ narrowest integer type that holds every intermediate; a product is n^3 elementwi
 on planes, so numpy never calls BLAS here.  Matrices are raised to powers only by squaring
 (``_power``), inverses g^-1 = g^(2m-1) included, m a power relator's exponent or else that of
 GL_n(q).  g^e = 1 with e >= 1 needs no determinant, a relator u^k is tested through its root u,
-and the last product of each is tested entry by entry.  The join tests a block of rows against
-every candidate of the next generator by broadcasting.  The pure-Python matrix reference and the
-naive minimal-tuple box search, which reuses ``_digit_blocks``, live with the tests.
+and each last product is computed whole only where its first entry is 1.  The join broadcasts a
+block of rows against every candidate of the next generator.  The pure-Python matrix reference and
+the naive minimal-tuple box search, which reuses ``_digit_blocks``, live with the tests.
 """
 
 from __future__ import annotations
@@ -137,22 +137,22 @@ def _power(mats: np.ndarray, e: int, q: int) -> np.ndarray:
 
 def _identity_rows(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     """The flat batch indices i with left[..., i] @ right[..., i] = 1 mod q, the two stacks'
-    equally many batch axes broadcast together; i leaves at its first wrong entry, and only the
-    first entry is computed on the whole batch.
+    equally many batch axes broadcast together; the whole product is built where entry (0, 0) is 1.
     """
     n, shape = len(left), np.broadcast_shapes(left.shape[2:], right.shape[2:])
     rows = np.flatnonzero(_reduce(_dot(left[0], right[:, 0]), q) == 1)
+    if n == 1:
+        return rows
     # each side's own flat batch index of the remaining rows: its length-1 axes read at 0
     li, ri = (
         rows if x.shape[2:] == shape
         else np.ravel_multi_index(np.unravel_index(rows, shape), x.shape[2:], mode="clip")
         for x in (left, right)
     )
-    left, right = left.reshape(n, n, -1), right.reshape(n, n, -1)
-    for a, b in list(np.ndindex(n, n))[1:]:
-        keep = _reduce(_dot(left[a].take(li, 1), right[:, b].take(ri, 1)), q) == (a == b)
-        rows, li, ri = rows[keep], li[keep], ri[keep]
-    return rows
+    left, right = left.reshape(n, n, -1).take(li, 2), right.reshape(n, n, -1).take(ri, 2)
+    product = _mul_mod(left, right, q).reshape(n * n, -1)
+    product[:: n + 1] -= 1  # row-major, the identity's 1s are every (n+1)-th entry
+    return rows[~product.any(0)]
 
 
 def _eval_word(word: tuple[int, ...], at: Sequence, mats: list, invs: list, q: int) -> np.ndarray:

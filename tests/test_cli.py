@@ -302,17 +302,11 @@ def test_poly_many_coordinates(capsys):
 def test_options_of_each_subcommand():
     # every option a subcommand accepts, as (flag, dest, type, required), and each
     # subcommand's help; a new knob has to be added here
-    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
     options = {
-        name: {(s, a.dest, a.type, a.required) for a in p._actions for s in a.option_strings}
-        for name, p in sub.choices.items()
+        name: {(flag, dest, kind, required) for flag, (dest, kind, required, _) in opts.items()}
+        for name, (_, _, opts) in cli._COMMANDS.items()
     }
-    common = {
-        ("-h", "help", None, False),
-        ("--help", "help", None, False),
-        ("--group", "group", None, True),
-        ("--json", "json", None, False),
-    }
+    common = {("--group", "group", str, True), ("--json", "json", bool, False)}
     n, q = ("-n", "n", int, True), ("-q", "q", int, True)
     assert options == {
         "table": common,
@@ -322,7 +316,7 @@ def test_options_of_each_subcommand():
         "verify": common | {n, q},
         "variety": common | {n},
     }
-    assert {a.dest: a.help for a in sub._choices_actions} == {
+    assert {name: about for name, (_, about, _) in cli._COMMANDS.items()} == {
         "table": "per-residue minimal-tuple table",
         "poly": "full count polynomial f_n",
         "leading": "leading term of f_n",
@@ -330,6 +324,52 @@ def test_options_of_each_subcommand():
         "verify": "polynomial vs brute force",
         "variety": "representation variety dimension",
     }
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ((), "the following arguments are required: command"),
+        (
+            ("foo", "--group", "sym:4"),
+            "argument command: invalid choice: 'foo' (choose from 'table', 'poly', 'leading',"
+            " 'bound', 'verify', 'variety')",
+        ),
+        (("poly", "--group", "sym:4"), "the following arguments are required: -n"),
+        (("verify", "-q", "5"), "the following arguments are required: --group, -n"),
+        (("poly", "--group", "sym:4", "-n", "x"), "argument -n: invalid int value: 'x'"),
+        (("poly", "--group", "sym:4", "-n"), "argument -n: expected one argument"),
+        (("poly", "--group", "sym:4", "-n", "--json"), "argument -n: expected one argument"),
+        (("bound", "--group", "sym:4", "--eval", "3"), "unrecognized arguments: --eval 3"),
+        (("bound", "--group", "sym:4", "extra"), "unrecognized arguments: extra"),
+        # forms argparse read as abbreviations or attached values
+        (("table", "--gr", "sym:4"), "the following arguments are required: --group"),
+        (("table", "--group=sym:4"), "the following arguments are required: --group"),
+        (("poly", "--group", "sym:4", "-n5"), "the following arguments are required: -n"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [(), *((name,) for name in cli._COMMANDS)])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_subcommand_and_option(capsys, argv, flag):
+    # -h stops the reading wherever it comes, before any required option is missed
+    code, out, err = run(capsys, *argv, flag)
+    assert (code, err) == (0, "")
+    if argv:
+        _, about, options = cli._COMMANDS[argv[0]]
+        named = [about, *options, *(text for _, _, _, text in options.values())]
+    else:
+        named = [word for name, (_, about, _) in cli._COMMANDS.items() for word in (name, about)]
+    assert all(word in out for word in named)
+
+
+def test_repeated_option_keeps_its_last_value(capsys):
+    assert run(capsys, "poly", "-n", "3", "--group", "cyclic:2", "-n", "2") == (
+        0, "q^2 + q + 2\n", ""
+    )
 
 
 def test_eval_is_refused_before_the_polynomial_is_built():

@@ -247,7 +247,7 @@ def test_one_powering_routine_in_the_oracle():
 
 
 def test_one_identity_test_in_the_oracle():
-    # g^e = 1 and each relator are tested entry by entry on their last product,
+    # g^e = 1 and each relator are tested on their last product by _identity_rows,
     # and the digit walk divides only to build its low-digit table, not per block
     tree = _trees()["oracle.py"]
     functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
@@ -349,7 +349,9 @@ def test_each_layer_imports_only_what_its_commands_run():
         imported.split(".")[0]
         for node in _module_level_imports(trees["cli.py"])
         for imported in _imported(node)
-    } == {"__future__", "argparse", "sys", "errors", "profiles"}
+    } == {"__future__", "sys", "errors", "profiles"}
+    # the command line is read from cli._COMMANDS: argparse alone costs each command about 4 ms
+    assert [name for name, modules in reached.items() if "argparse" in modules] == []
     assert "minimize" not in reached["counting.py"]
     assert not reached["minimize.py"] & {"counting", "intpoly"}
 
@@ -357,10 +359,16 @@ def test_each_layer_imports_only_what_its_commands_run():
 def test_one_command_table_drives_the_cli_and_only_main_prints_results():
     import glhom.cli as cli
 
-    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
-    assert list(cli._COMMANDS) == list(sub.choices)
-    # every other print in cli.py is a diagnostic on standard error
+    # each subcommand's function is its entry, and takes its own options' dests as keywords
     tree = _trees()["cli.py"]
+    defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    entries = [fn.__name__ for fn, _, _ in cli._COMMANDS.values()]
+    assert entries == [f"_cmd_{name}" for name in cli._COMMANDS]
+    assert set(entries) == {name for name in defined if name.startswith("_cmd_")}
+    for fn, _, options in cli._COMMANDS.values():
+        own = {dest for flag, (dest, _, _, _) in options.items() if flag not in cli._COMMON}
+        assert set(fn.__code__.co_varnames[2 : fn.__code__.co_argcount]) == own
+    # every other print in cli.py is a diagnostic on standard error
     to_stdout = [
         node.lineno
         for node in ast.walk(tree)
@@ -384,9 +392,10 @@ print(code, *sorted(set(sys.modules) - before & {watched!r}))
 
 def test_residue_and_poly_commands_leave_numpy_unloaded():
     # one fresh interpreter per command: the test process has every module loaded already
-    # fractions is loaded only where a MinimalReport, with its eps_r, is built
+    # fractions is loaded only where a MinimalReport, with its eps_r, is built, and no command
+    # reads its command line with argparse, whose messages load gettext and locale
     watched = {
-        "dataclasses", "fractions", "json", "numpy",
+        "argparse", "dataclasses", "fractions", "gettext", "json", "locale", "numpy",
         "glhom.counting", "glhom.intpoly", "glhom.minimize", "glhom.oracle",
     }
     residue = "0 glhom.minimize"
