@@ -17,10 +17,9 @@ __version__ = "0.1.0"
 
 # the public names of each layer
 _LAYERS = {
-    "counting": "hom_count_poly",
+    "counting": "NEG_INFINITY IntPolynomial hom_count_poly",
     "errors": "GlhomError InvariantViolation ParseError RangeError ResourceLimit UnstableRegime"
     " UnsupportedFamily ValidationError",
-    "intpoly": "NEG_INFINITY IntPolynomial",
     "minimize": "LeadingTerm MinimalReport StabilityBound VarietyReport epsilon leading_term"
     " minimal_tuples minimal_tuples_direct stability_bound variety_report",
     "oracle": "Presentation builtin_presentation gl_count hom_count_bruteforce",

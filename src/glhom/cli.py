@@ -160,7 +160,7 @@ def _cmd_verify(profile, spec, n, q):
         raise ValidationError(f"F_{q} is not a splitting field for {spec}: {reason}")
     # the oracle's refusals on (spec, n, q) alone come first, then f_n and its pre-flight,
     # and only then the m-letter relators of cyclic:m and dihedral:m; n = 0 builds none
-    oracle._check_hom_args(n, q)
+    oracle._check_args(n, q)
     build = oracle._builtin(spec)
     if build is None:
         raise ValidationError(f"no built-in presentation paired with {spec}")

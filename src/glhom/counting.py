@@ -7,22 +7,112 @@ count polynomial f_n with f_n(q) = |Hom(A, GL_n(q))| whenever F_q splits
 the group; ``hom_count_poly`` builds it by a knapsack DP without listing
 the tuples, on plain ints: every polynomial is its value at q = 2^B, with B
 worked out by a pre-flight that also bounds the DP's memory and, from its
-exact step count, its work.  The top of f_n is controlled by the minimal
-tuples alone: degree n^2(1 - 1/a) - eps_r and leading coefficient m_r, with
-r = n mod a.  ``minimize.leading_term`` reads it off them, so this module,
-which only ``poly`` and ``verify`` load, never imports ``minimize``.
+exact step count, its work; f_n is read back into an ``IntPolynomial``.  The
+top of f_n is controlled by the minimal tuples alone: degree n^2(1 - 1/a) -
+eps_r and leading coefficient m_r, with r = n mod a.  ``minimize.leading_term``
+reads it off them, so this module, which only ``poly`` and ``verify`` load,
+never imports ``minimize``.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from .errors import RangeError, ResourceLimit
-from .intpoly import IntPolynomial, _unpack
 from .profiles import DegreeProfile
+
+#: Degree of the zero polynomial.  Compares below every integer degree.
+NEG_INFINITY = float("-inf")
 
 MAX_PACKED_BITS = 1 << 31
 # Admits sym:4 up to n=90 (33 s, 0.97 ns a bit) and dihedral:20 up to n=62 (58 s, 1.7 ns a bit)
 MAX_WORK_BITS = 1 << 35
 STEP_OVERHEAD_BITS = 4096
+
+
+class IntPolynomial:
+    """Dense polynomial in q with arbitrary-precision integer coefficients, lowest first.
+
+    Canonical form: the highest stored coefficient is nonzero except for the zero
+    polynomial, which stores nothing.  Instances are immutable and hashable.
+    """
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coefficients: Iterable[int] = ()):
+        coeffs = [int(c) for c in coefficients]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self._coeffs = tuple(coeffs)
+
+    @classmethod
+    def one(cls) -> "IntPolynomial":
+        return cls((1,))
+
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        return self._coeffs
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    @property
+    def degree(self) -> int | float:
+        """Degree, or NEG_INFINITY for the zero polynomial."""
+        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+
+    @property
+    def leading_coefficient(self) -> int:
+        return self._coeffs[-1] if self._coeffs else 0
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, IntPolynomial) and self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(self._coeffs)
+
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
+
+    def __repr__(self) -> str:
+        return f"IntPolynomial({self.to_text()!r})"
+
+    def evaluate(self, x: int) -> int:
+        """Horner evaluation at an integer point; exact."""
+        acc = 0
+        for c in reversed(self._coeffs):
+            acc = acc * x + c
+        return acc
+
+    def terms(self) -> Iterator[tuple[int, int]]:
+        """Nonzero (exponent, coefficient) pairs, descending exponent."""
+        for e in range(len(self._coeffs) - 1, -1, -1):
+            c = self._coeffs[e]
+            if c:
+                yield e, c
+
+    def to_text(self) -> str:
+        """Render in descending exponent order, e.g. ``q^4 - q^3 - q^2 + q``."""
+        if self.is_zero:
+            return "0"
+        pieces: list[str] = []
+        for e, c in self.terms():
+            mag = abs(c)
+            if e == 0:
+                body = str(mag)
+            else:
+                qpart = "q" if e == 1 else f"q^{e}"
+                body = qpart if mag == 1 else f"{mag}*{qpart}"
+            if not pieces:
+                pieces.append(f"-{body}" if c < 0 else body)
+            else:
+                pieces.append(f" - {body}" if c < 0 else f" + {body}")
+        return "".join(pieces)
+
+    def to_json_obj(self) -> dict[str, str]:
+        """Exponent -> coefficient map, both as decimal strings."""
+        return {str(e): str(c) for e, c in self.terms()}
 
 
 def _transitions(groups: tuple[tuple[int, int], ...], n: int) -> int:
@@ -79,8 +169,9 @@ def _packed_states(degrees: tuple[int, ...], n: int, bits: int) -> dict[int, int
 def _preflight(groups: tuple[tuple[int, int], ...], n: int) -> int:
     """Width B = H_n.bit_length() + 2 of f_n's DP; ResourceLimit if it passes either cap.
 
-    H_0 = 1, H_w = sum_(d,c) c 2^(d-1) H_(w-d).  Memory, a q-Pascal row (one coordinate
-    builds none) and one packed state, is checked at B = 3 before this O(n) loop.
+    H_0 = 1, H_w = sum_(d,c) c 2^(d-1) H_(w-d) bounds f_n's |coefficients| below 2^(B-2),
+    so ``_unpack`` is exact.  Memory, a q-Pascal row (one coordinate builds none) and one
+    packed state, is checked at B = 3 before this O(n) loop.
     Work is the exact step count times the widest state, plus STEP_OVERHEAD_BITS per step.
     """
     row = n**3 // 6 if sum(c for _, c in groups) > 1 else 0
@@ -103,6 +194,27 @@ def _preflight(groups: tuple[tuple[int, int], ...], n: int) -> int:
             f" more than the cap of {MAX_WORK_BITS} bits"
         )
     return bits
+
+
+def _unpack(value: int, bits: int) -> list[int]:
+    """Balanced base-2^bits digits of ``value``, lowest first: the coefficients at q = 2^bits.
+
+    Exact when every coefficient has |c| < 2^(bits-1), as the width ``_preflight``
+    returns makes sure: a block of h digits is then the residue of ``value`` mod
+    2^(h*bits) nearest to zero.  Blocks are halved top down, in ceil(log2(length)) passes.
+    """
+    levels = (abs(value).bit_length() // bits).bit_length()
+    vals = [value]
+    for level in range(levels - 1, -1, -1):
+        width = bits << level
+        mask = (1 << width) - 1
+        half = 1 << (width - 1)
+        split: list[int] = []
+        for v in vals:
+            lo = ((v + half) & mask) - half
+            split += (lo, (v - lo) >> width)
+        vals = split
+    return vals
 
 
 def hom_count_poly(profile: DegreeProfile, n: int) -> IntPolynomial:

@@ -3,7 +3,7 @@
 They give S_r, m_r, eps_r and the stability bound N.  The leading term of f_n
 and the variety dimension (``leading_term``, ``variety_report``) read S_r and
 m_r from the search with no report, and the residue commands never load the
-polynomial layers (``counting``, ``intpoly``).  The search runs over the distinct
+polynomial layer, ``counting``.  The search runs over the distinct
 degrees: c coordinates of degree d sharing a total U are best split evenly,
 into f = U // c and f + 1, at cost c*f^2 + rho*(2f+1) (rho = U % c) in
 C(c, rho) ways, with lowest entry f.  A min-plus DP over the weight of the

@@ -12,6 +12,7 @@ GL_n(q).  g^e = 1 with e >= 1 needs no determinant, a relator u^k is tested thro
 and each last product is computed whole only where its first entry is 1.  The join broadcasts a
 block of rows against every candidate of the next generator.  The pure-Python matrix reference and
 the naive minimal-tuple box search, which reuses ``_digit_blocks``, live with the tests.
+At n = 0 every count is 1, as GL_0 is trivial.
 """
 
 from __future__ import annotations
@@ -31,27 +32,17 @@ _BLOCK_ROWS = 1 << 16
 _JOIN_ENTRIES = 1 << 20
 
 
-def _require_prime(q: int) -> None:
+def _check_args(n: int, q: int) -> None:
+    """The oracle's refusals on n and q alone; n = 0 is trivial, as GL_0 has one element."""
     if prime_base(q) != q:
         raise ValidationError(f"q={q} must be prime for brute-force enumeration")
-
-
-def _check_enum_args(n: int, q: int) -> None:
-    if not 1 <= n <= 3:
+    if n < 0:
+        raise RangeError("dimension must be >= 0")
+    if n > 3:
         raise RangeError("matrix enumeration supports 1 <= n <= 3")
-    _require_prime(q)
     total = q ** (n * n)
     if total > MAX_CANDIDATES:
         raise ResourceLimit(f"q^(n^2) = {total} exceeds the candidate cap {MAX_CANDIDATES}")
-
-
-def _check_hom_args(n: int, q: int) -> None:
-    """The refusals of ``hom_count_bruteforce`` that need only n and q."""
-    _require_prime(q)
-    if n < 0:
-        raise RangeError("dimension must be >= 0")
-    if n:
-        _check_enum_args(n, q)
 
 
 def _digit_blocks(base: int, width: int, dtype: type) -> Iterator[np.ndarray]:
@@ -180,7 +171,6 @@ def _unit_blocks(n: int, q: int, e: int) -> Iterator[np.ndarray]:
     """The n x n matrices g with g^e = 1 as (n, n, N) stacks, block by block; for e = 0 every
     invertible one.  g^e = 1 with e >= 1 makes g invertible; it is tested as g^(e - e//2) g^(e//2).
     """
-    _check_enum_args(n, q)
     for digits in _digit_blocks(q, n * n, _matrix_type(n, q)):
         mats = digits.reshape(n, n, -1)
         right = _power(mats, e // 2, q)
@@ -197,8 +187,9 @@ def _gl_exponent(n: int, q: int) -> int:
 
 
 def gl_count(n: int, q: int) -> int:
-    """|GL_n(q)| by direct enumeration (vectorised)."""
-    return sum(block.shape[-1] for block in _unit_blocks(n, q, 0))
+    """|GL_n(q)| by direct enumeration (vectorised); GL_0 is trivial."""
+    _check_args(n, q)
+    return sum(block.shape[-1] for block in _unit_blocks(n, q, 0)) if n else 1
 
 
 def _integers(values: Sequence, what: str) -> tuple[int, ...]:
@@ -267,7 +258,7 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
     soon as its highest generator is assigned.
     Both q^(n^2) and the product of the candidate counts are capped at MAX_CANDIDATES.
     """
-    _check_hom_args(n, q)
+    _check_args(n, q)
     if n == 0:
         return 1  # GL_0 is trivial: exactly the empty representation
     k = presentation.generator_count

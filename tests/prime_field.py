@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from glhom.errors import RangeError, ValidationError
-from glhom.oracle import _check_enum_args
+from glhom.oracle import _check_args
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,9 @@ def gl_enumerate(n: int, q: int) -> Iterator[PrimeFieldMatrix]:
     Argument problems, q^(n^2) past MAX_CANDIDATES too, are reported
     immediately; the companion count lives in ``gl_count``.
     """
-    _check_enum_args(n, q)
+    _check_args(n, q)
+    if n < 1:
+        raise RangeError("matrix enumeration supports 1 <= n <= 3")
 
     def stream() -> Iterator[PrimeFieldMatrix]:
         for flat in itertools.product(range(q), repeat=n * n):

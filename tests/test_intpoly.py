@@ -18,8 +18,9 @@ _Q = sympy.Symbol("q")
 
 def test_canonical_form_trims_trailing_zeros():
     assert P([1, 2, 0, 0]).coefficients == (1, 2)
-    assert P([0, 0, 0]).is_zero
+    assert P([0, 0, 0]).is_zero and not P([0, 0, 0])
     assert P([]).is_zero
+    assert P([0, 0, 1]) and not P([0, 0, 1]).is_zero
 
 
 def test_zero_degree_is_minus_infinity_marker():
@@ -153,6 +154,8 @@ def test_to_text():
     assert P([0, -3]).to_text() == "-3*q"
     assert P([1] + [0] * 597 + [2]).to_text() == "2*q^598 + 1"
     assert P([0, 1]).to_text() == "q"
+    assert repr(P(gl_order(2))) == "IntPolynomial('q^4 - q^3 - q^2 + q')"
+    assert repr(P()) == "IntPolynomial('0')"
 
 
 def test_json_round_trip():

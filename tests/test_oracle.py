@@ -41,6 +41,7 @@ from prime_field import PrimeFieldMatrix, count_units_of_order_dividing, gl_enum
 
 
 def test_gl_count_examples():
+    assert gl_count(0, 5) == 1  # GL_0 is trivial, as in hom_count_bruteforce
     assert gl_count(1, 5) == 4
     assert gl_count(2, 3) == 48
     assert gl_count(3, 2) == 168
@@ -68,6 +69,10 @@ def test_gl_enumerate_guards(monkeypatch):
         next(gl_enumerate(0, 2))
     with pytest.raises(ValidationError):
         gl_count(2, 4)
+    with pytest.raises(ValidationError):  # q is checked first, then the range of n
+        gl_count(4, 4)
+    with pytest.raises(RangeError, match="dimension must be >= 0"):
+        gl_count(-1, 2)
     monkeypatch.setattr(oracle, "MAX_CANDIDATES", 10**5)
     with pytest.raises(ResourceLimit):
         gl_count(3, 5)

@@ -29,7 +29,9 @@ def test_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
-    assert len(SOURCES) >= 8
+    assert {path.stem for path in SOURCES} == {
+        "__init__", "cli", "counting", "errors", "minimize", "oracle", "profiles",
+    }
     assert found == []
 
 
@@ -157,8 +159,22 @@ def test_minimal_tuple_search_has_no_global_ranges():
 
 def test_one_dp_pass_for_the_count_polynomial():
     # the pre-flight works out the packed width from the H_n recurrence, and the one
-    # DP pass reuses it: no pass at q = 1, no second, guessed width
-    tree = _trees()["counting.py"]
+    # DP pass reuses it: no pass at q = 1, no second, guessed width; the packed integer
+    # is built and unpacked in counting.py alone
+    trees = _trees()
+    packed = {"_packed_states", "_unpack"}
+    names = {
+        ast.FunctionDef: lambda node: node.name,
+        ast.Call: lambda node: ast.unparse(node.func).rpartition(".")[2],  # callee, bare
+    }
+    for kind, name_of in names.items():
+        assert {
+            (path, name_of(node))
+            for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, kind) and name_of(node) in packed
+        } == {("counting.py", name) for name in packed}
+    tree = trees["counting.py"]
     calls = [
         node.lineno
         for node in ast.walk(tree)
@@ -353,7 +369,7 @@ def test_each_layer_imports_only_what_its_commands_run():
     # the command line is read from cli._COMMANDS: argparse alone costs each command about 4 ms
     assert [name for name, modules in reached.items() if "argparse" in modules] == []
     assert "minimize" not in reached["counting.py"]
-    assert not reached["minimize.py"] & {"counting", "intpoly"}
+    assert not reached["minimize.py"] & {"counting"}
 
 
 def test_one_command_table_drives_the_cli_and_only_main_prints_results():
@@ -387,13 +403,15 @@ import glhom.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = glhom.cli.main({argv!r})
 print(code, *sorted(set(sys.modules) - before & {watched!r}))
+print(glhom.counting.__name__, hasattr(glhom, "intpoly"))
 """
 
 
 def test_residue_and_poly_commands_leave_numpy_unloaded():
     # one fresh interpreter per command: the test process has every module loaded already
     # fractions is loaded only where a MinimalReport, with its eps_r, is built, and no command
-    # reads its command line with argparse, whose messages load gettext and locale
+    # reads its command line with argparse, whose messages load gettext and locale; then each
+    # layer module is an attribute of the package, loaded on first use, and intpoly is gone
     watched = {
         "argparse", "dataclasses", "fractions", "gettext", "json", "locale", "numpy",
         "glhom.counting", "glhom.intpoly", "glhom.minimize", "glhom.oracle",
@@ -405,21 +423,23 @@ def test_residue_and_poly_commands_leave_numpy_unloaded():
         ("leading", "--group", "sym:4", "-n", "25"): residue,
         ("variety", "--group", "sym:4", "-n", "25"): residue,
         ("table", "--group", "sym:4", "--json"): "0 fractions glhom.minimize json",
-        ("poly", "--group", "dihedral:5", "-n", "4", "--eval", "11"):
-            "0 glhom.counting glhom.intpoly",
+        ("poly", "--group", "dihedral:5", "-n", "4", "--eval", "11"): "0 glhom.counting",
         ("verify", "--group", "cyclic:2", "-n", "2", "-q", "3"):
-            "0 glhom.counting glhom.intpoly glhom.oracle numpy",
+            "0 glhom.counting glhom.oracle numpy",
     }
     path = [str(Path(glhom.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    loaded = {
+    probed = {
         argv: subprocess.run(
             [sys.executable, "-c", _IMPORT_PROBE.format(argv=list(argv), watched=watched)],
             capture_output=True, text=True, env=env, check=True,
-        ).stdout.strip()
+        ).stdout.splitlines()
         for argv in expected
     }
-    assert loaded == expected
+    assert {argv: lines[0] for argv, lines in probed.items()} == expected
+    assert {argv: lines[1:] for argv, lines in probed.items()} == dict.fromkeys(
+        expected, ["glhom.counting False"]
+    )
 
 
 # names with no caller in the package, gone from it: the orbit-sum route to f_n is the tests'
