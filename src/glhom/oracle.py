@@ -5,14 +5,15 @@ through polynomial identities: the order of GL_n(q) for prime q and n <= 3, and 
 homomorphisms from a finitely presented group (a ``Presentation`` of relator tuples) into GL_n(q),
 sharing no logic with the modules it checks.  A stack of N matrices is an (n, n, N) array of entry
 planes, read as mixed-radix digits off one reused low-digit table (``_digit_blocks``), in the
-narrowest integer type that holds every intermediate; a product is n^3 elementwise multiply-adds
-on planes, so numpy never calls BLAS here.  Matrices are raised to powers only by squaring
-(``_power``), inverses g^-1 = g^(2m-1) included, m a power relator's exponent or else that of
-GL_n(q).  g^e = 1 with e >= 1 needs no determinant, a relator u^k is tested through its root u,
-and each last product is computed whole only where its first entry is 1.  The join broadcasts a
-block of rows against every candidate of the next generator.  The pure-Python matrix reference and
-the naive minimal-tuple box search, which reuses ``_digit_blocks``, live with the tests.
-At n = 0 every count is 1, as GL_0 is trivial.
+narrowest integer type that holds every intermediate (int8 where n*q^2 <= 127; the 3 x 3
+determinant widens its own input to hold 3*q^3); a product is n^3 elementwise multiply-adds on
+planes, so numpy never calls BLAS here, and the block loop reuses buffers it allocates once.
+Matrices are raised to powers only by squaring (``_power``), inverses g^-1 = g^(2m-1) included,
+m a power relator's exponent or else that of GL_n(q).  g^e = 1 with e >= 1 needs no determinant,
+a relator u^k is tested through its root u, and each last product is computed whole only where
+its first entry is 1.  The join broadcasts a block of rows against every candidate of the next
+generator.  The pure-Python matrix reference and the naive minimal-tuple box search, which reuses
+``_digit_blocks``, live with the tests.  At n = 0 every count is 1, as GL_0 is trivial.
 """
 
 from __future__ import annotations
@@ -68,40 +69,45 @@ def _digit_blocks(base: int, width: int, dtype: type) -> Iterator[np.ndarray]:
 def _matrix_type(n: int, q: int) -> type:
     """The narrowest integer type of n x n matrix stacks mod q that holds every intermediate.
 
-    Entries are < q, an entry of a product is < n*q^2, and the 3 x 3 determinant of
-    ``_det_mod`` is < 3*q^3 in absolute value: int16 for every n = 2, 3 that MAX_CANDIDATES
-    admits (q <= 97 and q <= 7), and for n = 1 up to q = 181.
+    Entries are < q and an entry of a product is < n*q^2: int8 where n*q^2 <= 127 (n = 3 up to
+    q = 5, n = 2 up to q = 7, n = 1 up to q = 11), int16 for every other n = 2, 3 that
+    MAX_CANDIDATES admits (q <= 97 and q <= 7), and for n = 1 up to q = 181.  Only the 3 x 3
+    determinant of ``_det_mod`` passes n*q^2, and it widens its own input.
     """
-    bound = 3 * q**3 if n == 3 else n * q * q
-    return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    bound = n * q * q
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
-def _reduce(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q, in place: numpy divides by a scalar in SIMD, but its ``%`` does not."""
-    quotient = x // q
+def _reduce(x: np.ndarray, q: int, quotient: np.ndarray | None = None) -> np.ndarray:
+    """x mod q in place, x // q in ``quotient``: numpy divides by a scalar in SIMD, not in ``%``."""
+    quotient = np.floor_divide(x, q, out=quotient)
     quotient *= q
     x -= quotient
     return x
 
 
-def _dot(row: np.ndarray, col: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The sum of row[k] * col[k] over k, elementwise on entry planes, unreduced, into ``out``."""
+def _dot(row: np.ndarray, col: np.ndarray, out=None, term=None) -> np.ndarray:
+    """The sum of row[k] * col[k] over k, elementwise on entry planes, unreduced, into ``out``,
+    each later term built in ``term``.
+    """
     total = np.multiply(row[0], col[0], out=out)
     for x, y in zip(row[1:], col[1:]):
-        total += x * y
+        total += np.multiply(x, y, out=term)
     return total
 
 
-def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """The products a @ b mod q of two (n, n, ...) stacks whose batch axes broadcast together:
-    n elementwise multiply-adds per entry, then one reduction.
+def _mul_mod(a: np.ndarray, b: np.ndarray, q: int, out=None, scratch=None) -> np.ndarray:
+    """The products a @ b mod q of two (n, n, ...) stacks whose batch axes broadcast together,
+    into ``out``: n elementwise multiply-adds per entry, each entry reduced as it is done, its
+    terms and quotient in the plane ``scratch``.
     """
     n = len(a)
-    out = np.empty((n, n, *np.broadcast(a[0, 0], b[0, 0]).shape), a.dtype)
+    if out is None:
+        out = np.empty((n, n, *np.broadcast(a[0, 0], b[0, 0]).shape), a.dtype)
     for i in range(n):
         for j in range(n):
-            _dot(a[i], b[:, j], out[i, j])
-    return _reduce(out, q)
+            _reduce(_dot(a[i], b[:, j], out[i, j], scratch), q, scratch)
+    return out
 
 
 def _det_mod(mats: np.ndarray, q: int) -> np.ndarray:
@@ -110,28 +116,34 @@ def _det_mod(mats: np.ndarray, q: int) -> np.ndarray:
     if len(mats) == 2:
         (a, b), (c, d) = mats
         return _reduce(a * d - b * c, q)
-    (a, b, c), (d, e, f), (g, h, i) = mats
+    # |det| < 3*q^3, which can pass the stacks' type, so it is built in a type that holds it
+    (a, b, c), (d, e, f), (g, h, i) = mats.astype(np.min_scalar_type(-3 * q**3), copy=False)
     return _reduce(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g), q)
 
 
-def _power(mats: np.ndarray, e: int, q: int) -> np.ndarray:
-    """Each matrix of the stack to the power e >= 0, mod q, in O(log e) products."""
+def _power(mats: np.ndarray, e: int, q: int, out=(None, None), scratch=None) -> np.ndarray:
+    """Each matrix of the stack to the power e >= 0, mod q, in O(log e) products, made by turns
+    in the two stacks of ``out``, so never in the one that holds a factor.
+    """
     n = len(mats)
     identity = np.eye(n, dtype=mats.dtype).reshape(n, n, *[1] * (mats.ndim - 2))
     power = mats if e else np.broadcast_to(identity, mats.shape)
     for bit in bin(e)[3:]:  # the bits of e after its leading 1
-        power = _mul_mod(power, power, q)
+        power = _mul_mod(power, power, q, out[0], scratch)
         if bit == "1":
-            power = _mul_mod(power, mats, q)
+            power = _mul_mod(power, mats, q, out[1], scratch)
+        else:
+            out = out[::-1]
     return power
 
 
-def _identity_rows(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
+def _identity_rows(left: np.ndarray, right: np.ndarray, q: int, scratch=(None, None)) -> np.ndarray:
     """The flat batch indices i with left[..., i] @ right[..., i] = 1 mod q, the two stacks'
-    equally many batch axes broadcast together; the whole product is built where entry (0, 0) is 1.
+    equally many batch axes broadcast together.  Entry (0, 0) is built in the first plane of
+    ``scratch``, its terms in the second, and the whole product only where that entry is 1.
     """
     n, shape = len(left), np.broadcast_shapes(left.shape[2:], right.shape[2:])
-    rows = np.flatnonzero(_reduce(_dot(left[0], right[:, 0]), q) == 1)
+    rows = np.flatnonzero(_reduce(_dot(left[0], right[:, 0], *scratch), q, scratch[1]) == 1)
     if n == 1:
         return rows
     # each side's own flat batch index of the remaining rows: its length-1 axes read at 0
@@ -140,7 +152,8 @@ def _identity_rows(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
         else np.ravel_multi_index(np.unravel_index(rows, shape), x.shape[2:], mode="clip")
         for x in (left, right)
     )
-    left, right = left.reshape(n, n, -1).take(li, 2), right.reshape(n, n, -1).take(ri, 2)
+    same, left = right is left, left.reshape(n, n, -1).take(li, 2)
+    right = left if same else right.reshape(n, n, -1).take(ri, 2)  # g^e with e even: one gather
     product = _mul_mod(left, right, q).reshape(n * n, -1)
     product[:: n + 1] -= 1  # row-major, the identity's 1s are every (n+1)-th entry
     return rows[~product.any(0)]
@@ -171,11 +184,15 @@ def _unit_blocks(n: int, q: int, e: int) -> Iterator[np.ndarray]:
     """The n x n matrices g with g^e = 1 as (n, n, N) stacks, block by block; for e = 0 every
     invertible one.  g^e = 1 with e >= 1 makes g invertible; it is tested as g^(e - e//2) g^(e//2).
     """
+    work = None  # three product stacks and two scratch planes, sized at the first, largest, block
     for digits in _digit_blocks(q, n * n, _matrix_type(n, q)):
-        mats = digits.reshape(n, n, -1)
-        right = _power(mats, e // 2, q)
-        left = _mul_mod(right, mats, q) if e % 2 else right
-        yield mats[..., _identity_rows(left, right, q) if e else _det_mod(mats, q) != 0]
+        size = digits.shape[1]
+        work = np.empty((3 * n * n + 2, size), digits.dtype) if work is None else work
+        mats, products = digits.reshape(n, n, size), work[:-2, :size].reshape(3, n, n, size)
+        right = _power(mats, e // 2, q, products[:2], work[-1, :size])
+        left = _mul_mod(right, mats, q, products[2], work[-1, :size]) if e % 2 else right
+        rows = _identity_rows(left, right, q, work[-2:, :size]) if e else _det_mod(mats, q) != 0
+        yield mats[..., rows]
 
 
 def _gl_exponent(n: int, q: int) -> int:

@@ -27,6 +27,7 @@ import glhom.oracle as oracle
 from glhom.oracle import (
     _BLOCK_ROWS,
     MAX_CANDIDATES,
+    _det_mod,
     _digit_blocks,
     _eval_word,
     _gl_exponent,
@@ -85,20 +86,22 @@ def test_gl_enumerate_guards(monkeypatch):
 def test_digit_walk_lists_every_index_in_order(base, width):
     # the blocks' columns concatenate to
     # (arange(base**width) // base**arange(width)[:, None]) % base, checked block by block:
-    # digits in [0, base) that spell each index in turn are its digits
+    # digits in [0, base) that spell each index in turn are its digits; bases below 128 also in
+    # int8, the type of the oracle's smallest fields
     total = base**width
     powers = base ** np.arange(width, dtype=np.int64)
-    start = blocks = 0
-    for block in _digit_blocks(base, width, np.int32):
-        assert block.dtype == np.int32
-        size = block.shape[1]
-        assert block.shape[0] == width and 0 < size <= _BLOCK_ROWS
-        assert 0 <= block.min() and block.max() < base
-        assert (powers @ block == np.arange(start, start + size)).all()
-        start, blocks = start + size, blocks + 1
-    assert start == total
-    # about _BLOCK_ROWS rows per block, also where one digit is wider than a block
-    assert blocks <= -(-4 * total // _BLOCK_ROWS)
+    for dtype in (np.int32, np.int8) if base < 128 else (np.int32,):
+        start = blocks = 0
+        for block in _digit_blocks(base, width, dtype):
+            assert block.dtype == dtype
+            size = block.shape[1]
+            assert block.shape[0] == width and 0 < size <= _BLOCK_ROWS
+            assert 0 <= block.min() and block.max() < base
+            assert (powers @ block == np.arange(start, start + size)).all()
+            start, blocks = start + size, blocks + 1
+        assert start == total
+        # about _BLOCK_ROWS rows per block, also where one digit is wider than a block
+        assert blocks <= -(-4 * total // _BLOCK_ROWS)
 
 
 def test_prime_field_matrix_ops():
@@ -145,6 +148,8 @@ def test_order_filter_agreement():
         (2, 5, (3,)),
         (2, 7, range(1, 7)),
         (3, 3, range(1, 7)),
+        # g^(e//2) squares a square at e//2 = 4, 8 and 12, so its products take turns in two buffers
+        (2, 5, (8, 9, 16, 17, 24)),
     ):
         for e, expected in zip(exponents, count_units_of_order_dividing(n, q, *exponents)):
             pres = Presentation(1, ((1,) * e,), label=f"x^{e}")
@@ -194,16 +199,22 @@ def test_inverses_by_the_exponent_of_gl(n, q, m):
 
 
 def test_matrices_take_the_narrowest_type_that_holds_every_intermediate():
+    # a product entry is below n*q^2: int8 up to 127, so up to q = 5, 7 and 11 at n = 3, 2 and 1
+    assert 3 * 5**2 <= 127 < 3 * 7**2 and 2 * 7**2 <= 127 < 2 * 11**2 and 11**2 <= 127 < 13**2
+    assert _matrix_type(3, 5) == _matrix_type(2, 7) == _matrix_type(1, 11) == np.int8
+    assert _matrix_type(2, 2) == np.int8
+    assert _matrix_type(3, 7) == _matrix_type(2, 11) == _matrix_type(1, 13) == np.int16
     # the largest q the cap admits at n = 2 and n = 3, read off without enumerating: a product
-    # entry below 2*97^2 and a 3 x 3 determinant below 3*7^3 in absolute value fit int16
+    # entry below 2*97^2 and 3*7^2 fits int16
     assert 97**4 <= MAX_CANDIDATES < 101**4 and 7**9 <= MAX_CANDIDATES < 11**9
-    assert 2 * 97**2 < 2**15 and 3 * 7**3 < 2**15
-    assert _matrix_type(2, 97) == _matrix_type(3, 7) == _matrix_type(2, 2) == np.int16
+    assert 2 * 97**2 < 2**15 and 3 * 7**2 < 2**15
+    assert _matrix_type(2, 97) == np.int16
     # at n = 1 a product of two entries passes 2^15 - 1 from the prime 191 on, 2^31 - 1 from 46349
     assert 181**2 < 2**15 - 1 < 191**2 and 46337**2 < 2**31 - 1 < 46349**2
     assert _matrix_type(1, 181) == np.int16
     assert _matrix_type(1, 191) == _matrix_type(1, 46337) == np.int32
     assert _matrix_type(1, 46349) == _matrix_type(1, 65537) == np.int64
+    assert next(_unit_blocks(3, 5, 4)).dtype == np.int8
     assert next(_unit_blocks(3, 7, 2)).dtype == np.int16
     assert next(_unit_blocks(1, 191, 2)).dtype == np.int32
     assert next(_unit_blocks(1, 65537, 4)).dtype == np.int64
@@ -212,21 +223,35 @@ def test_matrices_take_the_narrowest_type_that_holds_every_intermediate():
 @pytest.mark.parametrize(
     "spec, n, q",
     [
-        ("cyclic:4", 1, 46349),
-        ("dihedral:4", 1, 46349),
-        ("cyclic:65536", 1, 65537),
-        ("dihedral:4", 1, 65537),
-        ("cyclic:4", 2, 5),
-        ("dihedral:3", 2, 7),
-        ("cyclic:2", 3, 3),
-        ("cyclic:4", 3, 5),
+        ("cyclic:4", 1, 46349),  # int64: q^2 passes 2^31
+        ("dihedral:4", 1, 46349),  # int64
+        ("cyclic:65536", 1, 65537),  # int64
+        ("dihedral:4", 1, 65537),  # int64
+        ("cyclic:4", 2, 5),  # int8: 2*5^2 = 50
+        ("dihedral:3", 2, 7),  # int8: 2*7^2 = 98
+        ("cyclic:4", 2, 13),  # int16: 2*13^2 = 338
+        ("cyclic:2", 3, 3),  # int8: 3*3^2 = 27
+        ("cyclic:4", 3, 5),  # int8: 3*5^2 = 75
+        ("cyclic:2", 3, 7),  # int16: 3*7^2 = 147
     ],
 )
 def test_bruteforce_matches_polynomial_in_either_matrix_type(spec, n, q):
-    # int64 at n = 1 past q^2 = 2^31, int32 at n = 2, 3; the order-filter and nested-loop
-    # tests check int32 against the pure-Python reference too
+    # the order-filter and nested-loop tests check int8, and int16 at (n, q) = (1, 13), against
+    # the pure-Python reference too
     count = hom_count_bruteforce(builtin_presentation(parse_group_spec(spec)), n, q)
     assert count == hom_count_poly(make_profile(spec), n).evaluate(q)
+
+
+def test_the_determinant_is_built_wider_than_int8_stacks():
+    # GL_3(5) is streamed in int8 (3*5^2 = 75), but a determinant there reaches 2*4^3 = 128,
+    # which int8 wraps to -128, also nonzero mod 5: so its value is checked too
+    assert _matrix_type(3, 5) == _matrix_type(3, 3) == np.int8
+    assert _det_mod(np.array([[4, 4, 0], [0, 4, 4], [4, 0, 4]], np.int8)[..., None], 5) == 128 % 5
+    assert gl_count(3, 5) == 1_488_000
+    assert gl_count(3, 3) == 11_232
+    # x2 has no power relator, so it streams GL_3(5) through the determinant beside x1, which the
+    # power filter cuts to the identity; then x2^2 = 1, as in cyclic:2
+    assert hom_count_bruteforce(Presentation(2, ((1,), (1, 2) * 2)), 3, 5) == 1552
 
 
 def test_inverse_letters_at_n1_in_int64():
