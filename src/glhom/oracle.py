@@ -40,7 +40,7 @@ def _check_args(n: int, q: int) -> None:
     if n < 0:
         raise RangeError("dimension must be >= 0")
     if n > 3:
-        raise RangeError("matrix enumeration supports 1 <= n <= 3")
+        raise RangeError("matrix enumeration supports 0 <= n <= 3")
     total = q ** (n * n)
     if total > MAX_CANDIDATES:
         raise ResourceLimit(f"q^(n^2) = {total} exceeds the candidate cap {MAX_CANDIDATES}")
@@ -168,8 +168,9 @@ def _eval_word(word: tuple[int, ...], at: Sequence, mats: list, invs: list, q: i
     ``_unit_blocks``; any other word as its letters but the last times its last.
     """
     stacks = {x: (mats if x > 0 else invs)[abs(x) - 1][..., at[abs(x) - 1]] for x in set(word)}
-    k = max(j for j in range(1, len(word) + 1) if word == word[: len(word) // j] * j)
-    *head, last = word[: len(word) // k]
+    size = len(word)  # word = u^k only where k divides its length
+    k = max(j for j in range(1, size + 1) if size % j == 0 and word == word[: size // j] * j)
+    *head, last = word[: size // k]
     cur = stacks[head[0]]
     for letter in head[1:]:
         cur = _mul_mod(cur, stacks[letter], q)

@@ -121,19 +121,26 @@ def validate_profile(profile: DegreeProfile) -> None:
 
 
 _INT_RE = re.compile(r"\d+")
+# (literals, more) of each family whose parameters are not one integer
+_LAYOUTS = {"abelian": (("",), "x"), "custom": (("order=", ",degrees="), ",")}
 
 
-def _take_int(text: str, pos: int) -> tuple[int, int]:
-    m = _INT_RE.match(text, pos)
-    if not m:
-        raise ParseError("expected integer", pos)
-    return int(m.group()), m.end()
-
-
-def _expect(text: str, pos: int, literal: str) -> int:
-    if not text.startswith(literal, pos):
-        raise ParseError(f"expected {literal!r}", pos)
-    return pos + len(literal)
+def _integers(text: str, pos: int, literals: tuple[str, ...], more: str | None) -> list[int]:
+    """The integers of ``text[pos:]``, the i-th after ``literals[i]`` and any later one after
+    ``more`` (None: no later one); ParseError where the text departs from that layout.
+    """
+    values: list[int] = []
+    while len(values) < len(literals) or pos < len(text):
+        literal = literals[len(values)] if len(values) < len(literals) else more
+        if literal is None:
+            raise ParseError("trailing characters after group spec", pos)
+        if not text.startswith(literal, pos):
+            raise ParseError(f"expected {literal!r}", pos)
+        if not (digits := _INT_RE.match(text, pos + len(literal))):
+            raise ParseError("expected integer", pos + len(literal))
+        values.append(int(digits.group()))
+        pos = digits.end()
+    return values
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -149,43 +156,21 @@ def parse_group_spec(text: str) -> GroupSpec:
     family = text[:colon]
     if family not in FAMILIES:
         raise UnsupportedFamily(f"unknown group family {family!r}", 0)
-    pos = colon + 1
-
-    if family in ("cyclic", "dihedral", "sym"):
-        m, pos = _take_int(text, pos)
-        if pos != len(text):
-            raise ParseError("trailing characters after group spec", pos)
-        if family == "cyclic" and m < 1:
-            raise ValidationError("cyclic modulus must be >= 1")
-        if family == "dihedral" and m < 3:
-            raise ValidationError("dihedral modulus must be >= 3")
-        if family == "sym" and m not in _SYM_PROFILES:
-            raise ValidationError("sym supports only sym:4 and sym:5")
-        return GroupSpec(family=family, m=m)
-
+    values = _integers(text, colon + 1, *_LAYOUTS.get(family, (("",), None)))
     if family == "abelian":
-        factors = []
-        m, pos = _take_int(text, pos)
-        factors.append(m)
-        while pos < len(text):
-            pos = _expect(text, pos, "x")
-            m, pos = _take_int(text, pos)
-            factors.append(m)
-        if any(f < 1 for f in factors):
+        if any(f < 1 for f in values):
             raise ValidationError("abelian invariant factors must be >= 1")
-        return GroupSpec(family="abelian", invariant_factors=tuple(factors))
-
-    pos = _expect(text, pos, "order=")
-    order, pos = _take_int(text, pos)
-    pos = _expect(text, pos, ",degrees=")
-    degrees = []
-    d, pos = _take_int(text, pos)
-    degrees.append(d)
-    while pos < len(text):
-        pos = _expect(text, pos, ",")
-        d, pos = _take_int(text, pos)
-        degrees.append(d)
-    return GroupSpec(family="custom", order=order, degrees=tuple(degrees))
+        return GroupSpec(family="abelian", invariant_factors=tuple(values))
+    if family == "custom":
+        return GroupSpec(family="custom", order=values[0], degrees=tuple(values[1:]))
+    (m,) = values
+    if family == "cyclic" and m < 1:
+        raise ValidationError("cyclic modulus must be >= 1")
+    if family == "dihedral" and m < 3:
+        raise ValidationError("dihedral modulus must be >= 3")
+    if family == "sym" and m not in _SYM_PROFILES:
+        raise ValidationError("sym supports only sym:4 and sym:5")
+    return GroupSpec(family=family, m=m)
 
 
 def profile_of(spec: GroupSpec) -> DegreeProfile:

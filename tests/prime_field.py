@@ -108,7 +108,7 @@ def gl_enumerate(n: int, q: int) -> Iterator[PrimeFieldMatrix]:
     """
     _check_args(n, q)
     if n < 1:
-        raise RangeError("matrix enumeration supports 1 <= n <= 3")
+        raise RangeError("the pure-Python enumerator supports 1 <= n <= 3")
 
     def stream() -> Iterator[PrimeFieldMatrix]:
         for flat in itertools.product(range(q), repeat=n * n):

@@ -258,7 +258,7 @@ def test_verify_refuses_before_building_the_polynomial(capsys, monkeypatch):
     built = []
     monkeypatch.setattr(counting, "hom_count_poly", lambda *args: built.append(args))
     code, out, err = run(capsys, "verify", "--group", "cyclic:2", "-n", "200", "-q", "3")
-    assert (code, out, err) == (1, "", "error: matrix enumeration supports 1 <= n <= 3\n")
+    assert (code, out, err) == (1, "", "error: matrix enumeration supports 0 <= n <= 3\n")
     assert built == []
 
 

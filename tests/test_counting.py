@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import glhom
 import glhom.counting as counting
 from glhom import (
     IntPolynomial,
@@ -249,3 +250,8 @@ def test_s5_leading_term_via_eligibility(s5):
         assert lt.coefficient == rep.m_r
     # below the threshold some residues still carry negative entries
     assert minimal_tuples(s5, 3).b > 0
+
+
+def test_counting_layer_is_the_packages_lazy_attribute():
+    # the package's module hook, which the import statement above bypasses
+    assert glhom.__getattr__("counting") is counting

@@ -59,6 +59,8 @@ def test_minimal_tuples_range_errors(s4):
         minimal_tuples(s4, -1)
     with pytest.raises(RangeError):
         minimal_tuples(s4, 24)
+    with pytest.raises(RangeError, match="^weight must be >= 0$"):
+        minimal_tuples_direct(s4, -1)
 
 
 def test_epsilon(s4):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -259,6 +260,15 @@ def test_inverse_letters_at_n1_in_int64():
     pres = Presentation(2, ((1,) * 4, (1, 2, -1, -2)))
     q = 46349
     assert hom_count_bruteforce(pres, 1, q) == 4 * (q - 1)
+
+
+def test_long_relator_root_is_found_in_near_linear_time():
+    # (x1 x2)^50000: only the divisors of the word's length can be its power, so the root
+    # search builds a few 10^5-letter tuples, not one per candidate power
+    pres = Presentation(2, ((1, 2) * 50000,))
+    start = time.perf_counter()
+    assert hom_count_bruteforce(pres, 1, 3) == 4
+    assert time.perf_counter() - start < 5
 
 
 def test_negative_exponent_relators():

@@ -59,41 +59,73 @@ def test_parse_dihedral():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message, position",
     [
-        "cyclic",  # no colon
-        "cyclic:",  # missing integer
-        "cyclic:x",
-        "cyclic:4x",  # trailing garbage
-        "cyclic: 4",  # whitespace is not permitted
-        "abelian:2x",
-        "abelian:2y3",
-        "custom:order=24",
-        "custom:order=24,degrees=",
-        "custom:order=24,degrees=1,",
-        "custom:degrees=1,order=4",
+        pytest.param(text, message, position, id=text)
+        for text, message, position in [
+            ("cyclic", "expected ':' after family name", 6),  # no colon
+            ("cyclic:", "expected integer", 7),
+            ("cyclic:x", "expected integer", 7),
+            ("cyclic:4x", "trailing characters after group spec", 8),
+            ("cyclic: 4", "expected integer", 7),  # whitespace is not permitted
+            ("abelian:2x", "expected integer", 10),
+            ("abelian:2y3", "expected 'x'", 9),
+            ("custom:order=24", "expected ',degrees='", 15),
+            ("custom:order=24,degrees=", "expected integer", 24),
+            ("custom:order=24,degrees=1,", "expected integer", 26),
+            ("custom:degrees=1,order=4", "expected 'order='", 7),
+        ]
     ],
 )
-def test_parse_rejects_malformed(text):
-    with pytest.raises(ParseError):
-        parse_group_spec(text)
-
-
-def test_parse_error_carries_position():
+def test_parse_rejects_malformed(text, message, position):
     with pytest.raises(ParseError) as exc:
-        parse_group_spec("cyclic:4x")
-    assert exc.value.position == 8
+        parse_group_spec(text)
+    assert (str(exc.value), exc.value.position) == (f"{message} (at position {position})", position)
 
 
 def test_unknown_family():
-    with pytest.raises(UnsupportedFamily):
+    with pytest.raises(UnsupportedFamily) as exc:
         parse_group_spec("frobenius:3")
+    assert exc.value.position == 0
+    assert str(exc.value) == "unknown group family 'frobenius' (at position 0)"
 
 
-@pytest.mark.parametrize("text", ["sym:6", "sym:3", "dihedral:2", "cyclic:0", "abelian:2x0"])
-def test_parse_rejects_bad_parameters(text):
-    with pytest.raises(ValidationError):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(text, message, id=text)
+        for text, message in [
+            ("sym:6", "sym supports only sym:4 and sym:5"),
+            ("sym:3", "sym supports only sym:4 and sym:5"),
+            ("dihedral:2", "dihedral modulus must be >= 3"),
+            ("cyclic:0", "cyclic modulus must be >= 1"),
+            ("abelian:2x0", "abelian invariant factors must be >= 1"),
+        ]
+    ],
+)
+def test_parse_rejects_bad_parameters(text, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
         parse_group_spec(text)
+
+
+_VALID_SPECS = st.one_of(
+    st.integers(min_value=1).map(lambda m: GroupSpec("cyclic", m)),
+    st.integers(min_value=3).map(lambda m: GroupSpec("dihedral", m)),
+    st.sampled_from([4, 5]).map(lambda m: GroupSpec("sym", m)),
+    st.lists(st.integers(min_value=1), min_size=1).map(
+        lambda factors: GroupSpec("abelian", invariant_factors=tuple(factors))
+    ),
+    st.tuples(st.integers(min_value=0), st.lists(st.integers(min_value=0), min_size=1)).map(
+        lambda drawn: GroupSpec("custom", order=drawn[0], degrees=tuple(drawn[1]))
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALID_SPECS)
+def test_parse_round_trips_every_family(spec):
+    # custom degrees come back in the order they are written, unsorted
+    assert parse_group_spec(str(spec)) == spec
 
 
 def test_profile_cyclic4():
