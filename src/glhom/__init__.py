@@ -20,11 +20,10 @@ _LAYERS = {
     "counting": "NEG_INFINITY IntPolynomial hom_count_poly",
     "errors": "GlhomError InvariantViolation ParseError RangeError ResourceLimit UnstableRegime"
     " UnsupportedFamily ValidationError",
-    "minimize": "LeadingTerm MinimalReport StabilityBound VarietyReport epsilon leading_term"
-    " minimal_tuples minimal_tuples_direct stability_bound variety_report",
+    "minimize": "LeadingTerm MinimalReport StabilityBound VarietyReport leading_term"
+    " minimal_tuples stability_bound variety_report",
     "oracle": "Presentation builtin_presentation gl_count hom_count_bruteforce",
-    "profiles": "DegreeProfile GroupSpec parse_group_spec profile_of splitting_field_check"
-    " validate_profile",
+    "profiles": "DegreeProfile GroupSpec parse_group_spec profile_of splitting_field_check",
 }
 _MODULE_OF = {name: module for module, names in _LAYERS.items() for name in names.split()}
 

@@ -89,7 +89,7 @@ def _cmd_poly(profile, spec, n, eval_points=()):
         lines.append(f"f({x}) = {value}" + (f" = |Hom(A, GL_{n}({x}))|" if ok else ""))
     fields = {
         "n": n,
-        "degree": int(poly.degree) if not poly.is_zero else None,
+        "degree": int(poly.degree) if poly else None,
         "polynomial": poly.to_json_obj(),
         "evaluations": evaluations,
     }

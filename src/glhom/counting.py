@@ -45,17 +45,9 @@ class IntPolynomial:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
 
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
     @property
     def coefficients(self) -> tuple[int, ...]:
         return self._coeffs
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     @property
     def degree(self) -> int | float:
@@ -94,7 +86,7 @@ class IntPolynomial:
 
     def to_text(self) -> str:
         """Render in descending exponent order, e.g. ``q^4 - q^3 - q^2 + q``."""
-        if self.is_zero:
+        if not self:
             return "0"
         pieces: list[str] = []
         for e, c in self.terms():
@@ -235,7 +227,7 @@ def hom_count_poly(profile: DegreeProfile, n: int) -> IntPolynomial:
     if n < 0:
         raise RangeError("dimension must be >= 0")
     if n == 0:
-        return IntPolynomial.one()  # GL_0 is trivial, whatever the number of coordinates
+        return IntPolynomial((1,))  # GL_0 is trivial, whatever the number of coordinates
     bits = _preflight(profile.groups[::-1], n)
     final = _packed_states(profile.degrees[::-1], n, bits)  # largest first; d_1 = 1 fills to n
     # Horner over M, with |GL_M| / |GL_(M-1)| = Q^(2M-1) - Q^(M-1)

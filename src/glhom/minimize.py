@@ -33,11 +33,11 @@ MAX_COUNT_BITS = 1 << 18  # admits C(200000, 100000), 0.7 s to build and print
 
 
 class MinimalReport(_Record):
-    """The minimal tuples of one weight: invariants, the lex-first one, a lazy listing.
+    """The minimal tuples of one weight w: invariants, the lex-first one, a lazy listing.
 
-    ``eps_r`` = S_r - r^2/a is >= 0 and, below the group order, 0 only at
-    r = 0.  ``m_r`` counts the ordered minimal tuples; ``b`` is the least
-    b >= 0 with b*d_i + t_i >= 0 for all of them.  ``==`` ignores ``listing``.
+    ``eps_r`` = S_w - w^2/a is >= 0, and 0 exactly when a divides w.  ``m_r``
+    counts the ordered minimal tuples; ``b`` is the least b >= 0 with
+    b*d_i + t_i >= 0 for all of them.  ``==`` ignores ``listing``.
     """
 
     __slots__ = ("r", "s_r", "eps_r", "m_r", "sample", "b", "listing")
@@ -155,24 +155,17 @@ def _solve(
     return s_min, count, b, tables
 
 
-def minimal_tuples(profile: DegreeProfile, r: int) -> MinimalReport:
-    """Minimal tuples for a residue 0 <= r < a."""
-    if not 0 <= r < profile.order:
-        raise RangeError(f"residue r={r} outside [0, {profile.order})")
-    return minimal_tuples_direct(profile, r)
-
-
-def minimal_tuples_direct(profile: DegreeProfile, n: int) -> MinimalReport:
-    """Minimal tuples for any weight n >= 0; the one place a report is built from ``_solve``."""
+def minimal_tuples(profile: DegreeProfile, w: int) -> MinimalReport:
+    """Minimal tuples for any weight w >= 0; the one place a report is built from ``_solve``."""
     from fractions import Fraction
 
-    if n < 0:
+    if w < 0:
         raise RangeError("weight must be >= 0")
-    s_n, m_n, b, tables = _solve(profile.groups, profile.order, n)
+    s_w, m_w, b, tables = _solve(profile.groups, profile.order, w)
 
     def totals() -> Iterator[tuple[int, ...]]:
         """Every optimal vector of group totals, in lex order (an explicit stack)."""
-        stack = [((), n)]
+        stack = [((), w)]
         while stack:
             path, left = stack.pop()
             j = len(path)
@@ -196,13 +189,8 @@ def minimal_tuples_direct(profile: DegreeProfile, n: int) -> MinimalReport:
     sample: list[int] = []
     for (_, c), u in zip(profile.groups, next(totals())):
         sample += [u // c] * (c - u % c) + [u // c + 1] * (u % c)
-    eps = Fraction(s_n) - Fraction(n * n, profile.order)
-    return MinimalReport(n, s_n, eps, m_n, tuple(sample), b, listing)
-
-
-def epsilon(profile: DegreeProfile, r: int) -> Fraction:
-    """Exact rational eps_r = S_r - r^2/a."""
-    return minimal_tuples(profile, r).eps_r
+    eps = Fraction(s_w) - Fraction(w * w, profile.order)
+    return MinimalReport(w, s_w, eps, m_w, tuple(sample), b, listing)
 
 
 def stability_bound(

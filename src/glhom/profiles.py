@@ -67,7 +67,22 @@ class DegreeProfile(_Record):
 
     def __init__(self, order: int, groups: tuple[tuple[int, int], ...], label: str | None = None):
         self._set(order=order, groups=groups, label=label)
-        validate_profile(self)
+        distinct = [d for d, _ in groups]
+        if not distinct:
+            raise ValidationError("degree list is empty")
+        if any(d < 1 for d in distinct):
+            raise ValidationError("degrees must be positive integers")
+        if any(c < 1 for _, c in groups):
+            raise ValidationError("multiplicities must be positive integers")
+        if any(a > b for a, b in zip(distinct, distinct[1:])):
+            raise ValidationError("degrees must be sorted non-decreasing")
+        if any(a == b for a, b in zip(distinct, distinct[1:])):
+            raise ValidationError("each degree must form one group")
+        if distinct[0] != 1:
+            raise ValidationError("d_1 != 1: the trivial representation must be present")
+        sq = sum(c * d * d for d, c in groups)
+        if sq != order:
+            raise ValidationError(f"degree-square sum {sq} != {order} (group order)")
 
     @property
     def s(self) -> int:
@@ -98,26 +113,6 @@ class GroupSpec(NamedTuple):
         if self.family == "abelian":
             return "abelian:" + "x".join(map(str, self.invariant_factors))
         return f"custom:order={self.order},degrees=" + ",".join(map(str, self.degrees))
-
-
-def validate_profile(profile: DegreeProfile) -> None:
-    """Raise ValidationError naming the first violated profile invariant."""
-    distinct = [d for d, _ in profile.groups]
-    if not distinct:
-        raise ValidationError("degree list is empty")
-    if any(d < 1 for d in distinct):
-        raise ValidationError("degrees must be positive integers")
-    if any(c < 1 for _, c in profile.groups):
-        raise ValidationError("multiplicities must be positive integers")
-    if any(a > b for a, b in zip(distinct, distinct[1:])):
-        raise ValidationError("degrees must be sorted non-decreasing")
-    if any(a == b for a, b in zip(distinct, distinct[1:])):
-        raise ValidationError("each degree must form one group")
-    if distinct[0] != 1:
-        raise ValidationError("d_1 != 1: the trivial representation must be present")
-    sq = sum(c * d * d for d, c in profile.groups)
-    if sq != profile.order:
-        raise ValidationError(f"degree-square sum {sq} != {profile.order} (group order)")
 
 
 _INT_RE = re.compile(r"\d+")

@@ -46,6 +46,8 @@ class PrimeFieldMatrix:
 
     def det(self) -> int:
         n, q, e = self.n, self.q, self.entries
+        if n == 0:
+            return 1  # the empty product
         if n == 1:
             return e[0][0] % q
         if n == 2:
@@ -61,6 +63,8 @@ class PrimeFieldMatrix:
     def inverse(self) -> "PrimeFieldMatrix":
         """Inverse via the adjugate; supports n <= 3."""
         n, q, e = self.n, self.q, self.entries
+        if n == 0:
+            return self  # GL_0's one matrix
         d = self.det()
         if d == 0:
             raise ValidationError("matrix is singular")
@@ -104,11 +108,9 @@ def gl_enumerate(n: int, q: int) -> Iterator[PrimeFieldMatrix]:
     """Every invertible n x n matrix over F_q exactly once, as a lazy stream.
 
     Argument problems, q^(n^2) past MAX_CANDIDATES too, are reported
-    immediately; the companion count lives in ``gl_count``.
+    immediately; the companion count lives in ``gl_count``.  GL_0 is the one 0 x 0 matrix.
     """
     _check_args(n, q)
-    if n < 1:
-        raise RangeError("the pure-Python enumerator supports 1 <= n <= 3")
 
     def stream() -> Iterator[PrimeFieldMatrix]:
         for flat in itertools.product(range(q), repeat=n * n):

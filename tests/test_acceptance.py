@@ -24,7 +24,6 @@ from glhom import (
     builtin_presentation,
     leading_term,
     minimal_tuples,
-    minimal_tuples_direct,
     parse_group_spec,
     stability_bound,
 )
@@ -305,13 +304,13 @@ def test_criterion_07d_lifting_correspondence(profile_pool):
     while checked < 210:
         profile = rng.choice(profile_pool)
         n = rng.randrange(41)
-        direct = minimal_tuples_direct(profile, n)
+        rep = minimal_tuples(profile, n)
         k, r = divmod(n, profile.order)
         base = minimal_tuples(profile, r)
         lifted = tuple(tuple(k * d + e for e, d in zip(t, profile.degrees)) for t in base.tuples)
-        assert lifted == direct.tuples, (profile.degrees, n)
+        assert lifted == rep.tuples, (profile.degrees, n)
         square_sum = k * k * profile.order + 2 * k * r + base.s_r
-        assert square_sum == direct.s_r, (profile.degrees, n)
+        assert square_sum == rep.s_r, (profile.degrees, n)
         checked += 1
     print(f"criterion 7d (lifting correspondence): PASS over {checked} cases")
 
@@ -325,11 +324,8 @@ def test_criterion_07e_unique_minimal_at_multiples(profile_pool):
         n = k * profile.order
         if n > 48:
             continue
-        direct = minimal_tuples_direct(profile, n)
-        assert direct.tuples == (tuple(k * d for d in profile.degrees),), (
-            profile.degrees,
-            k,
-        )
+        multiple = minimal_tuples(profile, n)
+        assert multiple.tuples == (tuple(k * d for d in profile.degrees),), (profile.degrees, k)
         rep = minimal_tuples(profile, 0)
         assert k >= rep.b and rep.m_r == 1
         checked += 1

@@ -25,8 +25,8 @@ from orbit_sum import eligible_tuples, gl_order, mul, orbit_poly, orbit_sum
 
 def test_orbit_poly_examples(c2, s4):
     assert orbit_poly(c2, (1, 1)) == IntPolynomial([0, 1, 1])  # q^2 + q
-    assert orbit_poly(c2, (2, 0)) == IntPolynomial.one()
-    assert orbit_poly(s4, (1, 0, 0, 0, 0)) == IntPolynomial.one()
+    assert orbit_poly(c2, (2, 0)) == IntPolynomial((1,))
+    assert orbit_poly(s4, (1, 0, 0, 0, 0)) == IntPolynomial((1,))
 
 
 def test_orbit_poly_single_irreducible_block(d3):
@@ -47,7 +47,7 @@ def test_orbit_poly_degree_and_monic(s4, d3):
 def test_hom_count_poly_examples(c2, s4):
     assert hom_count_poly(c2, 2) == IntPolynomial([2, 1, 1])
     assert hom_count_poly(c2, 2).evaluate(3) == 14
-    assert hom_count_poly(s4, 0) == IntPolynomial.one()
+    assert hom_count_poly(s4, 0) == IntPolynomial((1,))
     assert hom_count_poly(c2, 1) == IntPolynomial([2])
 
 

@@ -12,9 +12,7 @@ from hypothesis import given, settings, strategies as st
 from glhom import (
     RangeError,
     ResourceLimit,
-    epsilon,
     minimal_tuples,
-    minimal_tuples_direct,
     stability_bound,
 )
 import glhom.minimize as minimize
@@ -55,18 +53,17 @@ def test_minimal_tuples_dihedral3_r4(d3):
 
 
 def test_minimal_tuples_range_errors(s4):
-    with pytest.raises(RangeError):
-        minimal_tuples(s4, -1)
-    with pytest.raises(RangeError):
-        minimal_tuples(s4, 24)
+    # only a negative weight is refused; a weight at or past the order is answered
     with pytest.raises(RangeError, match="^weight must be >= 0$"):
-        minimal_tuples_direct(s4, -1)
+        minimal_tuples(s4, -1)
+    rep = minimal_tuples(s4, 24)
+    assert rep.tuples == ((1, 1, 2, 3, 3),) and rep.eps_r == 0
 
 
 def test_epsilon(s4):
-    assert epsilon(s4, 2) == Fraction(5, 6)
-    assert epsilon(s4, 0) == 0
-    assert epsilon(make_profile("cyclic:4"), 2) == 1
+    assert minimal_tuples(s4, 2).eps_r == Fraction(5, 6)
+    assert minimal_tuples(s4, 0).eps_r == 0
+    assert minimal_tuples(make_profile("cyclic:4"), 2).eps_r == 1
 
 
 def test_stability_bound_examples(s4, s5):
@@ -101,12 +98,12 @@ def test_lift_minimal(s4, c2):
             tuple(k * d + e for e, d in zip(t, profile.degrees))
             for t in minimal_tuples(profile, r).tuples
         }
-        assert lifted == set(minimal_tuples_direct(profile, k * profile.order + r).tuples)
-    assert (2, 1, 2, 3, 3) in minimal_tuples_direct(s4, 25).tuples
+        assert lifted == set(minimal_tuples(profile, k * profile.order + r).tuples)
+    assert (2, 1, 2, 3, 3) in minimal_tuples(s4, 25).tuples
 
 
 def test_lift_agrees_with_direct_search(c2):
-    direct = minimal_tuples_direct(c2, 7)
+    direct = minimal_tuples(c2, 7)
     assert (4, 3) in direct.tuples
 
 
@@ -118,21 +115,41 @@ def test_minimal_tuples_for_n_s4_25(s4):
     assert rep.m_r == 2
     assert k >= rep.b
     assert k * k * s4.order + 2 * k * r + rep.s_r == 27
-    direct = minimal_tuples_direct(s4, 25)
+    direct = minimal_tuples(s4, 25)
     assert direct.tuples == ((1, 2, 2, 3, 3), (2, 1, 2, 3, 3)) and direct.s_r == 27
 
 
 def test_minimal_tuples_for_n_zero(s4):
-    rep = minimal_tuples_direct(s4, 0)
+    rep = minimal_tuples(s4, 0)
     assert rep.tuples == ((0, 0, 0, 0, 0),)
     assert rep.b == 0
 
 
 def test_minimal_tuples_for_n_s5_3(s5):
-    rep = minimal_tuples_direct(s5, 3)
+    rep = minimal_tuples(s5, 3)
     assert rep.m_r == 4
     assert rep.b > 0
     assert any(min(t) < 0 for t in rep.tuples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    extra=st.lists(st.integers(min_value=1, max_value=7), max_size=5),
+    ones=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_any_weight_answers_as_its_residue_lifted(extra, ones, k, data):
+    # t -> k*d + t maps weight r onto w = k*a + r and adds k^2*a + 2*k*r to every square-sum
+    profile = custom_profile((1,) * ones + tuple(extra))
+    a = profile.order
+    r = data.draw(st.integers(min_value=0, max_value=a - 1), label="r")
+    w = k * a + r
+    rep, base = minimal_tuples(profile, w), minimal_tuples(profile, r)
+    assert rep.r == w and rep.eps_r >= 0
+    assert (rep.eps_r == 0) == (w % a == 0)
+    assert rep.s_r == k * k * a + 2 * k * r + base.s_r
+    assert rep.m_r == base.m_r
 
 
 def test_eligible_tuples(c2, s4):
@@ -292,8 +309,8 @@ def test_tuples_listing_is_capped():
     with pytest.raises(ResourceLimit, match=f"137846528820 .* cap {MAX_LISTED_TUPLES}"):
         rep.tuples
     with pytest.raises(ResourceLimit, match="137846528820"):
-        minimal_tuples_direct(profile, 60).tuples
-    assert minimal_tuples_direct(profile, 60).m_r == 137846528820
+        minimal_tuples(profile, 60).tuples
+    assert minimal_tuples(profile, 60).m_r == 137846528820
     # just under the cap the listing is built, sorted and complete
     rep = minimal_tuples(make_profile("cyclic:17"), 8)
     assert rep.m_r == math.comb(17, 8) <= MAX_LISTED_TUPLES

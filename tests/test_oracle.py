@@ -67,8 +67,9 @@ def test_gl_count_matches_order_polynomial(n, q):
 def test_gl_enumerate_guards(monkeypatch):
     with pytest.raises(RangeError):
         gl_count(4, 2)
-    with pytest.raises(RangeError):
-        next(gl_enumerate(0, 2))
+    for q in (2, 3):
+        assert len(list(gl_enumerate(0, q))) == gl_count(0, q) == 1
+        assert [m.det() for m in gl_enumerate(0, q)] == [1]
     with pytest.raises(ValidationError):
         gl_count(2, 4)
     with pytest.raises(ValidationError):  # q is checked first, then the range of n
@@ -144,6 +145,7 @@ def test_order_filter_agreement():
     # tests no determinant for e >= 1 and splits an odd e as g^((e+1)/2) g^((e-1)/2)
     assert count_units_of_order_dividing(2, 3, 2) == [14]
     for n, q, exponents in (
+        (0, 5, (1, 2, 3)),  # GL_0 is the identity alone, a root of every x^e
         (1, 5, (2,)),
         (2, 3, (2, 3)),
         (2, 5, (3,)),
@@ -424,6 +426,8 @@ _COMMUTE = Presentation(2, ((1, 2, -1, -2),), label="gens=2; rel=x1*x2*x1^-1*x2^
         ),
         # |GL_1(2)| = 1: the inverse of a free generator is g^(2*1 - 1) = g
         (_COMMUTE, 1, 2),
+        # GL_0 is one empty matrix, so every presentation has one homomorphism into it
+        (_COMMUTE, 0, 2),
     ],
     ids=lambda value: value.label if isinstance(value, Presentation) else None,
 )

@@ -26,7 +26,6 @@ from glhom import (
     parse_group_spec,
     profile_of,
     splitting_field_check,
-    validate_profile,
 )
 from glhom.profiles import PSI_13, prime_base
 
@@ -168,7 +167,7 @@ def test_profile_custom_invalid():
 
 def test_validate_profile():
     # construction validates, so an invalid profile cannot be built
-    validate_profile(DegreeProfile(order=24, groups=((1, 2), (2, 1), (3, 2))))
+    assert DegreeProfile(order=24, groups=((1, 2), (2, 1), (3, 2))).degrees == (1, 1, 2, 3, 3)
     with pytest.raises(ValidationError, match=r"^degree-square sum 5 != 6 \(group order\)$"):
         DegreeProfile(order=6, groups=((1, 1), (2, 1)))
     with pytest.raises(ValidationError, match="^d_1 != 1: the trivial representation must be"):
@@ -287,7 +286,8 @@ def test_splitting_rejects_non_prime_powers(q):
 )
 def test_profile_of_parse_always_validates(text):
     profile = profile_of(parse_group_spec(text))
-    validate_profile(profile)
+    # rebuilding from the fields runs the same checks as profile_of did
+    assert DegreeProfile(profile.order, profile.groups, profile.label) == profile
     assert sum(d * d for d in profile.degrees) == profile.order
     # label round-trips through the parser
     assert profile_of(parse_group_spec(str(profile))) == profile

@@ -60,15 +60,26 @@ def _trees(*extra: Path) -> dict[str, ast.Module]:
     }
 
 
+# the opening words of each profile invariant's ValidationError
+PROFILE_INVARIANTS = (
+    "degree list is empty", "degrees must be positive integers",
+    "multiplicities must be positive integers", "degrees must be sorted non-decreasing",
+    "each degree must form one group", "d_1 != 1: the trivial representation must be present",
+    "degree-square sum",
+)
+
+
 def test_profiles_validate_only_on_construction():
-    # every DegreeProfile is valid once built, so nothing else re-validates one
+    # every DegreeProfile is valid once built, so its invariants are raised in its __init__
+    # alone, each once, and nothing can re-check a profile that exists
     trees = _trees()
-    calls = [
-        (name, node.lineno)
+    raises = [
+        (name, node.lineno, text)
         for name, tree in trees.items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and ast.unparse(node.func).split(".")[-1] == "validate_profile"
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for text in PROFILE_INVARIANTS
+        if text in ast.unparse(node.exc)
     ]
     profile_class = next(
         cls
@@ -78,9 +89,10 @@ def test_profiles_validate_only_on_construction():
     init = next(
         fn for fn in profile_class.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
     )
-    assert [
-        (name, init.lineno < line <= init.end_lineno) for name, line in calls
-    ] == [("profiles.py", True)]
+    assert sorted(text for _, _, text in raises) == sorted(PROFILE_INVARIANTS)
+    assert {(name, init.lineno < line <= init.end_lineno) for name, line, _ in raises} == {
+        ("profiles.py", True)
+    }
 
 
 def _attribute_readers(trees: dict[str, ast.Module], attr: str) -> set[tuple[str, str]]:
@@ -205,7 +217,7 @@ def test_one_report_builder_for_the_minimal_tuple_search():
                     if (name, scope) == ("minimize.py", "leading_term"):
                         leading_calls.add(called)
     assert builders == {
-        ("minimize.py", "minimal_tuples_direct"), ("naive_box.py", "minimal_tuples_naive"),
+        ("minimize.py", "minimal_tuples"), ("naive_box.py", "minimal_tuples_naive"),
     }
     assert "_solve" in leading_calls
     assert not {called for called in leading_calls if called.startswith("minimal_tuples")}
@@ -443,12 +455,13 @@ def test_residue_and_poly_commands_leave_numpy_unloaded():
 
 
 # names with no caller in the package, gone from it: the orbit-sum route to f_n is the tests'
-# reference in tests/orbit_sum.py, the lifting lemma's tests compute k*d_i + t_i inline, and
-# the tests build each Presentation from relator tuples
+# reference in tests/orbit_sum.py, the lifting lemma's tests compute k*d_i + t_i inline, the
+# tests build each Presentation from relator tuples, and each name repeating another's answer
+# went (minimal_tuples takes any weight, a report carries eps_r, a profile checks itself)
 REMOVED_NAMES = (
     "DivisionByZero IneligibleTuple LengthMismatch LiftedReport NonZeroRemainder div_exact"
-    " eligible_tuples gl_order_poly lift_minimal minimal_tuples_for_n orbit_poly"
-    " parse_presentation weight"
+    " eligible_tuples epsilon gl_order_poly lift_minimal minimal_tuples_direct"
+    " minimal_tuples_for_n orbit_poly parse_presentation validate_profile weight"
 ).split()
 
 
@@ -458,12 +471,10 @@ def test_the_package_exports_the_calculator_and_nothing_else():
         "GlhomError", "InvariantViolation", "ParseError", "RangeError", "ResourceLimit",
         "UnstableRegime", "UnsupportedFamily", "ValidationError",
         "NEG_INFINITY", "IntPolynomial",
-        "LeadingTerm", "MinimalReport", "StabilityBound", "VarietyReport", "epsilon",
-        "leading_term", "minimal_tuples", "minimal_tuples_direct", "stability_bound",
-        "variety_report",
+        "LeadingTerm", "MinimalReport", "StabilityBound", "VarietyReport", "leading_term",
+        "minimal_tuples", "stability_bound", "variety_report",
         "Presentation", "builtin_presentation", "gl_count", "hom_count_bruteforce",
         "DegreeProfile", "GroupSpec", "parse_group_spec", "profile_of", "splitting_field_check",
-        "validate_profile",
     }
     for name in REMOVED_NAMES:
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
@@ -478,6 +489,10 @@ def test_the_package_exports_the_calculator_and_nothing_else():
     # f_n is returned, printed and evaluated, never multiplied, added or divided
     arithmetic = {"__mul__", "__rmul__", "__add__", "__sub__", "__neg__", "__floordiv__"}
     assert not arithmetic & set(vars(glhom.IntPolynomial))
+    # IntPolynomial((1,)) is the one polynomial, and ``not poly`` tests for zero
+    for member in ("one", "is_zero"):
+        with pytest.raises(AttributeError, match=f"no attribute '{member}'"):
+            getattr(glhom.IntPolynomial, member)
 
 
 def test_lazy_oracle_names_resolve_as_before():
@@ -491,10 +506,14 @@ def test_lazy_oracle_names_resolve_as_before():
 
 
 def test_readme_examples_run():
-    # the README's >>> blocks, under doctest; they also exercise ``from glhom import *``
+    # the README's >>> blocks, under doctest; they also exercise ``from glhom import *``.  The
+    # plain python blocks, such as the import list, run as they are, so no gone name stays there
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    blocks = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S) if ">>>" in b]
-    assert blocks
+    python = re.findall(r"```python\n(.*?)```", readme, re.S)
+    plain, blocks = [b for b in python if ">>>" not in b], [b for b in python if ">>>" in b]
+    assert plain and blocks
+    for block in plain:
+        exec(block, {})
     runner, parser = doctest.DocTestRunner(), doctest.DocTestParser()
     report: list[str] = []
     for block in blocks:
