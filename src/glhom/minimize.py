@@ -40,14 +40,21 @@ class MinimalReport(_Record):
     b*d_i + t_i >= 0 for all of them.  ``==`` ignores ``listing``.
     """
 
-    __slots__ = ("r", "s_r", "eps_r", "m_r", "sample", "b", "listing")
+    __slots__ = ("r", "s_r", "eps_r", "m_r", "_sample", "b", "listing")
     _compared = _shown = 6
 
     def __init__(
-        self, r: int, s_r: int, eps_r: Fraction, m_r: int, sample: tuple[int, ...], b: int,
+        self, r: int, s_r: int, eps_r: Fraction, m_r: int, sample: Iterable[int], b: int,
         listing: Callable[[], Iterable[tuple[int, ...]]],
     ):
-        self._set(r=r, s_r=s_r, eps_r=eps_r, m_r=m_r, sample=sample, b=b, listing=listing)
+        self._set(r=r, s_r=s_r, eps_r=eps_r, m_r=m_r, _sample=sample, b=b, listing=listing)
+
+    @property
+    def sample(self) -> tuple[int, ...]:
+        """The lex-first minimal tuple; an iterable given for it is read at the first access."""
+        if not isinstance(self._sample, tuple):
+            self._set(_sample=tuple(self._sample))
+        return self._sample
 
     @property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
@@ -186,11 +193,13 @@ def minimal_tuples(profile: DegreeProfile, w: int) -> MinimalReport:
             ]
             yield from (tuple(chain.from_iterable(parts)) for parts in product(*splits))
 
-    sample: list[int] = []
-    for (_, c), u in zip(profile.groups, next(totals())):
-        sample += [u // c] * (c - u % c) + [u // c + 1] * (u % c)
+    # the sample is kept as the lex-first group totals, one per distinct degree, until it is read
+    pairs = zip(profile.groups, next(totals()))
+    sample = chain.from_iterable(
+        [u // c] * (c - u % c) + [u // c + 1] * (u % c) for (_, c), u in pairs
+    )
     eps = Fraction(s_w) - Fraction(w * w, profile.order)
-    return MinimalReport(w, s_w, eps, m_w, tuple(sample), b, listing)
+    return MinimalReport(w, s_w, eps, m_w, sample, b, listing)
 
 
 def stability_bound(

@@ -12,8 +12,13 @@ Matrices are raised to powers only by squaring (``_power``), inverses g^-1 = g^(
 m a power relator's exponent or else that of GL_n(q).  g^e = 1 with e >= 1 needs no determinant,
 a relator u^k is tested through its root u, and each last product is computed whole only where
 its first entry is 1.  The join broadcasts a block of rows against every candidate of the next
-generator.  The pure-Python matrix reference and the naive minimal-tuple box search, which reuses
-``_digit_blocks``, live with the tests.  At n = 0 every count is 1, as GL_0 is trivial.
+generator.  Conjugating a homomorphism by an h with h e1 = e1 gives one, and takes the first
+generator's column 0, v = g1 e1, to h v: h fixes each c*e1, and some h takes any other nonzero v
+to e2.  So |Hom| = sum_c N(g1 e1 = c*e1) + (q^n - q) N(g1 e1 = e2), and that generator, like each
+one only counted, is walked in this normal form, q^(n^2 - n + 1) matrices, not q^(n^2), and
+the cap on candidate tuples counts its normal-form candidates.  The pure-Python matrix
+reference and the naive minimal-tuple box search, which reuses ``_digit_blocks``, live with the
+tests.  At n = 0 every count is 1, as GL_0 is trivial.
 """
 
 from __future__ import annotations
@@ -181,19 +186,32 @@ def _eval_word(word: tuple[int, ...], at: Sequence, mats: list, invs: list, q: i
     return _identity_rows(_mul_mod(right, root, q) if k % 2 else right, right, q)
 
 
-def _unit_blocks(n: int, q: int, e: int) -> Iterator[np.ndarray]:
+def _unit_blocks(n: int, q: int, e: int, normal: bool = False) -> Iterator[np.ndarray]:
     """The n x n matrices g with g^e = 1 as (n, n, N) stacks, block by block; for e = 0 every
     invertible one.  g^e = 1 with e >= 1 makes g invertible; it is tested as g^(e - e//2) g^(e//2).
+    In ``normal`` form only the q^(n^2 - n + 1) matrices whose column 0 is c*e1, or e2 for c = 0,
+    are walked: digit 0 is c and the others are columns 1 .. n-1.
     """
-    work = None  # three product stacks and two scratch planes, sized at the first, largest, block
-    for digits in _digit_blocks(q, n * n, _matrix_type(n, q)):
+    work = None  # product stacks, a normal-form stack and two scratch planes, sized once
+    for digits in _digit_blocks(q, n * n - (n - 1) * normal, _matrix_type(n, q)):
         size = digits.shape[1]
-        work = np.empty((3 * n * n + 2, size), digits.dtype) if work is None else work
-        mats, products = digits.reshape(n, n, size), work[:-2, :size].reshape(3, n, n, size)
+        work = np.empty(((3 + normal) * n * n + 2, size), digits.dtype) if work is None else work
+        products = work[: 3 * n * n, :size].reshape(3, n, n, size)
+        mats = (work[3 * n * n : -2, :size] if normal else digits).reshape(n, n, size)
+        if normal:  # column 0 is c*e1, c = digit 0, or e2 for c = 0
+            mats[:, 0], mats[:, 1:] = 0, digits[1:].reshape(n, n - 1, size)
+            mats[0, 0], mats[1:2, 0] = digits[0], digits[0] == 0
         right = _power(mats, e // 2, q, products[:2], work[-1, :size])
         left = _mul_mod(right, mats, q, products[2], work[-1, :size]) if e % 2 else right
         rows = _identity_rows(left, right, q, work[-2:, :size]) if e else _det_mod(mats, q) != 0
         yield mats[..., rows]
+
+
+def _orbit_weights(mats: np.ndarray, q: int) -> np.ndarray:
+    """1 where column 0 is c*e1 (c != 0), q^n - q where it is e2, for all of its orbit, else 0."""
+    n, lead = len(mats), mats[0, 0]
+    off = (mats[1:, 0] - np.eye(n - 1, 1, dtype=lead.dtype) * (lead == 0)).any(0)  # e2 below 0
+    return np.where(off, 0, np.where(lead, 1, q**n - q))
 
 
 def _gl_exponent(n: int, q: int) -> int:
@@ -207,7 +225,7 @@ def _gl_exponent(n: int, q: int) -> int:
 def gl_count(n: int, q: int) -> int:
     """|GL_n(q)| by direct enumeration (vectorised); GL_0 is trivial."""
     _check_args(n, q)
-    return sum(block.shape[-1] for block in _unit_blocks(n, q, 0)) if n else 1
+    return sum(int(_orbit_weights(b, q).sum()) for b in _unit_blocks(n, q, 0, True)) if n else 1
 
 
 def _integers(values: Sequence, what: str) -> tuple[int, ...]:
@@ -273,8 +291,10 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
     generator: such a word equals g^e, with e its signed letter count, so
     together they leave the matrices with g^gcd = 1.  Tuples are then
     joined one generator at a time, and each other relator is checked as
-    soon as its highest generator is assigned.
-    Both q^(n^2) and the product of the candidate counts are capped at MAX_CANDIDATES.
+    soon as its highest generator is assigned; the first generator takes
+    only normal-form candidates, each weighted by its orbit.  Both q^(n^2)
+    and the product of the generators' candidate counts, of normal-form
+    candidates where those are taken, are capped at MAX_CANDIDATES.
     """
     _check_args(n, q)
     if n == 0:
@@ -298,36 +318,49 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
         else:
             ends_at[max(gens) - 1].append(word)
 
-    kept: dict[int, list[np.ndarray]] = {e: [] for e in exponents[:free]}
+    # generator g reads the roots of x^e, e its exponent, as key (e, False), but the first join
+    # generator only those in normal form, as (e, True): x^e streams whole only for a later one
+    keys = [(e, g == 0 < free) for g, e in enumerate(exponents)]
+    whole = set(exponents[1:free])
+    kept: dict[tuple[int, bool], list[np.ndarray]] = {key: [] for key in keys[:free]}
     order = math.prod(q**n - q**i for i in range(n))  # |GL_n(q)|
-    # candidates per exponent, a lower bound until its stream ends, so the cap refuses early:
+    # candidates per key, a lower bound until its stream ends, so the cap refuses early:
     # any stream keeps the identity, and exponent 0 keeps all of GL_n(q), so it goes last
     # and, unless kept, streams nothing: its one empty block only checks the cap
-    counts = dict.fromkeys(exponents, 1) | {0: order}
+    counts = {(e, form): 1 for e in exponents for form in (False, True)} | {(0, False): order}
+    totals = {}  # the roots of x^e, a stream's weights summed
     for e in sorted(set(exponents), key=lambda e: e == 0):
-        seen = 0
-        for block in _unit_blocks(n, q, e) if e or 0 in kept else [np.empty((n, n, 0))]:
-            seen += block.shape[-1]
-            kept.get(e, []).append(block)
-            counts[e] = seen if e else order
-            if (tuples := math.prod(counts[x] for x in exponents)) > MAX_CANDIDATES:
+        seen = picked = totals[e] = 0
+        live = e or 0 in exponents[:free]
+        for block in _unit_blocks(n, q, e, e not in whole) if live else [np.empty((n, n, 0))]:
+            weight = _orbit_weights(block, q)
+            seen, picked = seen + block.shape[-1], picked + np.count_nonzero(weight)
+            totals[e] += int(weight.sum())
+            counts[e, False], counts[e, True] = seen if e else order, picked
+            kept.get((e, False), []).append(block)
+            if (e, True) in kept:
+                kept[e, True].append(block[..., weight > 0])
+            if (tuples := math.prod(counts[key] for key in keys)) > MAX_CANDIDATES:
                 raise ResourceLimit(
                     f"at least {tuples} candidate tuples exceed the cap {MAX_CANDIDATES}"
                 )
-    streamed = {e: np.concatenate(blocks, axis=-1) for e, blocks in kept.items()}
-    mats = [streamed.get(e) for e in exponents]
-    sizes = [counts[e] for e in exponents]
+    streamed = {key: np.concatenate(blocks, axis=-1) for key, blocks in kept.items()}
+    mats = [streamed.get(key) for key in keys]
+    sizes = [m.shape[-1] for m in mats[:free]]
+    sizes += [totals[e] if e else order for e in exponents[free:]]  # weighted, or |GL_n(q)|
     # each kept g has g^m = 1, m its exponent or that of GL_n(q), so g^-1 = g^(2m-1) even at m = 1
-    inverted = {exponents[-x - 1] for words in ends_at for word in words for x in word if x < 0}
-    inverses = {e: _power(streamed[e], 2 * (e or _gl_exponent(n, q)) - 1, q) for e in inverted}
-    invs = [inverses.get(e) for e in exponents]
+    inverted = {keys[-x - 1] for words in ends_at for word in words for x in word if x < 0}
+    inverses = {k: _power(streamed[k], 2 * (k[0] or _gl_exponent(n, q)) - 1, q) for k in inverted}
+    invs = [inverses.get(key) for key in keys]
+    weights = _orbit_weights(mats[0], q) if free else None  # of the first join generator's
 
     count = 0
     stack = [(np.zeros((1, 0), dtype=np.int64), 0)]
     while stack:
         rows, g = stack.pop()
         if g == free:
-            count += len(rows) * math.prod(sizes[g:])
+            # a row's weight is that of its first generator's candidate
+            count += int(weights[rows[:, 0]].sum() if g else len(rows)) * math.prod(sizes[g:])
             continue
         # extend ``step`` rows at a time: their grid of (row, candidate) pairs holds at
         # most _JOIN_ENTRIES index entries plus matrix entries per product

@@ -28,7 +28,7 @@ class _Record:
 
     ``==`` (within one class) and hash read the first ``_compared`` slots and
     repr shows the first ``_shown``; None means every slot.  A copy is rebuilt
-    by the constructor, which takes the slots in order.
+    by the constructor, which takes the slots in order; a slot ``_x`` reads as property ``x``.
     """
 
     __slots__ = ()
@@ -44,7 +44,7 @@ class _Record:
     __delattr__ = __setattr__
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__[: self._compared])
+        return tuple(getattr(self, name.lstrip("_")) for name in self.__slots__[: self._compared])
 
     def __eq__(self, other):
         return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
@@ -53,11 +53,12 @@ class _Record:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__[: self._shown])
+        names = (name.lstrip("_") for name in self.__slots__[: self._shown])
+        shown = (f"{name}={getattr(self, name)!r}" for name in names)
         return f"{type(self).__name__}({', '.join(shown)})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name.lstrip("_")) for name in self.__slots__)
 
 
 class DegreeProfile(_Record):

@@ -124,18 +124,18 @@ def gl_enumerate(n: int, q: int) -> Iterator[PrimeFieldMatrix]:
 
 
 def count_units_of_order_dividing(n: int, q: int, *exponents: int) -> list[int]:
-    """For each exponent m >= 1, the units g with g^m = 1 (pure Python, no numpy).
+    """For each exponent m >= 0, the units g with g^m = 1 (pure Python, no numpy).
 
     One pass over the matrix stream, each unit's powers by repeated
     multiplication: a slow reference path kept separate from the vectorised
-    enumeration so the two can be checked against each other.
+    enumeration so the two can be checked against each other.  g^0 = 1 for every unit.
     """
     counts = dict.fromkeys(exponents, 0)
     identity = PrimeFieldMatrix.identity(n, q)
     for g in gl_enumerate(n, q):
         power = identity
-        for m in range(1, max(exponents) + 1):
-            power = power * g
+        for m in range(max(exponents) + 1):
             if m in counts and power == identity:
                 counts[m] += 1
+            power = power * g
     return [counts[m] for m in exponents]

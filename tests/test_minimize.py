@@ -17,7 +17,7 @@ from glhom import (
 )
 import glhom.minimize as minimize
 from glhom.minimize import MAX_LISTED_TUPLES
-from conftest import BUILTIN_SPECS, custom_profile, make_profile
+from conftest import BUILTIN_SPECS, custom_profile, make_profile, run_guarded
 from naive_box import minimal_tuples_naive
 from orbit_sum import eligible_tuples
 
@@ -297,6 +297,27 @@ def test_odd_dihedral_closed_form_at_large_order(m):
         rep = minimal_tuples(profile, r)
         assert rep.m_r == (2 if odd else 1) * math.comb(l, k), r
         assert rep.s_r == k + odd, r
+
+
+_HUGE_SAMPLE_PROBE = """
+from math import comb
+from glhom import minimal_tuples, parse_group_spec, profile_of
+rep = minimal_tuples(profile_of(parse_group_spec("cyclic:100000000")), 5)
+print(rep.s_r, rep.m_r == comb(10**8, 5))
+"""
+
+
+def test_sample_is_built_only_when_read():
+    # the report keeps the lex-first vector of group totals, here (5,), and expands it into
+    # the 10^8-entry sample only when that is read, which would pass the guard
+    result, wall = run_guarded("-c", _HUGE_SAMPLE_PROBE)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "5 True\n", "")
+    assert wall < 5.0
+    # built once, on the first read, and equal to a report given the tuple itself
+    rep = minimal_tuples(make_profile("dihedral:9"), 3)
+    assert rep.sample == (0, 1, 0, 0, 0, 1)
+    assert rep.sample is rep.sample
+    assert rep == minimal_tuples_naive(make_profile("dihedral:9"), 3)
 
 
 def test_tuples_listing_is_capped():

@@ -159,6 +159,38 @@ def test_order_filter_agreement():
             assert hom_count_bruteforce(pres, n, q) == expected
 
 
+@pytest.mark.parametrize("n, q", [(n, q) for n in (1, 2, 3) for q in (2, 3, 5)])
+def test_normal_form_weights_count_every_root(n, q, monkeypatch):
+    # conjugation by an h with h e1 = e1 keeps g^e = 1 and takes g's column 0 to h times it:
+    # c*e1 is fixed and the other q^n - q columns form e2's orbit, so the normal-form roots of
+    # x^e, those weighted q^n - q, are all of them; the pure-Python reference walks q^(n^2)
+    # matrices, too slowly past GL_3(3), so GL_3(5) is checked against the full stream alone
+    exponents = (0, 1, 2, 3, 4, 6)
+    expected = count_units_of_order_dividing(n, q, *exponents) if q ** (n * n) < 10**5 else None
+    walked = []
+
+    def spied(*args):
+        for block in _digit_blocks(*args):
+            walked.append(block.shape[1])
+            yield block
+
+    monkeypatch.setattr(oracle, "_digit_blocks", spied)
+    for i, e in enumerate(exponents):
+        walked.clear()
+        normal = list(_unit_blocks(n, q, e, True))
+        assert sum(walked) == q ** (n * n - n + 1)
+        weights = [oracle._orbit_weights(block, q) for block in normal]
+        assert all(w.all() for w in weights)  # each root walked is in normal form
+        weighted = sum(int(w.sum()) for w in weights)
+        assert weighted == sum(block.shape[-1] for block in _unit_blocks(n, q, e))
+        if expected:
+            assert weighted == expected[i], e
+    # each nonzero column 0 starts |GL_n(q)| / (q^n - 1) units, and q - 1 columns c*e1 and,
+    # past n = 1, e2 are in normal form
+    units = sum(block.shape[-1] for block in _unit_blocks(n, q, 0, True))
+    assert units == (q - 1 + (n > 1)) * gl_count(n, q) // (q**n - 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=3),
@@ -288,10 +320,11 @@ def test_hom_count_resource_limit(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_CANDIDATES", 10**4)
     with pytest.raises(ResourceLimit):
         hom_count_bruteforce(pres, 3, 5)
-    # each generator's q^(n^2) fits, but the candidate tuples do not
+    # each generator's q^(n^2) fits, but the candidate tuples do not: x1's 235 roots of x^5 in
+    # normal form (of 1325 in all) times x2's 134 involutions
     pres = builtin_presentation(parse_group_spec("dihedral:5"))
     monkeypatch.setattr(oracle, "MAX_CANDIDATES", 20000)
-    with pytest.raises(ResourceLimit, match="177550 candidate tuples exceed the cap 20000"):
+    with pytest.raises(ResourceLimit, match="31490 candidate tuples exceed the cap 20000"):
         hom_count_bruteforce(pres, 2, 11)
 
 
@@ -470,6 +503,50 @@ def test_bruteforce_matches_nested_loops_on_random_presentations(drawn):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_JOIN_ENTRIES", 1)
         assert hom_count_bruteforce(pres, n, q) == expected
+
+
+@st.composite
+def _count_only_presentations(draw):
+    """1-3 generators and 1-4 words of up to 6 letters in one generator each, inverses included:
+    no relator reads two generators, so every generator is counted, as in cyclic:m."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    word = st.integers(min_value=1, max_value=k).flatmap(
+        lambda g: st.lists(st.sampled_from((g, -g)), min_size=1, max_size=6).map(tuple)
+    )
+    relators = draw(st.lists(word, min_size=1, max_size=4))
+    fields = [(n, q) for n, q in (*_SMALL_FIELDS, (3, 2)) if gl_count(n, q) ** k <= 10**4]
+    return Presentation(k, tuple(relators)), *draw(st.sampled_from(fields))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_count_only_presentations())
+def test_bruteforce_matches_nested_loops_on_count_only_presentations(drawn):
+    # each count is a sum of normal-form roots' weights, or |GL_n(q)| for a generator that no
+    # word constrains
+    pres, n, q = drawn
+    assert hom_count_bruteforce(pres, n, q) == _count_by_nested_loops(pres, n, q)
+
+
+@pytest.mark.parametrize("n, q, expected", [(2, 7, 96768), (2, 11, 1584000)])
+def test_commuting_pairs_by_the_class_equation(n, q, expected):
+    # the pairs that commute number sum_g |C(g)| = |G| k(G), and k(GL_2(q)) = q^2 - 1
+    assert hom_count_bruteforce(_COMMUTE, n, q) == gl_count(n, q) * (q * q - 1) == expected
+
+
+_COMMUTE_GL3_PROBE = """
+from glhom import Presentation, hom_count_bruteforce
+print(hom_count_bruteforce(Presentation(2, ((1, 2, -1, -2),)), 3, 3))
+"""
+
+
+def test_commuting_pairs_in_gl3_by_the_class_equation():
+    # |GL_3(3)| k(GL_3(3)) = 11232 * (3^3 - 3): 1296 normal-form x1 against 11232 x2, where all
+    # 11232^2 pairs passed the cap
+    assert 11232**2 > MAX_CANDIDATES > 1296 * 11232
+    assert gl_count(3, 3) * (3**3 - 3) == 269568
+    result, wall = run_guarded("-c", _COMMUTE_GL3_PROBE)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "269568\n", "")
+    assert wall < 5.0
 
 
 # abelian:2x2x2: three involutions that commute pairwise

@@ -263,7 +263,9 @@ def test_one_powering_routine_in_the_oracle():
     assert not called & {"cross", "unique"}
     params = functions["_unit_blocks"].args
     assert (params.vararg, params.kwarg) == (None, None)
-    assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] == ["n", "q", "e"]
+    assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] == [
+        "n", "q", "e", "normal",
+    ]
     assert [
         name
         for name, fn in functions.items()
