@@ -20,8 +20,8 @@ _LAYERS = {
     "counting": "NEG_INFINITY IntPolynomial hom_count_poly",
     "errors": "GlhomError InvariantViolation ParseError RangeError ResourceLimit UnstableRegime"
     " UnsupportedFamily ValidationError",
-    "minimize": "LeadingTerm MinimalReport StabilityBound VarietyReport leading_term"
-    " minimal_tuples stability_bound variety_report",
+    "minimize": "LeadingTerm MinimalReport StabilityBound leading_term minimal_tuples"
+    " stability_bound",
     "oracle": "Presentation builtin_presentation gl_count hom_count_bruteforce",
     "profiles": "DegreeProfile GroupSpec parse_group_spec profile_of splitting_field_check",
 }

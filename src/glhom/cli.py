@@ -134,16 +134,19 @@ def _cmd_bound(profile, spec):
 
 
 def _cmd_variety(profile, spec, n):
-    from .minimize import variety_report
+    from .minimize import leading_term
 
-    report = variety_report(profile, n)
+    # a negative n lies below every N >= 0, so it is refused as unstable, not as out of range
+    lt = leading_term(profile, max(n, 0))
+    if n < lt.n_threshold:
+        raise UnstableRegime(f"n={n} is below the stability threshold N={lt.n_threshold}")
     fields = {
         "n": n,
-        "dimension": report.dimension,
-        "components": report.top_components,
-        "n_threshold": report.n_threshold,
+        "dimension": lt.exponent,
+        "components": lt.coefficient,
+        "n_threshold": lt.n_threshold,
     }
-    return fields, [f"dimension {report.dimension}, {report.top_components} components"], 0
+    return fields, [f"dimension {lt.exponent}, {lt.coefficient} components"], 0
 
 
 def _cmd_verify(profile, spec, n, q):

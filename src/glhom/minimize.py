@@ -1,14 +1,16 @@
 """Minimal tuples: the integer s-tuples with sum n_i d_i = w that minimise sum n_i^2.
 
-They give S_r, m_r, eps_r and the stability bound N.  The leading term of f_n
-and the variety dimension (``leading_term``, ``variety_report``) read S_r and
-m_r from the search with no report, and the residue commands never load the
-polynomial layer, ``counting``.  The search runs over the distinct
-degrees: c coordinates of degree d sharing a total U are best split evenly,
-into f = U // c and f + 1, at cost c*f^2 + rho*(2f+1) (rho = U % c) in
-C(c, rho) ways, with lowest entry f.  A min-plus DP over the weight of the
-groups taken so far, whose equal-cost states add their counts and keep the
-larger b, gives S_r, m_r and b; backtracking gives the lex-first tuple.
+They give S_r, m_r, eps_r and the stability bound N.  At n = k*a + r,
+t -> k*d + t carries the minimal tuples of weight r onto those of n, so
+m_n = m_r and S_n = k^2*a + 2*k*r + S_r: ``leading_term`` reads S_n and m_n
+from the search at weight n, with no report, and n^2 - S_n is the paper's
+n^2(1 - 1/a) - eps_r.  The residue commands never load the polynomial layer,
+``counting``.  The search runs over the distinct degrees: c coordinates of
+degree d sharing a total U are best split evenly, into f = U // c and
+f + 1, at cost c*f^2 + rho*(2f+1) (rho = U % c) in C(c, rho) ways, with
+lowest entry f.  A min-plus DP over the weight of the groups taken so far,
+whose equal-cost states add their counts and keep the larger b, gives S_r,
+m_r and b; backtracking gives the lex-first tuple.
 From a state of weight W and cost S, group j's total U and the groups
 before it (room = their sum of c*d^2, x = w - W) cost at least
 U^2/c + (x - d*U)^2/room, so a feasible cost F bounds |R*U - c*d*x| by
@@ -22,7 +24,7 @@ from itertools import accumulate, chain, combinations, product
 from math import comb, isqrt
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import InvariantViolation, RangeError, ResourceLimit, UnstableRegime
+from .errors import InvariantViolation, RangeError, ResourceLimit
 from .profiles import DegreeProfile, _Record
 
 if TYPE_CHECKING:
@@ -80,8 +82,10 @@ class StabilityBound(NamedTuple):
 
 
 class LeadingTerm(NamedTuple):
-    """Leading term m_r * q^(n^2(1-1/a) - eps_r) of the count polynomial.
+    """Leading term m_r * q^(n^2(1-1/a) - eps_r) of the count polynomial, r = n mod a.
 
+    The exponent is n^2 - S_n and the coefficient m_n, equal to these by
+    the lifting identity S_n = k^2*a + 2*k*r + S_r, m_n = m_r (n = k*a + r).
     ``stable`` is True when n is at or past the stability bound N, where
     the formula is guaranteed to match the true degree and leading
     coefficient; below N the formula values are still reported but are
@@ -93,14 +97,6 @@ class LeadingTerm(NamedTuple):
     n: int
     r: int
     stable: bool
-    n_threshold: int
-
-
-class VarietyReport(NamedTuple):
-    """Dimension and top-component count of Hom(A, GL_n(K)), K algebraically closed."""
-
-    dimension: int
-    top_components: int
     n_threshold: int
 
 
@@ -232,42 +228,25 @@ def stability_bound(
 
 
 def leading_term(profile: DegreeProfile, n: int) -> LeadingTerm:
-    """Leading term of f_n from the minimal-tuple data for r = n mod a.
+    """Leading term m_n * q^(n^2 - S_n) of f_n, from the minimal tuples of weight n.
 
-    The exponent n^2 - (n^2 - r^2)/a - S_r is provably integral; this is
-    checked rather than trusted.  For n below the stability bound the
-    formula values are returned with ``stable=False``.  Only residue r is
-    solved with counts, for S_r and m_r; the bound needs each residue's b alone.
+    By the lifting identity S_n = k^2*a + 2*k*r + S_r and m_n = m_r at
+    n = k*a + r, this is the paper's m_r * q^(n^2(1-1/a) - eps_r).  For n
+    below the stability bound the values are returned with ``stable=False``.
+    Only weight n is solved with counts; the bound needs each residue's b alone.
     """
     if n < 0:
         raise RangeError("dimension must be >= 0")
-    a = profile.order
-    r = n % a
     n_threshold = stability_bound(profile).n_threshold
-    s_r, m_r, _, _ = _solve(profile.groups, a, r)
-    if (n * n - r * r) % a:
-        raise InvariantViolation(f"n^2 - r^2 = {n * n - r * r} is not divisible by a={a}")
-    exponent = n * n - (n * n - r * r) // a - s_r
+    s_n, m_n, _, _ = _solve(profile.groups, profile.order, n)
+    exponent = n * n - s_n
     if exponent < 0:
         raise InvariantViolation(f"leading exponent {exponent} is negative")
     return LeadingTerm(
-        coefficient=m_r,
+        coefficient=m_n,
         exponent=exponent,
         n=n,
-        r=r,
+        r=n % profile.order,
         stable=n >= n_threshold,
         n_threshold=n_threshold,
     )
-
-
-def variety_report(profile: DegreeProfile, n: int) -> VarietyReport:
-    """Dimension and number of top-dimensional components of the representation variety.
-
-    Only valid in the stable regime n >= N; below it the leading-term
-    formula is uncertified and UnstableRegime is raised.
-    """
-    # a negative n lies below every N >= 0, so it is refused as unstable, not as out of range
-    lt = leading_term(profile, max(n, 0))
-    if n < lt.n_threshold:
-        raise UnstableRegime(f"n={n} is below the stability threshold N={lt.n_threshold}")
-    return VarietyReport(lt.exponent, lt.coefficient, lt.n_threshold)

@@ -469,9 +469,9 @@ def test_stability_bound_computed_once_per_command(
     monkeypatch.setattr(minimize, "_solve", counted_solve)
     assert run(capsys, *argv) == (code, out, err)
     assert len(calls) == 1
-    # each residue is solved once without counts for b, and residue r once with them
-    r = int(argv[-1]) % calls[0].order
-    assert sorted(solves) == sorted([(w, False) for w in range(calls[0].order)] + [(r, True)])
+    # each residue is solved once without counts for b, and weight n once with them
+    n = int(argv[-1])
+    assert sorted(solves) == sorted([(w, False) for w in range(calls[0].order)] + [(n, True)])
     json_code, json_out, _ = run(capsys, *argv, "--json")
     assert json_code == code and len(calls) == 2
     if code == 0:

@@ -1,4 +1,4 @@
-"""Orbit polynomials, full count polynomials, leading terms, variety data."""
+"""Orbit polynomials, full count polynomials, leading terms and the variety data they give."""
 
 from __future__ import annotations
 
@@ -13,11 +13,9 @@ from glhom import (
     IntPolynomial,
     RangeError,
     ResourceLimit,
-    UnstableRegime,
     hom_count_poly,
     leading_term,
     minimal_tuples,
-    variety_report,
 )
 from conftest import custom_profile, make_profile
 from orbit_sum import eligible_tuples, gl_order, mul, orbit_poly, orbit_sum
@@ -191,25 +189,18 @@ def test_leading_term_degree_window(s4, s5):
 
 
 def test_variety_report(s4, c2, s5):
-    assert variety_report(s4, 25) == variety_report(s4, 25)
-    vr = variety_report(s4, 25)
-    assert vr.dimension == 598 and vr.top_components == 2
-    vr = variety_report(c2, 4)
-    assert vr.dimension == 8 and vr.top_components == 1
-    vr = variety_report(s5, 120)
-    assert vr.dimension == 14280 and vr.top_components == 1
+    # the variety's dimension and top-component count, in the stable range, are the leading
+    # term's exponent and coefficient
+    assert leading_term(s4, 25) == leading_term(s4, 25)
+    for profile, n, dimension, top in ((s4, 25, 598, 2), (c2, 4, 8, 1), (s5, 120, 14280, 1)):
+        lt = leading_term(profile, n)
+        assert (lt.exponent, lt.coefficient, lt.stable) == (dimension, top, True)
 
 
 def test_variety_report_unstable(s5):
-    with pytest.raises(UnstableRegime):
-        variety_report(s5, 119)
-
-
-def test_variety_matches_leading(s4):
-    for n in (24, 25, 30):
-        lt = leading_term(s4, n)
-        vr = variety_report(s4, n)
-        assert (vr.dimension, vr.top_components) == (lt.exponent, lt.coefficient)
+    # below N the library still answers, flagged unstable; the variety command refuses it
+    lt = leading_term(s5, 119)
+    assert (lt.stable, lt.n_threshold) == (False, 120)
 
 
 def test_division_route_equals_assembly_on_random_tuples(rng):
@@ -240,7 +231,7 @@ def test_s5_leading_term_via_eligibility(s5):
     # checked through the lifting data: past the threshold every minimal
     # tuple is eligible, and the formula exponent equals n^2 minus their
     # square-sum, k^2 a + 2 k r + S_r at n = k a + r
-    for n in (120, 123, 127, 240, 360):
+    for n in (120, 123, 127, 240, 360, 120 * 10**6 + 59, 120 * 10**12 + 3):
         k, r = divmod(n, s5.order)
         rep = minimal_tuples(s5, r)
         assert k >= rep.b

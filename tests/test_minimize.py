@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glhom import (
+    InvariantViolation,
+    MinimalReport,
     RangeError,
     ResourceLimit,
+    leading_term,
     minimal_tuples,
     stability_bound,
 )
@@ -136,11 +139,12 @@ def test_minimal_tuples_for_n_s5_3(s5):
 @given(
     extra=st.lists(st.integers(min_value=1, max_value=7), max_size=5),
     ones=st.integers(min_value=1, max_value=4),
-    k=st.integers(min_value=0, max_value=3),
+    k=st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=10**6),
     data=st.data(),
 )
 def test_any_weight_answers_as_its_residue_lifted(extra, ones, k, data):
-    # t -> k*d + t maps weight r onto w = k*a + r and adds k^2*a + 2*k*r to every square-sum
+    # t -> k*d + t maps weight r onto w = k*a + r and adds k^2*a + 2*k*r to every square-sum,
+    # so leading_term, which solves weight w, gives the paper's m_r * q^(w^2 - (w^2 - r^2)/a - S_r)
     profile = custom_profile((1,) * ones + tuple(extra))
     a = profile.order
     r = data.draw(st.integers(min_value=0, max_value=a - 1), label="r")
@@ -150,6 +154,11 @@ def test_any_weight_answers_as_its_residue_lifted(extra, ones, k, data):
     assert (rep.eps_r == 0) == (w % a == 0)
     assert rep.s_r == k * k * a + 2 * k * r + base.s_r
     assert rep.m_r == base.m_r
+    lt = leading_term(profile, w)
+    assert (w * w - r * r) % a == 0
+    assert (lt.coefficient, lt.exponent, lt.r) == (
+        base.m_r, w * w - (w * w - r * r) // a - base.s_r, r
+    )
 
 
 def test_eligible_tuples(c2, s4):
@@ -359,3 +368,22 @@ def test_all_eligible_is_k_at_least_b_r(s5):
         rep = minimal_tuples(s5, r)
         lifted = [tuple(k * d + e for e, d in zip(t, s5.degrees)) for t in rep.tuples]
         assert (k >= rep.b) == all(min(t) >= 0 for t in lifted), n
+
+
+def test_invariant_violations_are_raised(s4, c2, monkeypatch):
+    # a listing whose count or first tuple disagrees with m_r or the sample
+    def report(b, *listed):
+        return MinimalReport(4, 2, Fraction(4, 3), 2, (0, 0, 1, 1, 0), b, lambda: listed)
+
+    assert report(0, (0, 1, 0, 0, 1), (0, 0, 1, 1, 0)).tuples == ((0, 0, 1, 1, 0), (0, 1, 0, 0, 1))
+    for listed in [[(0, 0, 1, 1, 0)], [(0, 1, 0, 0, 1), (1, 0, 0, 1, 0)]]:
+        with pytest.raises(InvariantViolation, match="^listed .* tuples from"):
+            report(0, *listed).tuples
+    # a report whose b puts N = b*a past a(a-1)
+    assert stability_bound(s4, [report(s4.order - 1)]).n_threshold == 552
+    with pytest.raises(InvariantViolation, match=r"^stability bound N=576 exceeds a\(a-1\)=552$"):
+        stability_bound(s4, [report(s4.order)])
+    # a search whose minimum exceeds n^2 (c2 has b = 0 without a search)
+    monkeypatch.setattr(minimize, "_solve", lambda groups, order, w: (w * w + 1, 1, 0, {}))
+    with pytest.raises(InvariantViolation, match="^leading exponent -1 is negative$"):
+        leading_term(c2, 5)

@@ -21,6 +21,7 @@ from glhom import (
     gl_count,
     hom_count_bruteforce,
     hom_count_poly,
+    leading_term,
     minimal_tuples,
     parse_group_spec,
 )
@@ -639,21 +640,31 @@ def test_minimal_tuples_naive_examples(s4, d3):
 
 
 def test_minimal_tuples_naive_guards(s4, monkeypatch):
+    # any weight w >= 0 is answered while its box [-w, w]^5 stays under the candidate cap
     with pytest.raises(RangeError):
+        minimal_tuples_naive(s4, -1)
+    with pytest.raises(ResourceLimit, match="^box size 282475249 exceeds"):
         minimal_tuples_naive(s4, 24)
-    monkeypatch.setattr(oracle, "MAX_CANDIDATES", 10**6)
-    with pytest.raises(ResourceLimit):
-        minimal_tuples_naive(s4, 20)
+    monkeypatch.setattr(oracle, "MAX_CANDIDATES", 9**5)
+    assert minimal_tuples_naive(s4, 4) == minimal_tuples(s4, 4)
+    with pytest.raises(ResourceLimit, match=f"^box size {11**5} exceeds"):
+        minimal_tuples_naive(s4, 5)
 
 
 def test_naive_matches_search_on_small_profiles(d3):
-    for text in ("cyclic:2", "cyclic:3", "cyclic:4", "dihedral:3", "dihedral:4"):
+    # past the order too, where leading_term reads w^2 - S_w and m_w at weight w
+    for text in (
+        "cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "dihedral:3", "dihedral:4", "dihedral:5",
+        "custom:order=12,degrees=1,1,1,3",
+    ):
         profile = make_profile(text)
-        for r in range(profile.order):
-            if (2 * r + 1) ** profile.s > 10**6:
-                continue
-            naive, searched = minimal_tuples_naive(profile, r), minimal_tuples(profile, r)
+        for w in range(4 * profile.order + 3):
+            if (2 * w + 1) ** profile.s > 10**6:
+                break
+            naive, searched = minimal_tuples_naive(profile, w), minimal_tuples(profile, w)
             assert naive == searched and naive.tuples == searched.tuples
+            lt = leading_term(profile, w)
+            assert (lt.exponent, lt.coefficient) == (w * w - naive.s_r, naive.m_r)
 
 
 def test_sym4_dimension_two_against_polynomial(s4):

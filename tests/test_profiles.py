@@ -19,7 +19,6 @@ from glhom import (
     StabilityBound,
     UnsupportedFamily,
     ValidationError,
-    VarietyReport,
     builtin_presentation,
     hom_count_bruteforce,
     hom_count_poly,
@@ -365,8 +364,6 @@ _R4 = dict(r=4, s_r=2, eps_r=Fraction(4, 3), m_r=4, sample=(0, 1, 0, 0, 1), b=0,
         (StabilityBound, dict(b=1, n_threshold=120), "StabilityBound(b=1, n_threshold=120)"),
         (LeadingTerm, dict(coefficient=2, exponent=598, n=25, r=1, stable=True, n_threshold=0),
          "LeadingTerm(coefficient=2, exponent=598, n=25, r=1, stable=True, n_threshold=0)"),
-        (VarietyReport, dict(dimension=598, top_components=2, n_threshold=0),
-         "VarietyReport(dimension=598, top_components=2, n_threshold=0)"),
         (Presentation, dict(generator_count=2, relators=((1, 1, 1), (2, 2)), label="x"),
          "Presentation(generator_count=2, relators=((1, 1, 1), (2, 2)), label='x')"),
     ],

@@ -204,7 +204,7 @@ def test_one_dp_pass_for_the_count_polynomial():
 
 def test_one_report_builder_for_the_minimal_tuple_search():
     # _solve returns (S_w, m_w, b, tables): one function builds a report from them, besides
-    # the tests' naive reference, and leading_term reads S_r and m_r without any report
+    # the tests' naive reference, and leading_term reads S_n and m_n without any report
     builders, leading_calls = set(), set()
     for name, tree in _trees(NAIVE_BOX).items():
         for top in tree.body:
@@ -409,6 +409,19 @@ def test_one_command_table_drives_the_cli_and_only_main_prints_results():
     assert to_stdout and all(main.lineno < line <= main.end_lineno for line in to_stdout)
 
 
+def test_only_the_variety_command_refuses_the_unstable_regime():
+    # the library reports LeadingTerm.stable; refusing below N (exit 2) is the CLI's policy
+    raisers = {
+        (name, top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None)
+        for name, tree in _trees().items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and "UnstableRegime" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    }
+    assert raisers == {("cli.py", "_cmd_variety")}
+
+
 _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
@@ -459,11 +472,12 @@ def test_residue_and_poly_commands_leave_numpy_unloaded():
 # names with no caller in the package, gone from it: the orbit-sum route to f_n is the tests'
 # reference in tests/orbit_sum.py, the lifting lemma's tests compute k*d_i + t_i inline, the
 # tests build each Presentation from relator tuples, and each name repeating another's answer
-# went (minimal_tuples takes any weight, a report carries eps_r, a profile checks itself)
+# went (minimal_tuples takes any weight, a report carries eps_r, a profile checks itself, and
+# the variety's dimension and top components are leading_term's exponent and coefficient)
 REMOVED_NAMES = (
-    "DivisionByZero IneligibleTuple LengthMismatch LiftedReport NonZeroRemainder div_exact"
-    " eligible_tuples epsilon gl_order_poly lift_minimal minimal_tuples_direct"
-    " minimal_tuples_for_n orbit_poly parse_presentation validate_profile weight"
+    "DivisionByZero IneligibleTuple LengthMismatch LiftedReport NonZeroRemainder VarietyReport"
+    " div_exact eligible_tuples epsilon gl_order_poly lift_minimal minimal_tuples_direct"
+    " minimal_tuples_for_n orbit_poly parse_presentation validate_profile variety_report weight"
 ).split()
 
 
@@ -473,8 +487,8 @@ def test_the_package_exports_the_calculator_and_nothing_else():
         "GlhomError", "InvariantViolation", "ParseError", "RangeError", "ResourceLimit",
         "UnstableRegime", "UnsupportedFamily", "ValidationError",
         "NEG_INFINITY", "IntPolynomial",
-        "LeadingTerm", "MinimalReport", "StabilityBound", "VarietyReport", "leading_term",
-        "minimal_tuples", "stability_bound", "variety_report",
+        "LeadingTerm", "MinimalReport", "StabilityBound", "leading_term", "minimal_tuples",
+        "stability_bound",
         "Presentation", "builtin_presentation", "gl_count", "hom_count_bruteforce",
         "DegreeProfile", "GroupSpec", "parse_group_spec", "profile_of", "splitting_field_check",
     }
