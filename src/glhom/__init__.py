@@ -2,8 +2,8 @@
 
 Given the degree profile of A (order plus irreducible representation
 degrees over a splitting field), this package computes the polynomial
-|Hom(A, GL_n(q))| in q exactly, its leading term m_r * q^(n^2(1-1/a) -
-eps_r), and the stability bound N past which that formula is certified --
+|Hom(A, GL_n(q))| in q exactly, its top term at every n, and the stability
+bound N from which that term is the paper's m_r * q^(n^2(1-1/a) - eps_r) --
 with a built-in brute-force oracle over small finite matrix groups that
 independently verifies the numbers.
 
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # the public names of each layer
 _LAYERS = {
     "counting": "NEG_INFINITY IntPolynomial hom_count_poly",
-    "errors": "GlhomError InvariantViolation ParseError RangeError ResourceLimit UnstableRegime"
+    "errors": "GlhomError InvariantViolation ParseError RangeError ResourceLimit"
     " UnsupportedFamily ValidationError",
     "minimize": "LeadingTerm MinimalReport StabilityBound leading_term minimal_tuples"
     " stability_bound",

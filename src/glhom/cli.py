@@ -3,14 +3,14 @@
 Subcommands: table, poly, leading, bound, verify, variety, each followed by its options as FLAG
 VALUE pairs; -h prints the usage.  Results go to standard output (text, or one JSON document
 with --json); diagnostics go to standard error.  Exit codes: 0 success/PASS, 1 input or
-validation error, 2 verification failure or unstable-regime refusal, 3 resource limit exceeded.
+validation error, 2 verification failure, 3 resource limit exceeded.
 """
 
 from __future__ import annotations
 
 import sys
 
-from .errors import GlhomError, ResourceLimit, UnstableRegime, ValidationError
+from .errors import GlhomError, ResourceLimit, ValidationError
 from .profiles import parse_group_spec, profile_of, splitting_field_check
 
 MAX_TABLE_ENTRIES = 2**21  # a rows of s-entry samples: admits cyclic:1448 and dihedral:1400
@@ -55,11 +55,11 @@ def _cmd_table(profile, spec):
         "degrees": list(profile.degrees),
         "rows": [
             {
-                "r": rep.r,
-                "m": rep.m_r,
+                "r": rep.w,
+                "m": rep.m,
                 "sample": list(rep.sample),
-                "s": rep.s_r,
-                "eps": str(rep.eps_r),
+                "s": rep.s,
+                "eps": str(rep.eps),
             }
             for rep in reports
         ],
@@ -71,7 +71,7 @@ def _cmd_table(profile, spec):
     width = max(len("sample tuple"), *map(len, samples))
     lines = [f"{'r':>4}  {'m_r':>6}  {'sample tuple':<{width}}  {'S_r':>6}  eps_r"]
     for rep, sample in zip(reports, samples):
-        lines.append(f"{rep.r:>4}  {rep.m_r:>6}  {sample:<{width}}  {rep.s_r:>6}  {rep.eps_r}")
+        lines.append(f"{rep.w:>4}  {rep.m:>6}  {sample:<{width}}  {rep.s:>6}  {rep.eps}")
     lines += [f"b = {bound.b}", f"N = {bound.n_threshold} (<= a(a-1) = {a * (a - 1)})"]
     return fields, lines, 0
 
@@ -97,25 +97,19 @@ def _cmd_poly(profile, spec, n, eval_points=()):
 
 
 def _cmd_leading(profile, spec, n):
-    from .minimize import leading_term
+    from .minimize import leading_term, stability_bound
 
     lt = leading_term(profile, n)
+    n_threshold = stability_bound(profile).n_threshold
     fields = {
         "n": lt.n,
         "r": lt.r,
         "coefficient": lt.coefficient,
         "exponent": lt.exponent,
-        "stable": lt.stable,
-        "n_threshold": lt.n_threshold,
+        "stable": n >= n_threshold,
+        "n_threshold": n_threshold,
     }
-    state = "stable" if lt.stable else f"unstable: n={lt.n} < N={lt.n_threshold}"
-    if not lt.stable:
-        print(
-            f"warning: n={lt.n} is below the stability threshold N={lt.n_threshold};"
-            " the reported term is the formula value and is not certified to match"
-            " the true degree",
-            file=sys.stderr,
-        )
+    state = "stable" if n >= n_threshold else f"unstable: n={n} < N={n_threshold}"
     return fields, [f"{lt.coefficient} * q^{lt.exponent} ({state})"], 0
 
 
@@ -136,16 +130,8 @@ def _cmd_bound(profile, spec):
 def _cmd_variety(profile, spec, n):
     from .minimize import leading_term
 
-    # a negative n lies below every N >= 0, so it is refused as unstable, not as out of range
-    lt = leading_term(profile, max(n, 0))
-    if n < lt.n_threshold:
-        raise UnstableRegime(f"n={n} is below the stability threshold N={lt.n_threshold}")
-    fields = {
-        "n": n,
-        "dimension": lt.exponent,
-        "components": lt.coefficient,
-        "n_threshold": lt.n_threshold,
-    }
+    lt = leading_term(profile, n)
+    fields = {"n": n, "dimension": lt.exponent, "components": lt.coefficient}
     return fields, [f"dimension {lt.exponent}, {lt.coefficient} components"], 0
 
 
@@ -271,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except GlhomError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, ResourceLimit) else 2 if isinstance(exc, UnstableRegime) else 1
+        return 3 if isinstance(exc, ResourceLimit) else 1
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -7,11 +7,11 @@ count polynomial f_n with f_n(q) = |Hom(A, GL_n(q))| whenever F_q splits
 the group; ``hom_count_poly`` builds it by a knapsack DP without listing
 the tuples, on plain ints: every polynomial is its value at q = 2^B, with B
 worked out by a pre-flight that also bounds the DP's memory and, from its
-exact step count, its work; f_n is read back into an ``IntPolynomial``.  The
-top of f_n is controlled by the minimal tuples alone: degree n^2(1 - 1/a) -
-eps_r and leading coefficient m_r, with r = n mod a.  ``minimize.leading_term``
-reads it off them, so this module, which only ``poly`` and ``verify`` load,
-never imports ``minimize``.
+exact step count, its work; f_n is read back into an ``IntPolynomial``.  Each
+orbit polynomial is monic of degree n^2 - sum n_i^2, so the top of f_n is
+n^2 - S and m, the least such sum and its count, which ``minimize.leading_term``
+finds without listing tuples; this module, which only ``poly`` and ``verify``
+load, never imports ``minimize``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,3 @@ class InvariantViolation(GlhomError, RuntimeError):
 
 class ResourceLimit(GlhomError, RuntimeError):
     """A resource cap was exceeded; the message names the quantity and the cap."""
-
-
-class UnstableRegime(GlhomError, ValueError):
-    """The requested dimension is below the stability threshold N."""

@@ -1,16 +1,18 @@
-"""Minimal tuples: the integer s-tuples with sum n_i d_i = w that minimise sum n_i^2.
+"""Minimal tuples: the s-tuples with sum n_i d_i = w that minimise sum n_i^2.
 
-They give S_r, m_r, eps_r and the stability bound N.  At n = k*a + r,
-t -> k*d + t carries the minimal tuples of weight r onto those of n, so
-m_n = m_r and S_n = k^2*a + 2*k*r + S_r: ``leading_term`` reads S_n and m_n
-from the search at weight n, with no report, and n^2 - S_n is the paper's
-n^2(1 - 1/a) - eps_r.  The residue commands never load the polynomial layer,
-``counting``.  The search runs over the distinct degrees: c coordinates of
-degree d sharing a total U are best split evenly, into f = U // c and
-f + 1, at cost c*f^2 + rho*(2f+1) (rho = U % c) in C(c, rho) ways, with
-lowest entry f.  A min-plus DP over the weight of the groups taken so far,
-whose equal-cost states add their counts and keep the larger b, gives S_r,
-m_r and b; backtracking gives the lex-first tuple.
+Over the integers they give the paper's S_r, m_r, eps_r and the bound N: at
+n = k*a + r, t -> k*d + t carries the minimal tuples of weight r onto those of
+n, so m_n = m_r and S_n = k^2*a + 2*k*r + S_r.  Over the non-negative tuples
+they give the top of f_n at every n, which ``leading_term`` reads: f_n sums a
+monic orbit polynomial of degree n^2 - sum t_i^2 per non-negative t of weight
+n, so nothing cancels there.  The two agree exactly when the integer search at
+weight n has b = 0, as at n >= N.  The residue commands never load ``counting``.
+The search runs over the distinct degrees: c coordinates of degree d sharing
+a total U are best split evenly, into f = U // c and f + 1 (both >= 0 if U
+is), at cost c*f^2 + rho*(2f+1) (rho = U % c) in C(c, rho) ways, with lowest
+entry f.  A min-plus DP over the weight of the groups taken so far, whose
+equal-cost states add their counts and keep the larger b, gives S_w, m_w and
+b; backtracking gives the lex-first tuple.
 From a state of weight W and cost S, group j's total U and the groups
 before it (room = their sum of c*d^2, x = w - W) cost at least
 U^2/c + (x - d*U)^2/room, so a feasible cost F bounds |R*U - c*d*x| by
@@ -37,19 +39,19 @@ MAX_COUNT_BITS = 1 << 18  # admits C(200000, 100000), 0.7 s to build and print
 class MinimalReport(_Record):
     """The minimal tuples of one weight w: invariants, the lex-first one, a lazy listing.
 
-    ``eps_r`` = S_w - w^2/a is >= 0, and 0 exactly when a divides w.  ``m_r``
-    counts the ordered minimal tuples; ``b`` is the least b >= 0 with
-    b*d_i + t_i >= 0 for all of them.  ``==`` ignores ``listing``.
+    ``s`` is their square-sum S_w; ``eps`` = S_w - w^2/a is >= 0, and 0 exactly
+    when a divides w.  ``m`` counts the ordered minimal tuples; ``b`` is the
+    least b >= 0 with b*d_i + t_i >= 0 for all of them.  ``==`` ignores ``listing``.
     """
 
-    __slots__ = ("r", "s_r", "eps_r", "m_r", "_sample", "b", "listing")
+    __slots__ = ("w", "s", "eps", "m", "_sample", "b", "listing")
     _compared = _shown = 6
 
     def __init__(
-        self, r: int, s_r: int, eps_r: Fraction, m_r: int, sample: Iterable[int], b: int,
+        self, w: int, s: int, eps: Fraction, m: int, sample: Iterable[int], b: int,
         listing: Callable[[], Iterable[tuple[int, ...]]],
     ):
-        self._set(r=r, s_r=s_r, eps_r=eps_r, m_r=m_r, _sample=sample, b=b, listing=listing)
+        self._set(w=w, s=s, eps=eps, m=m, _sample=sample, b=b, listing=listing)
 
     @property
     def sample(self) -> tuple[int, ...]:
@@ -61,15 +63,15 @@ class MinimalReport(_Record):
     @property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
         """Every minimal tuple in lex order; ResourceLimit past MAX_LISTED_TUPLES."""
-        if self.m_r > MAX_LISTED_TUPLES:
+        if self.m > MAX_LISTED_TUPLES:
             raise ResourceLimit(
-                f"{self.m_r} minimal tuples for weight {self.r}, more than the"
+                f"{self.m} minimal tuples for weight {self.w}, more than the"
                 f" listing cap {MAX_LISTED_TUPLES}"
             )
         out = tuple(sorted(self.listing()))
-        if len(out) != self.m_r or out[0] != self.sample:
+        if len(out) != self.m or out[0] != self.sample:
             raise InvariantViolation(
-                f"listed {len(out)} tuples from {out[:1]}, counted {self.m_r} from {self.sample}"
+                f"listed {len(out)} tuples from {out[:1]}, counted {self.m} from {self.sample}"
             )
         return out
 
@@ -82,22 +84,17 @@ class StabilityBound(NamedTuple):
 
 
 class LeadingTerm(NamedTuple):
-    """Leading term m_r * q^(n^2(1-1/a) - eps_r) of the count polynomial, r = n mod a.
+    """Top term coefficient * q^exponent of f_n, r = n mod a.
 
-    The exponent is n^2 - S_n and the coefficient m_n, equal to these by
-    the lifting identity S_n = k^2*a + 2*k*r + S_r, m_n = m_r (n = k*a + r).
-    ``stable`` is True when n is at or past the stability bound N, where
-    the formula is guaranteed to match the true degree and leading
-    coefficient; below N the formula values are still reported but are
-    not certified against the full polynomial.
+    The exponent is n^2 - S and the coefficient m, the least square-sum of the
+    non-negative tuples of weight n and their number: the representation
+    variety's dimension and number of top-dimensional components.
     """
 
     coefficient: int
     exponent: int
     n: int
     r: int
-    stable: bool
-    n_threshold: int
 
 
 def _cost(total: int, c: int) -> int:
@@ -107,21 +104,25 @@ def _cost(total: int, c: int) -> int:
 
 
 def _solve(
-    groups: tuple[tuple[int, int], ...], order: int, w: int, counts: bool = True
+    groups: tuple[tuple[int, int], ...], order: int, w: int, counts: bool = True,
+    nonnegative: bool = False,
 ) -> tuple[int, int, int, dict[int, dict[int, tuple[int, int, int]]]]:
     """(S_w, m_w, b, tables) for weight w, by the grouped DP of the module docstring.
 
-    With ``counts=False`` the DP carries no counts and m_w is 0.
+    With ``counts=False`` the DP carries no counts and m_w is 0.  With
+    ``nonnegative`` every group total, and so every entry, is at least 0.
     """
     # A feasible point, rounding the totals from the largest degree down, each
-    # absorbing the weight error a*sum d*(U - c*d*w/a) of those before it.
-    guess, error = [0] * len(groups), 0
-    for j in range(len(groups) - 1, 0, -1):
-        d, c = groups[j]
-        guess[j] = (2 * (c * d * d * w - error) + order * d) // (2 * order * d)
-        error += d * (order * guess[j] - c * d * w)
-    guess[0] = w - sum(d * u for (d, _), u in zip(groups, guess))
-    feasible = sum(_cost(u, c) for (_, c), u in zip(groups, guess))
+    # absorbing the weight error a*sum d*(U - c*d*w/a) of those before it; a
+    # non-negative one clips each to [0, weight left], and degree 1 takes the rest.
+    feasible, error, left = 0, 0, w
+    for d, c in groups[:0:-1]:
+        u = (2 * (c * d * d * w - error) + order * d) // (2 * order * d)
+        u = min(max(u, 0), left // d) if nonnegative else u
+        error += d * (order * u - c * d * w)
+        left -= d * u
+        feasible += _cost(u, c)
+    feasible += _cost(left, groups[0][1])
     # tables[j][W] = (cost, count, b) of the optima of groups j.. at weight W.  A state
     # goes once its cost S plus the real minimum x^2 / room of the groups before j
     # exceeds the feasible cost F, so kept ones, like the start, have R*(F - S) >= x^2.
@@ -132,7 +133,10 @@ def _solve(
         for weight_rest, (cost, count, b) in tables[j + 1].items():
             x = w - weight_rest
             reach = isqrt(c * room * (grown * (feasible - cost) - x * x))
-            for u in range(-((reach - c * d * x) // grown), (c * d * x + reach) // grown + 1):
+            low, high = -((reach - c * d * x) // grown), (c * d * x + reach) // grown
+            if nonnegative:
+                low, high = max(low, 0), min(high, x // d)
+            for u in range(low, high + 1):
                 key, cost_k = weight_rest + d * u, cost + _cost(u, c)
                 if cost_k * room + (w - key) ** 2 > feasible * room:
                     continue
@@ -205,7 +209,7 @@ def stability_bound(
 
     N = b*a; beyond N every minimal tuple is eligible.  N never exceeds
     a*(a-1).  ``reports``, if given, are every residue's ``minimal_tuples``;
-    otherwise each residue's DP runs without counts, samples or eps_r.
+    otherwise each residue's DP runs without counts, samples or eps.
 
     With every degree at most 2, b = 0 without a search.  If a minimal t of
     weight r >= 0 had t_i < 0, it would have some t_j > 0 (j != i).  Adding
@@ -228,25 +232,15 @@ def stability_bound(
 
 
 def leading_term(profile: DegreeProfile, n: int) -> LeadingTerm:
-    """Leading term m_n * q^(n^2 - S_n) of f_n, from the minimal tuples of weight n.
+    """The top term of f_n at any n >= 0, from one search over the non-negative tuples of weight n.
 
-    By the lifting identity S_n = k^2*a + 2*k*r + S_r and m_n = m_r at
-    n = k*a + r, this is the paper's m_r * q^(n^2(1-1/a) - eps_r).  For n
-    below the stability bound the values are returned with ``stable=False``.
-    Only weight n is solved with counts; the bound needs each residue's b alone.
+    It is the paper's m_r * q^(n^2(1-1/a) - eps_r) exactly when
+    ``minimal_tuples(profile, n).b == 0``, as at every n >= N.
     """
     if n < 0:
         raise RangeError("dimension must be >= 0")
-    n_threshold = stability_bound(profile).n_threshold
-    s_n, m_n, _, _ = _solve(profile.groups, profile.order, n)
+    s_n, m_n, _, _ = _solve(profile.groups, profile.order, n, nonnegative=True)
     exponent = n * n - s_n
     if exponent < 0:
         raise InvariantViolation(f"leading exponent {exponent} is negative")
-    return LeadingTerm(
-        coefficient=m_n,
-        exponent=exponent,
-        n=n,
-        r=n % profile.order,
-        stable=n >= n_threshold,
-        n_threshold=n_threshold,
-    )
+    return LeadingTerm(coefficient=m_n, exponent=exponent, n=n, r=n % profile.order)

@@ -67,9 +67,9 @@ def test_criterion_01_s4_table(s4):
     start = time.monotonic()
     for r, (m, sample, s, eps) in S4_TABLE.items():
         rep = minimal_tuples(s4, r)
-        assert rep.m_r == m, f"r={r}: m_r={rep.m_r} != {m}"
-        assert rep.s_r == s, f"r={r}: S_r={rep.s_r} != {s}"
-        assert rep.eps_r == eps, f"r={r}: eps={rep.eps_r} != {eps}"
+        assert rep.m == m, f"r={r}: m_r={rep.m} != {m}"
+        assert rep.s == s, f"r={r}: S_r={rep.s} != {s}"
+        assert rep.eps == eps, f"r={r}: eps={rep.eps} != {eps}"
         weight = sum(e * d for e, d in zip(sample, s4.degrees))
         if weight == r:
             assert sample in rep.tuples, f"r={r}: printed sample not in computed set"
@@ -118,7 +118,7 @@ def test_criterion_02_stability_bounds(s4, s5):
 
 def test_criterion_03_s5_spot_checks(s5):
     rep = minimal_tuples(s5, 3)
-    assert rep.m_r == 4
+    assert rep.m == 4
     assert (0, -1, 1, 0, 0, 0, 0) in rep.tuples
     has_negative = any(
         min(t) < 0
@@ -135,9 +135,9 @@ def test_criterion_04_abelian_closed_form():
         profile = make_profile(f"cyclic:{a}")
         for r in range(a):
             rep = minimal_tuples(profile, r)
-            assert rep.m_r == math.comb(a, r), (a, r)
-            assert rep.eps_r == Fraction(r) - Fraction(r * r, a), (a, r)
-            assert rep.s_r == r
+            assert rep.m == math.comb(a, r), (a, r)
+            assert rep.eps == Fraction(r) - Fraction(r * r, a), (a, r)
+            assert rep.s == r
     print("criterion 4 (abelian closed form): PASS")
 
 
@@ -235,9 +235,9 @@ def test_criterion_07a_epsilon_sign(profile_pool):
     for profile, r in cases:
         rep = minimal_tuples(profile, r)
         if r == 0:
-            assert rep.eps_r == 0
+            assert rep.eps == 0
         else:
-            assert rep.eps_r > 0, (profile.degrees, r)
+            assert rep.eps > 0, (profile.degrees, r)
     print(f"criterion 7a (eps >= 0, zero iff r=0): PASS over {len(cases)} cases")
 
 
@@ -256,8 +256,8 @@ def test_criterion_07b_duality(profile_pool):
         a = profile.order
         rep = minimal_tuples(profile, r)
         dual = minimal_tuples(profile, a - r)
-        assert rep.m_r == dual.m_r, (profile.degrees, r)
-        assert rep.eps_r == dual.eps_r, (profile.degrees, r)
+        assert rep.m == dual.m, (profile.degrees, r)
+        assert rep.eps == dual.eps, (profile.degrees, r)
         # the involution r_i -> d_i - r_i realises the bijection
         image = sorted(
             tuple(d - e for e, d in zip(t, profile.degrees)) for t in rep.tuples
@@ -309,8 +309,8 @@ def test_criterion_07d_lifting_correspondence(profile_pool):
         base = minimal_tuples(profile, r)
         lifted = tuple(tuple(k * d + e for e, d in zip(t, profile.degrees)) for t in base.tuples)
         assert lifted == rep.tuples, (profile.degrees, n)
-        square_sum = k * k * profile.order + 2 * k * r + base.s_r
-        assert square_sum == rep.s_r, (profile.degrees, n)
+        square_sum = k * k * profile.order + 2 * k * r + base.s
+        assert square_sum == rep.s, (profile.degrees, n)
         checked += 1
     print(f"criterion 7d (lifting correspondence): PASS over {checked} cases")
 
@@ -327,7 +327,7 @@ def test_criterion_07e_unique_minimal_at_multiples(profile_pool):
         multiple = minimal_tuples(profile, n)
         assert multiple.tuples == (tuple(k * d for d in profile.degrees),), (profile.degrees, k)
         rep = minimal_tuples(profile, 0)
-        assert k >= rep.b and rep.m_r == 1
+        assert k >= rep.b and rep.m == 1
         checked += 1
     print(f"criterion 7e (unique minimal tuple at multiples of a): PASS over {checked} cases")
 
@@ -400,11 +400,11 @@ def test_criterion_08_dihedral_formulas_and_their_range(d3):
     # ground truth from the search (confirmed by the naive box oracle in 7c):
     # dihedral:3 at r=4 has the unique minimal tuple (1,1,1)
     rep = minimal_tuples(d3, 4)
-    assert rep.m_r == 1
-    assert rep.s_r == 3
-    assert rep.eps_r == Fraction(1, 3)
+    assert rep.m == 1
+    assert rep.s == 3
+    assert rep.eps == Fraction(1, 3)
     # ... which contradicts the even-r closed form S_r = r/2 there:
-    assert rep.s_r != 4 // 2
+    assert rep.s != 4 // 2
 
     # the closed forms do hold in the low range, with the binomial taken
     # over the number of degree-2 coordinates l = (m-1)/2
@@ -418,11 +418,11 @@ def test_criterion_08_dihedral_formulas_and_their_range(d3):
                 continue
             rep = minimal_tuples(profile, r)
             if odd:
-                assert rep.m_r == 2 * math.comb(l, k), (m, r)
-                assert rep.s_r == k + 1, (m, r)
-                assert rep.eps_r == Fraction(r + 1, 2) - Fraction(r * r, a)
+                assert rep.m == 2 * math.comb(l, k), (m, r)
+                assert rep.s == k + 1, (m, r)
+                assert rep.eps == Fraction(r + 1, 2) - Fraction(r * r, a)
             else:
-                assert rep.m_r == math.comb(l, k), (m, r)
-                assert rep.s_r == k, (m, r)
-                assert rep.eps_r == Fraction(r, 2) - Fraction(r * r, a)
+                assert rep.m == math.comb(l, k), (m, r)
+                assert rep.s == k, (m, r)
+                assert rep.eps == Fraction(r, 2) - Fraction(r * r, a)
     print("criterion 8 (dihedral closed-form range): PASS")

@@ -129,10 +129,11 @@ def test_leading_stable(capsys):
 
 
 def test_leading_unstable_warns(capsys):
+    # below N the label warns that the paper's formula need not hold; the term is f_n's true top
     code, out, err = run(capsys, "leading", "--group", "sym:5", "-n", "3")
-    assert code == 0
-    assert out.strip() == "4 * q^7 (unstable: n=3 < N=120)"
-    assert "warning" in err
+    assert (code, out, err) == (0, "2 * q^4 (unstable: n=3 < N=120)\n", "")
+    code, out, err = run(capsys, "leading", "--group", "sym:5", "-n", "23")
+    assert (code, out, err) == (0, "8 * q^522 (unstable: n=23 < N=120)\n", "")
 
 
 def test_bound_sym5(capsys):
@@ -152,11 +153,21 @@ def test_variety(capsys):
     assert out.strip() == "dimension 598, 2 components"
 
 
-def test_variety_unstable_exit_2(capsys):
-    code, out, err = run(capsys, "variety", "--group", "sym:5", "-n", "3")
-    assert code == 2
-    assert out == ""
-    assert "stability threshold" in err
+def test_variety_answers_below_the_threshold(capsys):
+    # f_n's top term is certified at every n >= 0, so variety answers below N = 120 too
+    code, out, err = run(capsys, "variety", "--group", "sym:5", "-n", "23")
+    assert (code, out, err) == (0, "dimension 522, 8 components\n", "")
+    code, out, err = run(capsys, "variety", "--group", "sym:5", "-n", "-1")
+    assert (code, out, err) == (1, "", "error: dimension must be >= 0\n")
+
+
+def test_variety_needs_no_bound_at_any_order():
+    # one search at weight n, with no per-residue DP for N over the 10^8 residues
+    argv = ("variety", "--group", "custom:order=100000001,degrees=1,10000", "-n", "12345")
+    result, wall = run_cli_guarded(*argv)
+    out = "dimension 146899999, 1 components\n"
+    assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
+    assert wall < 1.0
 
 
 def test_verify_pass(capsys):
@@ -435,47 +446,43 @@ def test_poly_eval_prints_values_past_the_str_digit_limit(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-_UNSTABLE_WARNING = (
-    "warning: n=3 is below the stability threshold N=120; the reported term is the"
-    " formula value and is not certified to match the true degree\n"
-)
-
-
 @pytest.mark.parametrize(
     "argv, code, out, err, n_threshold",
     [
-        (("leading", "--group", "sym:5", "-n", "3"), 0,
-         "4 * q^7 (unstable: n=3 < N=120)\n", _UNSTABLE_WARNING, 120),
+        (("leading", "--group", "sym:5", "-n", "3"), 0, "2 * q^4 (unstable: n=3 < N=120)\n", "",
+         120),
         (("leading", "--group", "sym:4", "-n", "25"), 0, "2 * q^598 (stable)\n", "", 0),
         (("variety", "--group", "sym:4", "-n", "25"), 0, "dimension 598, 2 components\n", "", 0),
-        (("variety", "--group", "sym:5", "-n", "3"), 2, "",
-         "error: n=3 is below the stability threshold N=120\n", 120),
+        (("variety", "--group", "sym:5", "-n", "3"), 0, "dimension 4, 2 components\n", "", 120),
     ],
 )
 def test_stability_bound_computed_once_per_command(
     capsys, monkeypatch, argv, code, out, err, n_threshold
 ):
+    # at most once: leading computes N for its label, and variety, which reports no N, never
     calls, solves, solve = [], [], minimize._solve
 
     def counted(profile, reports=None):
         calls.append(profile)
         return stability_bound(profile, reports)
 
-    def counted_solve(groups, order, w, **kwargs):
-        solves.append((w, kwargs.get("counts", True)))
-        return solve(groups, order, w, **kwargs)
+    def counted_solve(groups, order, w, counts=True, nonnegative=False):
+        solves.append((w, counts, nonnegative))
+        return solve(groups, order, w, counts, nonnegative)
 
     monkeypatch.setattr(minimize, "stability_bound", counted)
     monkeypatch.setattr(minimize, "_solve", counted_solve)
     assert run(capsys, *argv) == (code, out, err)
-    assert len(calls) == 1
-    # each residue is solved once without counts for b, and weight n once with them
-    n = int(argv[-1])
-    assert sorted(solves) == sorted([(w, False) for w in range(calls[0].order)] + [(n, True)])
+    leading, n = argv[0] == "leading", int(argv[-1])
+    assert len(calls) == leading
+    # weight n is solved once over the non-negative tuples, with counts; N solves each
+    # residue once over the integers, without them
+    residues = [(w, False, False) for w in range(calls[0].order)] if leading else []
+    assert sorted(solves) == sorted(residues + [(n, True, True)])
     json_code, json_out, _ = run(capsys, *argv, "--json")
-    assert json_code == code and len(calls) == 2
-    if code == 0:
-        assert json.loads(json_out)["n_threshold"] == n_threshold
+    assert json_code == code and len(calls) == 2 * leading
+    payload = json.loads(json_out)
+    assert payload.get("n_threshold") == (n_threshold if leading else None)
 
 
 def test_output_byte_identical_across_runs(capsys):
@@ -499,8 +506,7 @@ def test_json_valid_for_all_commands(capsys):
         ("bound", "--group", "cyclic:3"): ["order", "b", "n_threshold", "threshold_ceiling"],
         ("verify", "--group", "cyclic:3", "-n", "1", "-q", "7"):
             ["n", "q", "poly_value", "bruteforce", "match"],
-        ("variety", "--group", "cyclic:3", "-n", "6"):
-            ["n", "dimension", "components", "n_threshold"],
+        ("variety", "--group", "cyclic:3", "-n", "6"): ["n", "dimension", "components"],
     }
     payloads = {}
     for argv, tail in keys.items():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,12 @@ from glhom import (
     hom_count_poly,
     leading_term,
     minimal_tuples,
+    parse_group_spec,
+    profile_of,
+    splitting_field_check,
 )
-from conftest import custom_profile, make_profile
+from glhom.profiles import prime_base
+from conftest import BUILTIN_SPECS, custom_profile, make_profile
 from orbit_sum import eligible_tuples, gl_order, mul, orbit_poly, orbit_sum
 
 
@@ -160,21 +165,25 @@ def test_hom_count_poly_range(c2):
 
 def test_leading_term_examples(s4, c2):
     lt = leading_term(s4, 25)
-    assert (lt.coefficient, lt.exponent, lt.stable) == (2, 598, True)
+    assert (lt.coefficient, lt.exponent) == (2, 598)
     assert (lt.n, lt.r) == (25, 1)
     lt = leading_term(s4, 24)
     assert (lt.coefficient, lt.exponent) == (1, 552)
     lt = leading_term(c2, 2)
-    assert (lt.coefficient, lt.exponent, lt.stable) == (1, 2, True)
+    assert (lt.coefficient, lt.exponent) == (1, 2)
     assert hom_count_poly(c2, 2).degree == 2
 
 
 def test_leading_term_unstable_flag(s5):
-    lt = leading_term(s5, 3)
-    assert not lt.stable
-    assert lt.coefficient == 4
-    lt = leading_term(s5, 120)
-    assert lt.stable and lt.exponent == 14280
+    # b > 0 at weight n flags that the paper's formula, read from minimal_tuples, misses f_n's
+    # top: at n = 3 it gives 4 * q^7, and f_3 starts 2 * q^4
+    rep, lt = minimal_tuples(s5, 3), leading_term(s5, 3)
+    assert rep.b > 0 and (9 - rep.s, rep.m) == (7, 4)
+    assert (lt.exponent, lt.coefficient) == (4, 2)
+    f = hom_count_poly(s5, 3)
+    assert (f.degree, f.leading_coefficient) == (4, 2)
+    rep, lt = minimal_tuples(s5, 120), leading_term(s5, 120)
+    assert rep.b == 0 and lt.exponent == 120 * 120 - rep.s == 14280
 
 
 def test_leading_term_degree_window(s4, s5):
@@ -189,18 +198,19 @@ def test_leading_term_degree_window(s4, s5):
 
 
 def test_variety_report(s4, c2, s5):
-    # the variety's dimension and top-component count, in the stable range, are the leading
-    # term's exponent and coefficient
+    # the variety's dimension and top-component count are the leading term's exponent and
+    # coefficient
     assert leading_term(s4, 25) == leading_term(s4, 25)
     for profile, n, dimension, top in ((s4, 25, 598, 2), (c2, 4, 8, 1), (s5, 120, 14280, 1)):
         lt = leading_term(profile, n)
-        assert (lt.exponent, lt.coefficient, lt.stable) == (dimension, top, True)
+        assert (lt.exponent, lt.coefficient) == (dimension, top)
 
 
 def test_variety_report_unstable(s5):
-    # below N the library still answers, flagged unstable; the variety command refuses it
-    lt = leading_term(s5, 119)
-    assert (lt.stable, lt.n_threshold) == (False, 120)
+    # below N = 120 the library answers f_n's true top, which the paper's 2 * q^523 misses
+    lt, rep = leading_term(s5, 23), minimal_tuples(s5, 23)
+    assert (lt.exponent, lt.coefficient) == (522, 8)
+    assert rep.b > 0 and (23 * 23 - rep.s, rep.m) == (523, 2)
 
 
 def test_division_route_equals_assembly_on_random_tuples(rng):
@@ -223,7 +233,7 @@ def test_leading_term_law_small_profiles():
             lt = leading_term(profile, n)
             rep = minimal_tuples(profile, n % profile.order)
             assert f.degree == lt.exponent
-            assert f.leading_coefficient == lt.coefficient == rep.m_r
+            assert f.leading_coefficient == lt.coefficient == rep.m
 
 
 def test_s5_leading_term_via_eligibility(s5):
@@ -236,9 +246,8 @@ def test_s5_leading_term_via_eligibility(s5):
         rep = minimal_tuples(s5, r)
         assert k >= rep.b
         lt = leading_term(s5, n)
-        assert lt.stable
-        assert lt.exponent == n * n - (k * k * s5.order + 2 * k * r + rep.s_r)
-        assert lt.coefficient == rep.m_r
+        assert lt.exponent == n * n - (k * k * s5.order + 2 * k * r + rep.s)
+        assert lt.coefficient == rep.m
     # below the threshold some residues still carry negative entries
     assert minimal_tuples(s5, 3).b > 0
 
@@ -246,3 +255,53 @@ def test_s5_leading_term_via_eligibility(s5):
 def test_counting_layer_is_the_packages_lazy_attribute():
     # the package's module hook, which the import statement above bypasses
     assert glhom.__getattr__("counting") is counting
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    extra=st.lists(st.integers(min_value=1, max_value=7), max_size=4),
+    ones=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=0, max_value=30),
+)
+def test_leading_term_is_the_top_of_f_n(extra, ones, n):
+    # f_n sums monic orbit polynomials over the non-negative tuples of weight n, so its top is
+    # leading_term's at every n; the paper's (n^2 - S_n, m_n) equals it exactly when b_n = 0.
+    # A draw with over 3,000 eligible tuples is skipped; ways[w] counts those of weight w
+    profile = custom_profile((1,) * ones + tuple(extra))
+    ways = [1] + [0] * n
+    for d in profile.degrees:
+        for w in range(d, n + 1):
+            ways[w] += ways[w - d]
+    assume(ways[n] <= 3000)
+    f, lt, rep = hom_count_poly(profile, n), leading_term(profile, n), minimal_tuples(profile, n)
+    top = (f.degree, f.leading_coefficient)
+    assert (lt.exponent, lt.coefficient) == top
+    assert (rep.b == 0) == ((n * n - rep.s, rep.m) == top)
+
+
+def test_identities_that_need_no_orbit_sum():
+    # three facts about |Hom(A, GL_n(q))| that do not rest on the orbit identity the DP sums,
+    # with c_1 = |A/A'| the number of degree-1 entries, at split prime powers q < 200:
+    # - torus fixed points: f_n(1) = c_1^n, the Euler characteristic of the representation
+    #   variety (Katz's appendix to Hausel and Rodriguez-Villegas, Invent. Math. 2008);
+    # - Sylow: the unitriangular group acts in orbits of p-power size, and its fixed points map
+    #   A into F_q^x * Z(U), so f_n(q) = c_1 (mod p) for n >= 2 when p does not divide a;
+    # - Yoshida (J. Algebra 156, 1993): f_n(q) = 0 (mod gcd(c_1, |GL_n(q)|)).
+    prime_powers = [q for q in range(2, 200) if prime_base(q)]
+    checked = 0
+    for text in BUILTIN_SPECS:
+        spec = parse_group_spec(text)
+        profile = profile_of(spec)
+        c_1 = profile.groups[0][1]
+        split = [q for q in prime_powers if splitting_field_check(spec, q)[0]]
+        for n in range(9):
+            f = hom_count_poly(profile, n)
+            assert f.evaluate(1) == c_1**n, (text, n)
+            for q in split:
+                value, p = f.evaluate(q), prime_base(q)
+                if n >= 2 and profile.order % p:
+                    assert (value - c_1) % p == 0, (text, n, q)
+                gl_size = math.prod(q**n - q**i for i in range(n))
+                assert value % math.gcd(c_1, gl_size) == 0, (text, n, q)
+                checked += 1
+    assert checked > 3000

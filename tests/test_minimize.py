@@ -27,9 +27,9 @@ from orbit_sum import eligible_tuples
 
 def test_minimal_tuples_s4_r4(s4):
     rep = minimal_tuples(s4, 4)
-    assert rep.m_r == 4
-    assert rep.s_r == 2
-    assert rep.eps_r == Fraction(4, 3)
+    assert rep.m == 4
+    assert rep.s == 2
+    assert rep.eps == Fraction(4, 3)
     assert (1, 0, 0, 1, 0) in rep.tuples
     assert rep.tuples == tuple(sorted(rep.tuples))
 
@@ -38,21 +38,21 @@ def test_minimal_tuples_zero_residue(s4, d3):
     for profile in (s4, d3):
         rep = minimal_tuples(profile, 0)
         assert rep.tuples == ((0,) * profile.s,)
-        assert rep.s_r == 0 and rep.eps_r == 0
+        assert rep.s == 0 and rep.eps == 0
 
 
 def test_minimal_tuples_s5_r3(s5):
     rep = minimal_tuples(s5, 3)
-    assert rep.m_r == 4
-    assert rep.s_r == 2
+    assert rep.m == 4
+    assert rep.s == 2
     assert (0, -1, 1, 0, 0, 0, 0) in rep.tuples
 
 
 def test_minimal_tuples_dihedral3_r4(d3):
     rep = minimal_tuples(d3, 4)
     assert rep.tuples == ((1, 1, 1),)
-    assert rep.s_r == 3
-    assert rep.eps_r == Fraction(1, 3)
+    assert rep.s == 3
+    assert rep.eps == Fraction(1, 3)
 
 
 def test_minimal_tuples_range_errors(s4):
@@ -60,13 +60,13 @@ def test_minimal_tuples_range_errors(s4):
     with pytest.raises(RangeError, match="^weight must be >= 0$"):
         minimal_tuples(s4, -1)
     rep = minimal_tuples(s4, 24)
-    assert rep.tuples == ((1, 1, 2, 3, 3),) and rep.eps_r == 0
+    assert rep.tuples == ((1, 1, 2, 3, 3),) and rep.eps == 0
 
 
 def test_epsilon(s4):
-    assert minimal_tuples(s4, 2).eps_r == Fraction(5, 6)
-    assert minimal_tuples(s4, 0).eps_r == 0
-    assert minimal_tuples(make_profile("cyclic:4"), 2).eps_r == 1
+    assert minimal_tuples(s4, 2).eps == Fraction(5, 6)
+    assert minimal_tuples(s4, 0).eps == 0
+    assert minimal_tuples(make_profile("cyclic:4"), 2).eps == 1
 
 
 def test_stability_bound_examples(s4, s5):
@@ -115,11 +115,11 @@ def test_minimal_tuples_for_n_s4_25(s4):
     # to square-sum k^2*a + 2*k*r + S_r
     k, r = divmod(25, s4.order)
     rep = minimal_tuples(s4, r)
-    assert rep.m_r == 2
+    assert rep.m == 2
     assert k >= rep.b
-    assert k * k * s4.order + 2 * k * r + rep.s_r == 27
+    assert k * k * s4.order + 2 * k * r + rep.s == 27
     direct = minimal_tuples(s4, 25)
-    assert direct.tuples == ((1, 2, 2, 3, 3), (2, 1, 2, 3, 3)) and direct.s_r == 27
+    assert direct.tuples == ((1, 2, 2, 3, 3), (2, 1, 2, 3, 3)) and direct.s == 27
 
 
 def test_minimal_tuples_for_n_zero(s4):
@@ -130,7 +130,7 @@ def test_minimal_tuples_for_n_zero(s4):
 
 def test_minimal_tuples_for_n_s5_3(s5):
     rep = minimal_tuples(s5, 3)
-    assert rep.m_r == 4
+    assert rep.m == 4
     assert rep.b > 0
     assert any(min(t) < 0 for t in rep.tuples)
 
@@ -143,22 +143,24 @@ def test_minimal_tuples_for_n_s5_3(s5):
     data=st.data(),
 )
 def test_any_weight_answers_as_its_residue_lifted(extra, ones, k, data):
-    # t -> k*d + t maps weight r onto w = k*a + r and adds k^2*a + 2*k*r to every square-sum,
-    # so leading_term, which solves weight w, gives the paper's m_r * q^(w^2 - (w^2 - r^2)/a - S_r)
+    # t -> k*d + t maps weight r onto w = k*a + r and adds k^2*a + 2*k*r to every square-sum;
+    # leading_term gives the paper's m_r * q^(w^2 - (w^2 - r^2)/a - S_r) when b = 0 at weight w,
+    # and a lower term when a minimal tuple is negative, one the non-negative search cannot reach
     profile = custom_profile((1,) * ones + tuple(extra))
     a = profile.order
     r = data.draw(st.integers(min_value=0, max_value=a - 1), label="r")
     w = k * a + r
     rep, base = minimal_tuples(profile, w), minimal_tuples(profile, r)
-    assert rep.r == w and rep.eps_r >= 0
-    assert (rep.eps_r == 0) == (w % a == 0)
-    assert rep.s_r == k * k * a + 2 * k * r + base.s_r
-    assert rep.m_r == base.m_r
+    assert rep.w == w and rep.eps >= 0
+    assert (rep.eps == 0) == (w % a == 0)
+    assert rep.s == k * k * a + 2 * k * r + base.s
+    assert rep.m == base.m
     lt = leading_term(profile, w)
     assert (w * w - r * r) % a == 0
-    assert (lt.coefficient, lt.exponent, lt.r) == (
-        base.m_r, w * w - (w * w - r * r) // a - base.s_r, r
-    )
+    paper = (w * w - (w * w - r * r) // a - base.s, base.m)
+    assert lt.r == r
+    top = (lt.exponent, lt.coefficient)
+    assert top == paper if rep.b == 0 else top < paper
 
 
 def test_eligible_tuples(c2, s4):
@@ -190,9 +192,9 @@ def test_cauchy_schwarz_floor_and_box_ceiling():
             continue
         for r in range(profile.order):
             rep = minimal_tuples(profile, r)
-            assert rep.s_r * profile.order >= r * r  # S_r >= r^2 / a
-            assert rep.s_r <= r * r
-            assert rep.eps_r >= 0
+            assert rep.s * profile.order >= r * r  # S_r >= r^2 / a
+            assert rep.s <= r * r
+            assert rep.eps >= 0
             for t in rep.tuples:
                 assert sum(e * d for e, d in zip(t, profile.degrees)) == r
 
@@ -248,7 +250,7 @@ def test_grouped_dp_equals_naive_box_on_random_profiles(extra, ones, data):
     r_max = min(profile.order - 1, max(r for r in range(30) if (2 * r + 1) ** profile.s <= 10**5))
     r = data.draw(st.integers(min_value=0, max_value=r_max), label="r")
     naive, rep = minimal_tuples_naive(profile, r), minimal_tuples(profile, r)
-    assert (rep.s_r, rep.eps_r, rep.m_r) == (naive.s_r, naive.eps_r, len(naive.tuples))
+    assert (rep.s, rep.eps, rep.m) == (naive.s, naive.eps, len(naive.tuples))
     assert rep.tuples == naive.tuples
     assert rep.sample == naive.tuples[0]
     assert rep.b == naive.b == _b_of(naive.tuples, degrees)
@@ -289,7 +291,7 @@ def test_abelian_closed_form_at_large_order(text):
     a = profile.order
     for r in range(a):
         rep = minimal_tuples(profile, r)
-        assert (rep.m_r, rep.s_r, rep.b) == (math.comb(a, r), r, 0), r
+        assert (rep.m, rep.s, rep.b) == (math.comb(a, r), r, 0), r
         assert rep.sample == (0,) * (a - r) + (1,) * r
     assert stability_bound(profile).n_threshold == 0
 
@@ -304,15 +306,15 @@ def test_odd_dihedral_closed_form_at_large_order(m):
         if 2 * k > l:
             continue
         rep = minimal_tuples(profile, r)
-        assert rep.m_r == (2 if odd else 1) * math.comb(l, k), r
-        assert rep.s_r == k + odd, r
+        assert rep.m == (2 if odd else 1) * math.comb(l, k), r
+        assert rep.s == k + odd, r
 
 
 _HUGE_SAMPLE_PROBE = """
 from math import comb
 from glhom import minimal_tuples, parse_group_spec, profile_of
 rep = minimal_tuples(profile_of(parse_group_spec("cyclic:100000000")), 5)
-print(rep.s_r, rep.m_r == comb(10**8, 5))
+print(rep.s, rep.m == comb(10**8, 5))
 """
 
 
@@ -333,18 +335,18 @@ def test_tuples_listing_is_capped():
     profile = make_profile("cyclic:40")
     start = time.perf_counter()
     rep = minimal_tuples(profile, 20)
-    assert rep.m_r == math.comb(40, 20) == 137846528820
+    assert rep.m == math.comb(40, 20) == 137846528820
     assert rep.sample == (0,) * 20 + (1,) * 20
     assert time.perf_counter() - start < 1.0
     with pytest.raises(ResourceLimit, match=f"137846528820 .* cap {MAX_LISTED_TUPLES}"):
         rep.tuples
     with pytest.raises(ResourceLimit, match="137846528820"):
         minimal_tuples(profile, 60).tuples
-    assert minimal_tuples(profile, 60).m_r == 137846528820
+    assert minimal_tuples(profile, 60).m == 137846528820
     # just under the cap the listing is built, sorted and complete
     rep = minimal_tuples(make_profile("cyclic:17"), 8)
-    assert rep.m_r == math.comb(17, 8) <= MAX_LISTED_TUPLES
-    assert len(set(rep.tuples)) == rep.m_r and list(rep.tuples) == sorted(rep.tuples)
+    assert rep.m == math.comb(17, 8) <= MAX_LISTED_TUPLES
+    assert len(set(rep.tuples)) == rep.m and list(rep.tuples) == sorted(rep.tuples)
 
 
 def test_binomial_of_a_count_is_capped_before_it_is_built(monkeypatch):
@@ -352,7 +354,7 @@ def test_binomial_of_a_count_is_capped_before_it_is_built(monkeypatch):
     profile = make_profile("cyclic:1500")
     monkeypatch.setattr(minimize, "MAX_COUNT_BITS", 55)
     for r in (5, 1495):
-        assert minimize.minimal_tuples(profile, r).m_r == math.comb(1500, 5)
+        assert minimize.minimal_tuples(profile, r).m == math.comb(1500, 5)
     monkeypatch.setattr(minimize, "MAX_COUNT_BITS", 54)
     for r in (5, 1495):
         message = rf"weight {r} needs C\(1500, {r}\), up to 55 bits, .* cap of 54 bits"
@@ -371,7 +373,7 @@ def test_all_eligible_is_k_at_least_b_r(s5):
 
 
 def test_invariant_violations_are_raised(s4, c2, monkeypatch):
-    # a listing whose count or first tuple disagrees with m_r or the sample
+    # a listing whose count or first tuple disagrees with m or the sample
     def report(b, *listed):
         return MinimalReport(4, 2, Fraction(4, 3), 2, (0, 0, 1, 1, 0), b, lambda: listed)
 
@@ -383,7 +385,7 @@ def test_invariant_violations_are_raised(s4, c2, monkeypatch):
     assert stability_bound(s4, [report(s4.order - 1)]).n_threshold == 552
     with pytest.raises(InvariantViolation, match=r"^stability bound N=576 exceeds a\(a-1\)=552$"):
         stability_bound(s4, [report(s4.order)])
-    # a search whose minimum exceeds n^2 (c2 has b = 0 without a search)
-    monkeypatch.setattr(minimize, "_solve", lambda groups, order, w: (w * w + 1, 1, 0, {}))
+    # a search whose minimum exceeds n^2
+    monkeypatch.setattr(minimize, "_solve", lambda groups, order, w, **_: (w * w + 1, 1, 0, {}))
     with pytest.raises(InvariantViolation, match="^leading exponent -1 is negative$"):
         leading_term(c2, 5)

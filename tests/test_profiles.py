@@ -346,7 +346,7 @@ def test_prime_base_refuses_past_its_exact_range():
 
 _S4_GROUPS = ((1, 2), (2, 1), (3, 2))
 _S4 = DegreeProfile(24, _S4_GROUPS, "sym:4")
-_R4 = dict(r=4, s_r=2, eps_r=Fraction(4, 3), m_r=4, sample=(0, 1, 0, 0, 1), b=0, listing=tuple)
+_R4 = dict(w=4, s=2, eps=Fraction(4, 3), m=4, sample=(0, 1, 0, 0, 1), b=0, listing=tuple)
 
 
 # each record's fields in constructor order, and its repr at the last dataclass version
@@ -360,10 +360,10 @@ _R4 = dict(r=4, s_r=2, eps_r=Fraction(4, 3), m_r=4, sample=(0, 1, 0, 0, 1), b=0,
          "GroupSpec(family='abelian', m=None, invariant_factors=(2, 3), order=None,"
          " degrees=None)"),
         (MinimalReport, _R4,
-         "MinimalReport(r=4, s_r=2, eps_r=Fraction(4, 3), m_r=4, sample=(0, 1, 0, 0, 1), b=0)"),
+         "MinimalReport(w=4, s=2, eps=Fraction(4, 3), m=4, sample=(0, 1, 0, 0, 1), b=0)"),
         (StabilityBound, dict(b=1, n_threshold=120), "StabilityBound(b=1, n_threshold=120)"),
-        (LeadingTerm, dict(coefficient=2, exponent=598, n=25, r=1, stable=True, n_threshold=0),
-         "LeadingTerm(coefficient=2, exponent=598, n=25, r=1, stable=True, n_threshold=0)"),
+        (LeadingTerm, dict(coefficient=2, exponent=598, n=25, r=1),
+         "LeadingTerm(coefficient=2, exponent=598, n=25, r=1)"),
         (Presentation, dict(generator_count=2, relators=((1, 1, 1), (2, 2)), label="x"),
          "Presentation(generator_count=2, relators=((1, 1, 1), (2, 2)), label='x')"),
     ],

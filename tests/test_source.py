@@ -133,6 +133,7 @@ def test_degrees_are_grouped_once_and_expanded_only_where_coordinates_are_listed
     assert _attribute_readers(trees, "degrees") == {
         ("cli.py", "_cmd_table"),  # the ``degrees`` field of ``table --json``
         ("counting.py", "hom_count_poly"),  # after its pre-flight
+        ("naive_box.py", "_box_optima"),
         ("naive_box.py", "minimal_tuples_naive"),
         ("orbit_sum.py", "eligible_tuples"),
         ("orbit_sum.py", "orbit_poly"),
@@ -409,17 +410,27 @@ def test_one_command_table_drives_the_cli_and_only_main_prints_results():
     assert to_stdout and all(main.lineno < line <= main.end_lineno for line in to_stdout)
 
 
-def test_only_the_variety_command_refuses_the_unstable_regime():
-    # the library reports LeadingTerm.stable; refusing below N (exit 2) is the CLI's policy
-    raisers = {
-        (name, top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None)
+def test_leading_term_runs_one_nonnegative_search():
+    # f_n's top comes from one _solve over the non-negative tuples of weight n, never from N,
+    # and only leading_term asks _solve for that bound
+    calls = [
+        (name, top.name, node)
         for name, tree in _trees().items()
         for top in tree.body
+        if isinstance(top, ast.FunctionDef)
         for node in ast.walk(top)
-        if isinstance(node, ast.Raise) and node.exc is not None
-        and "UnstableRegime" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+        if isinstance(node, ast.Call)
+    ]
+    leading = [
+        ast.unparse(node.func) for name, scope, node in calls
+        if (name, scope) == ("minimize.py", "leading_term")
+    ]
+    assert leading.count("_solve") == 1 and "stability_bound" not in leading
+    nonnegative = {
+        (name, scope) for name, scope, node in calls
+        if "nonnegative" in {keyword.arg for keyword in node.keywords}
     }
-    assert raisers == {("cli.py", "_cmd_variety")}
+    assert nonnegative == {("minimize.py", "leading_term")}
 
 
 _IMPORT_PROBE = """
@@ -475,9 +486,10 @@ def test_residue_and_poly_commands_leave_numpy_unloaded():
 # went (minimal_tuples takes any weight, a report carries eps_r, a profile checks itself, and
 # the variety's dimension and top components are leading_term's exponent and coefficient)
 REMOVED_NAMES = (
-    "DivisionByZero IneligibleTuple LengthMismatch LiftedReport NonZeroRemainder VarietyReport"
-    " div_exact eligible_tuples epsilon gl_order_poly lift_minimal minimal_tuples_direct"
-    " minimal_tuples_for_n orbit_poly parse_presentation validate_profile variety_report weight"
+    "DivisionByZero IneligibleTuple LengthMismatch LiftedReport NonZeroRemainder UnstableRegime"
+    " VarietyReport div_exact eligible_tuples epsilon gl_order_poly lift_minimal"
+    " minimal_tuples_direct minimal_tuples_for_n orbit_poly parse_presentation validate_profile"
+    " variety_report weight"
 ).split()
 
 
@@ -485,7 +497,7 @@ def test_the_package_exports_the_calculator_and_nothing_else():
     assert set(glhom.__all__) == {
         "hom_count_poly",
         "GlhomError", "InvariantViolation", "ParseError", "RangeError", "ResourceLimit",
-        "UnstableRegime", "UnsupportedFamily", "ValidationError",
+        "UnsupportedFamily", "ValidationError",
         "NEG_INFINITY", "IntPolynomial",
         "LeadingTerm", "MinimalReport", "StabilityBound", "leading_term", "minimal_tuples",
         "stability_bound",
