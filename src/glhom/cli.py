@@ -3,7 +3,8 @@
 Subcommands: table, poly, leading, bound, verify, variety, each followed by its options as FLAG
 VALUE pairs; -h prints the usage.  Results go to standard output (text, or one JSON document
 with --json); diagnostics go to standard error.  Exit codes: 0 success/PASS, 1 input or
-validation error, 2 verification failure, 3 resource limit exceeded.
+validation error, 2 verification failure, 3 resource limit exceeded; 120, as for any Python
+program, when standard output cannot be written.  The process exits without teardown.
 """
 
 from __future__ import annotations
@@ -263,5 +264,18 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def _run() -> None:
+    """The process entry: main(), both streams flushed, then an exit that skips teardown."""
+    import os
+
+    code = main()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: its fd closed at start
+            stream.flush()
+    except OSError:
+        sys.exit(code)  # the interpreter's own exit reports the failed write, with 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _run()

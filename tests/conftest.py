@@ -29,30 +29,36 @@ def custom_profile(degrees) -> DegreeProfile:
     return make_profile(f"custom:order={order},degrees=" + ",".join(map(str, degrees)))
 
 
-def run_guarded(*args: str) -> tuple[subprocess.CompletedProcess, float]:
+def run_guarded(*args: str, stdout=subprocess.PIPE) -> tuple[subprocess.CompletedProcess, float]:
     """``python ARGS`` in a child capped at GUARD_BYTES of address space.
 
     Returns the finished process (text output) and its wall time in seconds.
     An input that asks for more memory fails in the child instead of taking
-    the machine's.
+    the machine's.  PYTHONUNBUFFERED is dropped, so the child's stdout is
+    block-buffered, as when its output goes to a file or a pipe.  ``stdout``
+    is a pipe read back by default, any target subprocess takes, or None for
+    a child started with its fd 1 closed.
     """
     path = [str(Path(glhom.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
 
     def guard():
         resource.setrlimit(resource.RLIMIT_AS, (GUARD_BYTES, GUARD_BYTES))
+        if stdout is None:
+            os.close(1)
 
     start = time.perf_counter()
     result = subprocess.run(
         [sys.executable, *args],
-        capture_output=True, text=True, env=env, preexec_fn=guard, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, preexec_fn=guard, timeout=60,
     )
     return result, time.perf_counter() - start
 
 
-def run_cli_guarded(*argv: str) -> tuple[subprocess.CompletedProcess, float]:
+def run_cli_guarded(*argv: str, stdout=subprocess.PIPE):
     """``python -m glhom.cli ARGV`` under ``run_guarded``."""
-    return run_guarded("-m", "glhom.cli", *argv)
+    return run_guarded("-m", "glhom.cli", *argv, stdout=stdout)
 
 
 def small_profiles(max_order: int = 24, max_coords: int = 10, max_ones: int = 12):

@@ -239,6 +239,52 @@ def test_verify_runs_numpy_with_one_blas_thread_unless_the_user_chose():
     assert probe(OPENBLAS_NUM_THREADS="2")[:2] == ["0", "2"]
 
 
+# an output that fits the 8 KiB stdout buffer, so nothing is written before the exit's flush;
+# the child's stdout is block-buffered, and the exit codes and messages are the interpreter's own
+_SMALL = ("poly", "--group", "cyclic:2", "-n", "3")
+
+
+def _reported_at_exit(result) -> tuple[int, str]:
+    """The exit code and the error line of the interpreter's own report on stdout at exit.
+
+    The report must be all of stderr: a traceback before it means a write failed earlier.
+    """
+    head, error = result.stderr.splitlines()
+    assert head.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    return result.returncode, error
+
+
+def test_closed_stdout_exits_0():
+    # Python starts with sys.stdout None when fd 1 is closed, and print then writes nothing
+    result, _ = run_cli_guarded(*_SMALL, stdout=None)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_stdout_on_a_full_device_exits_120():
+    with open("/dev/full", "w") as full:
+        result, _ = run_cli_guarded(*_SMALL, stdout=full)
+    assert _reported_at_exit(result) == (120, "OSError: [Errno 28] No space left on device")
+
+
+def test_stdout_on_a_pipe_its_reader_closed_exits_120():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result, _ = run_cli_guarded(*_SMALL, stdout=write)
+    finally:
+        os.close(write)
+    assert _reported_at_exit(result) == (120, "BrokenPipeError: [Errno 32] Broken pipe")
+
+
+def test_output_past_the_stdout_buffer_is_written_whole(capsys):
+    argv = ("poly", "--group", "cyclic:2", "-n", "150", "--json")
+    result, _ = run_cli_guarded(*argv)
+    code, out, err = run(capsys, *argv)
+    assert (code, err, len(out) > 50 * 8192) == (0, "", True)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
+
 def test_bad_group_exit_1(capsys):
     code, _, err = run(capsys, "table", "--group", "frobenius:3")
     assert code == 1 and "error" in err

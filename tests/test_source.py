@@ -410,6 +410,37 @@ def test_one_command_table_drives_the_cli_and_only_main_prints_results():
     assert to_stdout and all(main.lineno < line <= main.end_lineno for line in to_stdout)
 
 
+def test_only_the_process_entry_exits_and_it_flushes_both_streams_first():
+    # cli._run skips the interpreter's teardown with os._exit once stdout and stderr are
+    # flushed; main, which tests and library callers run in process, returns its code and
+    # never exits; the installed command and python -m glhom.cli both start at _run
+    trees = _trees()
+    exits = [
+        (name, getattr(top, "name", None), node.lineno)
+        for name, tree in trees.items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "os._exit"
+    ]
+    assert [(name, scope) for name, scope, _ in exits] == [("cli.py", "_run")]
+    functions = {fn.name: fn for fn in trees["cli.py"].body if isinstance(fn, ast.FunctionDef)}
+    flushes = [
+        loop for loop in ast.walk(functions["_run"])
+        if isinstance(loop, ast.For) and "stream.flush()" in map(ast.unparse, loop.body)
+    ]
+    assert len(flushes) == 1 and flushes[0].end_lineno < exits[0][2]
+    assert {"sys.stdout", "sys.stderr"} <= set(map(ast.unparse, ast.walk(flushes[0].iter)))
+    called = {
+        ast.unparse(node.func) for node in ast.walk(functions["main"]) if isinstance(node, ast.Call)
+    }
+    assert not called & {"sys.exit", "os._exit", "exit", "quit", "os.abort"}
+    guard = trees["cli.py"].body[-1]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    _run()"
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml").read_text())
+    assert project["project"]["scripts"] == {"glhom": "glhom.cli:_run"}
+
+
 def test_leading_term_runs_one_nonnegative_search():
     # f_n's top comes from one _solve over the non-negative tuples of weight n, never from N,
     # and only leading_term asks _solve for that bound
