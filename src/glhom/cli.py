@@ -139,15 +139,15 @@ def _cmd_variety(profile, spec, n):
 def _cmd_verify(profile, spec, n, q):
     import os
 
-    # the oracle's integer products never call BLAS, so numpy need not start OpenBLAS's
-    # worker thread, which would spin beside it; a value the user set wins
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from . import oracle  # numpy: verify only
-    from .counting import hom_count_poly
-
     ok, reason = _splits(spec, q)
     if not ok:
         raise ValidationError(f"F_{q} is not a splitting field for {spec}: {reason}")
+    # the oracle's integer products never call BLAS, so numpy need not start OpenBLAS's
+    # worker thread, which would spin beside it; a value the user set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import oracle  # numpy: verify only, past the refusal of a q that does not split
+    from .counting import hom_count_poly
+
     # the oracle's refusals on (spec, n, q) alone come first, then f_n and its pre-flight,
     # and only then the m-letter relators of cyclic:m and dihedral:m; n = 0 builds none
     oracle._check_args(n, q)
@@ -265,15 +265,21 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run() -> None:
-    """The process entry: main(), both streams flushed, then an exit that skips teardown."""
+    """The process entry: main(), both streams flushed, then an exit that skips teardown.  A
+    write that fails, in main or the flush, is reported as a failed flush at exit is: code 120.
+    """
     import os
 
-    code = main()
     try:
+        code = main()
         for stream in filter(None, (sys.stdout, sys.stderr)):  # None: its fd closed at start
             stream.flush()
-    except OSError:
-        sys.exit(code)  # the interpreter's own exit reports the failed write, with 120
+    except OSError as exc:
+        code, report = 120, f"Exception ignored in: {sys.stdout!r}\n{type(exc).__name__}: {exc}"
+        try:  # stderr closed or unwritable: the code alone tells
+            print(report, file=sys.stderr, flush=True)
+        except OSError:
+            pass
     os._exit(code)
 
 

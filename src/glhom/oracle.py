@@ -1,24 +1,24 @@
 """Independent brute-force ground truth over small finite matrix groups.
 
 Everything here recomputes, by direct enumeration, quantities the rest of the package derives
-through polynomial identities: the order of GL_n(q) for prime q and n <= 3, and the number of
-homomorphisms from a finitely presented group (a ``Presentation`` of relator tuples) into GL_n(q),
-sharing no logic with the modules it checks.  A stack of N matrices is an (n, n, N) array of entry
-planes, read as mixed-radix digits off one reused low-digit table (``_digit_blocks``), in the
-narrowest integer type that holds every intermediate (int8 where n*q^2 <= 127; the 3 x 3
-determinant widens its own input to hold 3*q^3); a product is n^3 elementwise multiply-adds on
-planes, so numpy never calls BLAS here, and the block loop reuses buffers it allocates once.
-Matrices are raised to powers only by squaring (``_power``), inverses g^-1 = g^(2m-1) included,
-m a power relator's exponent or else that of GL_n(q).  g^e = 1 with e >= 1 needs no determinant,
-a relator u^k is tested through its root u, and each last product is computed whole only where
-its first entry is 1.  The join broadcasts a block of rows against every candidate of the next
-generator.  Conjugating a homomorphism by an h with h e1 = e1 gives one, and takes the first
-generator's column 0, v = g1 e1, to h v: h fixes each c*e1, and some h takes any other nonzero v
-to e2.  So |Hom| = sum_c N(g1 e1 = c*e1) + (q^n - q) N(g1 e1 = e2), and that generator, like each
-one only counted, is walked in this normal form, q^(n^2 - n + 1) matrices, not q^(n^2), and
-the cap on candidate tuples counts its normal-form candidates.  The pure-Python matrix
-reference and the naive minimal-tuple box search, which reuses ``_digit_blocks``, live with the
-tests.  At n = 0 every count is 1, as GL_0 is trivial.
+through polynomial identities: the order of GL_n(q) for prime q and n up to the cap on q^(n^2),
+and the number of homomorphisms from a finitely presented group (a ``Presentation`` of relator
+tuples) into GL_n(q), sharing no logic with the modules it checks.  A stack of N matrices is an
+(n, n, N) array of entry planes, read as mixed-radix digits off one reused low-digit table
+(``_digit_blocks``), in the narrowest integer type that holds every intermediate (int8 where
+n*q^2 <= 127); a product is n^3 elementwise multiply-adds on planes, so numpy never calls BLAS here,
+and the block loop reuses buffers it allocates once.  The one membership test is g^e = 1, e >= 1,
+which no singular matrix passes: e divides the exponent m of GL_n(q), where g^m = 1, and is m
+where no power relator constrains g.  Powers are taken only by squaring (``_power``), inverses
+g^-1 = g^(2e-1) too; a relator u^k is tested through its root u, and each last product is computed
+whole only where its first entry is 1.  The join broadcasts a block of rows against every
+candidate of the next generator.  Conjugating a homomorphism by an h with h e1 = e1 gives one, and
+takes the first generator's column 0, v = g1 e1, to h v: h fixes each c*e1, and some h takes any
+other nonzero v to e2.  So |Hom| = sum_c N(g1 e1 = c*e1) + (q^n - q) N(g1 e1 = e2), and that
+generator, like each one only counted, is walked in this normal form, q^(n^2 - n + 1) matrices,
+not q^(n^2), and the cap on candidate tuples counts its normal-form candidates.  The pure-Python
+matrix reference and the naive minimal-tuple box search, which reuses ``_digit_blocks``, live with
+the tests.  At n = 0 every count is 1, as GL_0 is trivial.
 """
 
 from __future__ import annotations
@@ -44,8 +44,10 @@ def _check_args(n: int, q: int) -> None:
         raise ValidationError(f"q={q} must be prime for brute-force enumeration")
     if n < 0:
         raise RangeError("dimension must be >= 0")
-    if n > 3:
-        raise RangeError("matrix enumeration supports 0 <= n <= 3")
+    if n * n >= MAX_CANDIDATES.bit_length():  # 2^(n^2) > MAX_CANDIDATES, told before q^(n^2)
+        raise ResourceLimit(
+            f"q^(n^2) >= 2^(n^2) at n={n} exceeds the candidate cap {MAX_CANDIDATES}"
+        )
     total = q ** (n * n)
     if total > MAX_CANDIDATES:
         raise ResourceLimit(f"q^(n^2) = {total} exceeds the candidate cap {MAX_CANDIDATES}")
@@ -74,10 +76,9 @@ def _digit_blocks(base: int, width: int, dtype: type) -> Iterator[np.ndarray]:
 def _matrix_type(n: int, q: int) -> type:
     """The narrowest integer type of n x n matrix stacks mod q that holds every intermediate.
 
-    Entries are < q and an entry of a product is < n*q^2: int8 where n*q^2 <= 127 (n = 3 up to
-    q = 5, n = 2 up to q = 7, n = 1 up to q = 11), int16 for every other n = 2, 3 that
-    MAX_CANDIDATES admits (q <= 97 and q <= 7), and for n = 1 up to q = 181.  Only the 3 x 3
-    determinant of ``_det_mod`` passes n*q^2, and it widens its own input.
+    Entries are < q and an entry of a product is < n*q^2: int8 where n*q^2 <= 127 (every n = 4, 5
+    that MAX_CANDIDATES admits, n = 3 up to q = 5, n = 2 up to q = 7, n = 1 up to q = 11), int16
+    for every other n = 2, 3 it admits (q <= 97 and q <= 7), and for n = 1 up to q = 181.
     """
     bound = n * q * q
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
@@ -113,17 +114,6 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, q: int, out=None, scratch=None) -> np
         for j in range(n):
             _reduce(_dot(a[i], b[:, j], out[i, j], scratch), q, scratch)
     return out
-
-
-def _det_mod(mats: np.ndarray, q: int) -> np.ndarray:
-    if len(mats) == 1:
-        return mats[0, 0]  # entries are already below q
-    if len(mats) == 2:
-        (a, b), (c, d) = mats
-        return _reduce(a * d - b * c, q)
-    # |det| < 3*q^3, which can pass the stacks' type, so it is built in a type that holds it
-    (a, b, c), (d, e, f), (g, h, i) = mats.astype(np.min_scalar_type(-3 * q**3), copy=False)
-    return _reduce(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g), q)
 
 
 def _power(mats: np.ndarray, e: int, q: int, out=(None, None), scratch=None) -> np.ndarray:
@@ -187,8 +177,8 @@ def _eval_word(word: tuple[int, ...], at: Sequence, mats: list, invs: list, q: i
 
 
 def _unit_blocks(n: int, q: int, e: int, normal: bool = False) -> Iterator[np.ndarray]:
-    """The n x n matrices g with g^e = 1 as (n, n, N) stacks, block by block; for e = 0 every
-    invertible one.  g^e = 1 with e >= 1 makes g invertible; it is tested as g^(e - e//2) g^(e//2).
+    """The n x n matrices g with g^e = 1, e >= 1, as (n, n, N) stacks, block by block: all of
+    GL_n(q) for e = ``_gl_exponent(n, q)``.  g^e = 1 is tested as g^(e - e//2) g^(e//2).
     In ``normal`` form only the q^(n^2 - n + 1) matrices whose column 0 is c*e1, or e2 for c = 0,
     are walked: digit 0 is c and the others are columns 1 .. n-1.
     """
@@ -203,8 +193,7 @@ def _unit_blocks(n: int, q: int, e: int, normal: bool = False) -> Iterator[np.nd
             mats[0, 0], mats[1:2, 0] = digits[0], digits[0] == 0
         right = _power(mats, e // 2, q, products[:2], work[-1, :size])
         left = _mul_mod(right, mats, q, products[2], work[-1, :size]) if e % 2 else right
-        rows = _identity_rows(left, right, q, work[-2:, :size]) if e else _det_mod(mats, q) != 0
-        yield mats[..., rows]
+        yield mats[..., _identity_rows(left, right, q, work[-2:, :size])]
 
 
 def _orbit_weights(mats: np.ndarray, q: int) -> np.ndarray:
@@ -218,14 +207,20 @@ def _gl_exponent(n: int, q: int) -> int:
     """The least m with g^m = 1 on GL_n(q), q prime: the order q^ceil(log_q n) of an n x n
     Jordan block times lcm(q^i - 1 : i <= n), which the orders of semisimple elements divide.
     """
-    unipotent = next(q**k for k in range(n) if q**k >= n)
+    unipotent = next(q**k for k in range(n + 1) if q**k >= n)
     return unipotent * math.lcm(*(q**i - 1 for i in range(1, n + 1)))
 
 
 def gl_count(n: int, q: int) -> int:
-    """|GL_n(q)| by direct enumeration (vectorised); GL_0 is trivial."""
+    """|GL_n(q)| by direct enumeration, the roots of x^m in normal form weighted; GL_0 is 1."""
     _check_args(n, q)
-    return sum(int(_orbit_weights(b, q).sum()) for b in _unit_blocks(n, q, 0, True)) if n else 1
+    blocks = _unit_blocks(n, q, _gl_exponent(n, q), True)  # lazy: never started at n = 0
+    return sum(int(_orbit_weights(block, q).sum()) for block in blocks) if n else 1
+
+
+def _check_tuples(counts: Iterator[int]) -> None:
+    if (tuples := math.prod(counts)) > MAX_CANDIDATES:  # counts: a lower bound per generator
+        raise ResourceLimit(f"at least {tuples} candidate tuples exceed the cap {MAX_CANDIDATES}")
 
 
 def _integers(values: Sequence, what: str) -> tuple[int, ...]:
@@ -289,11 +284,13 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
     which every relator evaluates to the identity.  Each generator's
     candidates are first cut down by the relators that mention only that
     generator: such a word equals g^e, with e its signed letter count, so
-    together they leave the matrices with g^gcd = 1.  Tuples are then
-    joined one generator at a time, and each other relator is checked as
-    soon as its highest generator is assigned; the first generator takes
-    only normal-form candidates, each weighted by its orbit.  Both q^(n^2)
-    and the product of the generators' candidate counts, of normal-form
+    together with g^m = 1, m the exponent of GL_n(q), they leave the
+    matrices with g^gcd = 1; a generator no such word constrains keeps
+    the roots of x^m, all of GL_n(q).  Tuples are then joined one
+    generator at a time, and each other relator is checked as soon as its
+    highest generator is assigned; the first generator takes only
+    normal-form candidates, each weighted by its orbit.  Both q^(n^2) and
+    the product of the generators' candidate counts, of normal-form
     candidates where those are taken, are capped at MAX_CANDIDATES.
     """
     _check_args(n, q)
@@ -308,7 +305,8 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
     new = {g: i for i, g in enumerate(sorted(range(1, k + 1), key=lambda g: g not in read), 1)}
     free = len(read)
     ends_at: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
-    exponents = [0] * k  # generator g keeps the matrices with g^exponents[g] = 1
+    m = _gl_exponent(n, q)  # every g in GL_n(q) has g^m = 1, and no singular matrix does
+    exponents = [m] * k  # generator g keeps the matrices with g^exponents[g] = 1
     for word in presentation.relators:
         word = tuple(new[x] if x > 0 else -new[-x] for x in word)
         gens = set(map(abs, word))
@@ -324,33 +322,28 @@ def hom_count_bruteforce(presentation: Presentation, n: int, q: int) -> int:
     whole = set(exponents[1:free])
     kept: dict[tuple[int, bool], list[np.ndarray]] = {key: [] for key in keys[:free]}
     order = math.prod(q**n - q**i for i in range(n))  # |GL_n(q)|
-    # candidates per key, a lower bound until its stream ends, so the cap refuses early:
-    # any stream keeps the identity, and exponent 0 keeps all of GL_n(q), so it goes last
-    # and, unless kept, streams nothing: its one empty block only checks the cap
-    counts = {(e, form): 1 for e in exponents for form in (False, True)} | {(0, False): order}
-    totals = {}  # the roots of x^e, a stream's weights summed
-    for e in sorted(set(exponents), key=lambda e: e == 0):
+    # candidates per key, a lower bound until its stream ends, so the cap refuses early: any
+    # stream keeps the identity, and x^m all of GL_n(q): it streams last, and only for the join
+    counts = {(e, form): 1 for e in exponents for form in (False, True)} | {(m, False): order}
+    totals = {m: order}  # the roots of x^e, a stream's weights summed
+    _check_tuples(counts[key] for key in keys)
+    for e in sorted(set(exponents[:free]) | set(exponents[free:]) - {m}):
         seen = picked = totals[e] = 0
-        live = e or 0 in exponents[:free]
-        for block in _unit_blocks(n, q, e, e not in whole) if live else [np.empty((n, n, 0))]:
+        for block in _unit_blocks(n, q, e, e not in whole):
             weight = _orbit_weights(block, q)
             seen, picked = seen + block.shape[-1], picked + np.count_nonzero(weight)
             totals[e] += int(weight.sum())
-            counts[e, False], counts[e, True] = seen if e else order, picked
+            counts[e, False], counts[e, True] = max(counts[e, False], seen), picked
             kept.get((e, False), []).append(block)
             if (e, True) in kept:
                 kept[e, True].append(block[..., weight > 0])
-            if (tuples := math.prod(counts[key] for key in keys)) > MAX_CANDIDATES:
-                raise ResourceLimit(
-                    f"at least {tuples} candidate tuples exceed the cap {MAX_CANDIDATES}"
-                )
+            _check_tuples(counts[key] for key in keys)
     streamed = {key: np.concatenate(blocks, axis=-1) for key, blocks in kept.items()}
     mats = [streamed.get(key) for key in keys]
-    sizes = [m.shape[-1] for m in mats[:free]]
-    sizes += [totals[e] if e else order for e in exponents[free:]]  # weighted, or |GL_n(q)|
-    # each kept g has g^m = 1, m its exponent or that of GL_n(q), so g^-1 = g^(2m-1) even at m = 1
+    sizes = [stack.shape[-1] for stack in mats[:free]] + [totals[e] for e in exponents[free:]]
+    # each kept g has g^e = 1, e its exponent, so g^-1 = g^(2e-1) even at e = 1
     inverted = {keys[-x - 1] for words in ends_at for word in words for x in word if x < 0}
-    inverses = {k: _power(streamed[k], 2 * (k[0] or _gl_exponent(n, q)) - 1, q) for k in inverted}
+    inverses = {key: _power(streamed[key], 2 * key[0] - 1, q) for key in inverted}
     invs = [inverses.get(key) for key in keys]
     weights = _orbit_weights(mats[0], q) if free else None  # of the first join generator's
 

@@ -240,12 +240,13 @@ def test_verify_runs_numpy_with_one_blas_thread_unless_the_user_chose():
 
 
 # an output that fits the 8 KiB stdout buffer, so nothing is written before the exit's flush;
-# the child's stdout is block-buffered, and the exit codes and messages are the interpreter's own
+# the child's stdout is block-buffered, and the exit codes and messages are those the
+# interpreter gives a failed flush at exit
 _SMALL = ("poly", "--group", "cyclic:2", "-n", "3")
 
 
 def _reported_at_exit(result) -> tuple[int, str]:
-    """The exit code and the error line of the interpreter's own report on stdout at exit.
+    """The exit code and the error line of the report on a failed write to stdout.
 
     The report must be all of stderr: a traceback before it means a write failed earlier.
     """
@@ -268,13 +269,16 @@ def test_stdout_on_a_full_device_exits_120():
 
 
 def test_stdout_on_a_pipe_its_reader_closed_exits_120():
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        result, _ = run_cli_guarded(*_SMALL, stdout=write)
-    finally:
-        os.close(write)
-    assert _reported_at_exit(result) == (120, "BrokenPipeError: [Errno 32] Broken pipe")
+    # past the stdout buffer the write fails in main's print, not at the exit's flush, and
+    # ends the same way
+    for argv in (_SMALL, ("poly", "--group", "cyclic:2", "-n", "150", "--json")):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result, _ = run_cli_guarded(*argv, stdout=write)
+        finally:
+            os.close(write)
+        assert _reported_at_exit(result) == (120, "BrokenPipeError: [Errno 32] Broken pipe")
 
 
 def test_output_past_the_stdout_buffer_is_written_whole(capsys):
@@ -311,12 +315,12 @@ def test_resource_limit_exit_3(capsys):
 
 
 def test_verify_refuses_before_building_the_polynomial(capsys, monkeypatch):
-    # the oracle's n range is checked before f_200 is built
+    # the oracle's cap on n is checked before f_200 is built
     built = []
     monkeypatch.setattr(counting, "hom_count_poly", lambda *args: built.append(args))
     code, out, err = run(capsys, "verify", "--group", "cyclic:2", "-n", "200", "-q", "3")
-    assert (code, out, err) == (1, "", "error: matrix enumeration supports 0 <= n <= 3\n")
-    assert built == []
+    cap = "error: q^(n^2) >= 2^(n^2) at n=200 exceeds the candidate cap 100000000\n"
+    assert (code, out, err, built) == (3, "", cap, [])
 
 
 @pytest.mark.parametrize(
@@ -760,6 +764,23 @@ def test_leading_and_variety_at_any_order_when_every_degree_is_at_most_two(
             ("verify", "--group", "dihedral:6", "-n", "2", "-q", "37"),
             0, "f(37) = 109672\nbrute force = 109672\nPASS\n", "",
             3.0,
+        ),
+        # n = 4 at q = 3: x1's involutions among 3^13 normal-form matrices
+        (
+            ("verify", "--group", "cyclic:2", "-n", "4", "-q", "3"),
+            0, "f(3) = 12692\nbrute force = 12692\nPASS\n", "",
+            2.0,
+        ),
+        # 2^(n^2) passes the candidate cap from n = 6 on, refused from n before q^(n^2) is formed
+        (
+            ("verify", "--group", "cyclic:2", "-n", "6", "-q", "3"),
+            3, "", "error: q^(n^2) >= 2^(n^2) at n=6 exceeds the candidate cap 100000000\n",
+            1.0,
+        ),
+        (
+            ("verify", "--group", "cyclic:2", "-n", "1000000", "-q", "3"),
+            3, "", "error: q^(n^2) >= 2^(n^2) at n=1000000 exceeds the candidate cap 100000000\n",
+            1.0,
         ),
     ],
 )

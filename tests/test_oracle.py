@@ -29,7 +29,6 @@ import glhom.oracle as oracle
 from glhom.oracle import (
     _BLOCK_ROWS,
     MAX_CANDIDATES,
-    _det_mod,
     _digit_blocks,
     _eval_word,
     _gl_exponent,
@@ -59,22 +58,25 @@ def test_gl_enumerate_stream_matches_count():
             assert m.det() != 0
 
 
-@pytest.mark.parametrize("n", (1, 2, 3))
-@pytest.mark.parametrize("q", (2, 3, 5))
+@pytest.mark.parametrize(
+    "q, n", [*itertools.product((2, 3, 5), (1, 2, 3)), (2, 4), (3, 4), (2, 5)]
+)
 def test_gl_count_matches_order_polynomial(n, q):
     assert gl_count(n, q) == math.prod(q**n - q**i for i in range(n))
 
 
 def test_gl_enumerate_guards(monkeypatch):
-    with pytest.raises(RangeError):
-        gl_count(4, 2)
+    # n is bounded by the cap alone: 2^(5^2) fits 10^8, 2^(6^2) does not
+    assert gl_count(4, 2) == 20160
+    with pytest.raises(ResourceLimit, match=r"^q\^\(n\^2\) >= 2\^\(n\^2\) at n=6 exceeds"):
+        gl_count(6, 2)
     for q in (2, 3):
         assert len(list(gl_enumerate(0, q))) == gl_count(0, q) == 1
         assert [m.det() for m in gl_enumerate(0, q)] == [1]
     with pytest.raises(ValidationError):
         gl_count(2, 4)
     with pytest.raises(ValidationError):  # q is checked first, then the range of n
-        gl_count(4, 4)
+        gl_count(6, 4)
     with pytest.raises(RangeError, match="dimension must be >= 0"):
         gl_count(-1, 2)
     monkeypatch.setattr(oracle, "MAX_CANDIDATES", 10**5)
@@ -143,7 +145,7 @@ def test_hom_count_dimension_zero():
 
 def test_order_filter_agreement():
     # one-pass Python order filter vs the vectorised candidate enumeration, which
-    # tests no determinant for e >= 1 and splits an odd e as g^((e+1)/2) g^((e-1)/2)
+    # tests no determinant and splits an odd e as g^((e+1)/2) g^((e-1)/2)
     assert count_units_of_order_dividing(2, 3, 2) == [14]
     for n, q, exponents in (
         (0, 5, (1, 2, 3)),  # GL_0 is the identity alone, a root of every x^e
@@ -165,9 +167,11 @@ def test_normal_form_weights_count_every_root(n, q, monkeypatch):
     # conjugation by an h with h e1 = e1 keeps g^e = 1 and takes g's column 0 to h times it:
     # c*e1 is fixed and the other q^n - q columns form e2's orbit, so the normal-form roots of
     # x^e, those weighted q^n - q, are all of them; the pure-Python reference walks q^(n^2)
-    # matrices, too slowly past GL_3(3), so GL_3(5) is checked against the full stream alone
-    exponents = (0, 1, 2, 3, 4, 6)
-    expected = count_units_of_order_dividing(n, q, *exponents) if q ** (n * n) < 10**5 else None
+    # matrices, too slowly past GL_3(3), so GL_3(5) is checked against the full stream alone;
+    # the roots of x^m, m the exponent of GL_n(q), are every unit, as those of x^0 there
+    reference = (0, 1, 2, 3, 4, 6)
+    exponents = (_gl_exponent(n, q), *reference[1:])
+    expected = count_units_of_order_dividing(n, q, *reference) if q ** (n * n) < 10**5 else None
     walked = []
 
     def spied(*args):
@@ -188,7 +192,7 @@ def test_normal_form_weights_count_every_root(n, q, monkeypatch):
             assert weighted == expected[i], e
     # each nonzero column 0 starts |GL_n(q)| / (q^n - 1) units, and q - 1 columns c*e1 and,
     # past n = 1, e2 are in normal form
-    units = sum(block.shape[-1] for block in _unit_blocks(n, q, 0, True))
+    units = sum(block.shape[-1] for block in _unit_blocks(n, q, exponents[0], True))
     assert units == (q - 1 + (n > 1)) * gl_count(n, q) // (q**n - 1)
 
 
@@ -225,7 +229,8 @@ def test_identity_rows_match_the_full_product(n, q, size, seed):
 def test_inverses_by_the_exponent_of_gl(n, q, m):
     # g^m = 1 on all of GL_n(q), so g^-1 = g^(2m-1); no m / p with p | m prime does
     assert _gl_exponent(n, q) == m
-    units = np.concatenate(list(_unit_blocks(n, q, 0)), axis=-1)
+    units = np.concatenate(list(_unit_blocks(n, q, m)), axis=-1)
+    assert units.shape[-1] == math.prod(q**n - q**i for i in range(n))  # the roots of x^m
     identity = np.eye(n, dtype=np.int64)[:, :, None]
     assert (_power(units, m, q) == identity).all()
     for p in sympy.primefactors(m):
@@ -278,15 +283,15 @@ def test_bruteforce_matches_polynomial_in_either_matrix_type(spec, n, q):
     assert count == hom_count_poly(make_profile(spec), n).evaluate(q)
 
 
-def test_the_determinant_is_built_wider_than_int8_stacks():
-    # GL_3(5) is streamed in int8 (3*5^2 = 75), but a determinant there reaches 2*4^3 = 128,
-    # which int8 wraps to -128, also nonzero mod 5: so its value is checked too
+def test_int8_stacks_keep_every_unit_as_a_root_of_the_group_exponent():
+    # GL_3(5) is streamed in int8 (3*5^2 = 75) and kept by g^m = 1, m = 5 * 744: each product
+    # entry is reduced as it is built, so no power passes the stacks' type
     assert _matrix_type(3, 5) == _matrix_type(3, 3) == np.int8
-    assert _det_mod(np.array([[4, 4, 0], [0, 4, 4], [4, 0, 4]], np.int8)[..., None], 5) == 128 % 5
+    assert _gl_exponent(3, 5) == 3720
     assert gl_count(3, 5) == 1_488_000
     assert gl_count(3, 3) == 11_232
-    # x2 has no power relator, so it streams GL_3(5) through the determinant beside x1, which the
-    # power filter cuts to the identity; then x2^2 = 1, as in cyclic:2
+    # x2 has no power relator, so it streams the roots of x^3720, all of GL_3(5), beside x1,
+    # which the power filter cuts to the identity; then x2^2 = 1, as in cyclic:2
     assert hom_count_bruteforce(Presentation(2, ((1,), (1, 2) * 2)), 3, 5) == 1552
 
 
@@ -601,6 +606,16 @@ def test_generator_no_relator_reads_is_counted_not_kept():
     result, wall = run_guarded("-c", _UNREAD_GENERATOR_PROBE)
     assert (result.returncode, result.stdout, result.stderr) == (0, "33784128\n", "")
     assert wall < 1.0
+
+
+def test_counted_generators_alone_are_capped_before_any_stream(monkeypatch):
+    # two generators that no relator constrains or reads stream nothing, but their
+    # |GL_3(7)|^2 tuples still pass the cap, and are refused up front
+    streams = []
+    monkeypatch.setattr(oracle, "_unit_blocks", lambda *args: streams.append(args) or iter(()))
+    with pytest.raises(ResourceLimit, match=f"^at least {33784128**2} candidate tuples exceed"):
+        hom_count_bruteforce(Presentation(2, ((1, -1), (2, -2))), 3, 7)
+    assert streams == []
 
 
 def test_generator_between_read_ones_is_only_a_factor(monkeypatch):

@@ -278,10 +278,13 @@ def test_one_powering_routine_in_the_oracle():
 
 
 def test_one_identity_test_in_the_oracle():
-    # g^e = 1 and each relator are tested on their last product by _identity_rows,
-    # and the digit walk divides only to build its low-digit table, not per block
+    # g^e = 1 and each relator are tested on their last product by _identity_rows, every
+    # candidate block by it alone, with no determinant beside it; _check_args bounds n by
+    # MAX_CANDIDATES, not by a literal, its one literal 0 the sign check; and the digit walk
+    # divides only to build its low-digit table, not per block
     tree = _trees()["oracle.py"]
     functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert "_det_mod" not in functions
     for name in ("_unit_blocks", "_eval_word"):
         called = {
             ast.unparse(node.func)
@@ -289,6 +292,20 @@ def test_one_identity_test_in_the_oracle():
             if isinstance(node, ast.Call)
         }
         assert "_identity_rows" in called
+    unit_blocks = functions["_unit_blocks"]
+    assert [
+        ast.unparse(node.value)
+        for loop in unit_blocks.body if isinstance(loop, ast.For)
+        for node in loop.body if isinstance(node, ast.Expr)
+    ] == ["(yield mats[..., _identity_rows(left, right, q, work[-2:, :size])])"]
+    bounds = [
+        ast.unparse(node)
+        for node in ast.walk(functions["_check_args"])
+        if isinstance(node, ast.Compare) and "n" in {
+            name.id for name in ast.walk(node) if isinstance(name, ast.Name)
+        }
+    ]
+    assert bounds == ["n < 0", "n * n >= MAX_CANDIDATES.bit_length()"]
     assert [
         ast.unparse(node)
         for node in ast.walk(tree)
@@ -430,6 +447,15 @@ def test_only_the_process_entry_exits_and_it_flushes_both_streams_first():
     ]
     assert len(flushes) == 1 and flushes[0].end_lineno < exits[0][2]
     assert {"sys.stdout", "sys.stderr"} <= set(map(ast.unparse, ast.walk(flushes[0].iter)))
+    # a failed write, in main's prints or in the flush, is caught around both, reported and
+    # ended by the same os._exit: _run never falls back to the interpreter's exit
+    (guarded,) = [node for node in functions["_run"].body if isinstance(node, ast.Try)]
+    assert [ast.unparse(handler.type) for handler in guarded.handlers] == ["OSError"]
+    assert "main()" in ast.unparse(guarded.body[0]) and flushes[0] in guarded.body
+    called = {
+        ast.unparse(node.func) for node in ast.walk(functions["_run"]) if isinstance(node, ast.Call)
+    }
+    assert "sys.exit" not in called
     called = {
         ast.unparse(node.func) for node in ast.walk(functions["main"]) if isinstance(node, ast.Call)
     }
@@ -495,6 +521,8 @@ def test_residue_and_poly_commands_leave_numpy_unloaded():
         ("poly", "--group", "dihedral:5", "-n", "4", "--eval", "11"): "0 glhom.counting",
         ("verify", "--group", "cyclic:2", "-n", "2", "-q", "3"):
             "0 glhom.counting glhom.oracle numpy",
+        # F_5 does not split cyclic:3: refused before the oracle, and numpy, load
+        ("verify", "--group", "cyclic:3", "-n", "2", "-q", "5"): "1",
     }
     path = [str(Path(glhom.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
